@@ -459,10 +459,33 @@ def l2_inner(a: DiffForm, b: DiffForm) -> float:
 class ModeInterpolator:
     """Evaluate several grid scalars at arbitrary points by trig interpolation.
 
-    Holds the union of active Fourier modes of the supplied spectra; with
-    rel_tol == 0 every mode is kept and the interpolation is exact.  With a
-    small rel_tol (e.g. 1e-14) modes below rel_tol * max|coeff| are dropped,
-    which is what the flow integrator uses on analytically decaying spectra.
+    Channel c at a point x is Re sum_m c_m e^{2 pi i m.x} over the kept
+    modes m, c_m being the FFT coefficient divided by the node count.  With
+    rel_tol == 0 every mode is kept and this is exact trigonometric
+    interpolation of the node values.  With a small rel_tol (e.g. 1e-14)
+    modes below rel_tol * max|coeff| in every channel are dropped, which is
+    what the flow integrator uses on analytically decaying spectra.
+
+    Each kept mode m whose negation -m is also kept is folded with it into
+    one term with coefficient c_m + conj(c_-m).  That is an exact identity
+    for the real part, so no Hermitian symmetry is assumed.  The zero mode,
+    modes with a -N/2 (Nyquist) component and modes whose partner was
+    dropped stay unpaired.  ``modes`` is the (F, n) integer array of these
+    folded representatives, about half the kept modes.
+
+    A call builds, per axis, the powers e^{2 pi i k x_j} for |k| up to the
+    largest kept |m_j| from one complex exponential per point, multiplies
+    the tables into an (F, points) phase block for the F folded modes and
+    contracts its real and imaginary parts with the coefficients in one
+    real matrix product.
+
+    Memory: points go in chunks whose transient arrays (axis tables, the
+    phase block, its gather temporary and its real/imaginary copy, the
+    product) hold about 2**17 complex entries, 2 MB, so the work stays in
+    cache.  A chunk has at least 64 points, so the transient peak is at
+    most max(2 MB, 64 points x (table rows + 3 F + channels) x 16 B), about
+    120 MB with every mode of a T^4 N = 16 grid kept.  An explicit
+    ``chunk`` fixes the points per chunk.
     """
 
     def __init__(self, grid: GridSpec, spectra: np.ndarray, rel_tol: float = 0.0):
@@ -473,28 +496,52 @@ class ModeInterpolator:
         flat = spectra.reshape(nf, -1)
         if rel_tol > 0.0:
             mags = np.abs(flat)
-            peak = mags.max()
-            active = np.nonzero((mags > rel_tol * peak).any(axis=0))[0]
+            keep = (mags > rel_tol * mags.max()).any(axis=0)
         else:
-            active = np.arange(flat.shape[1])
-        modes_1d = np.fft.fftfreq(grid.N, 1.0 / grid.N).astype(int)
-        unraveled = np.unravel_index(active, grid.shape)
+            keep = np.ones(flat.shape[1], dtype=bool)
+        active = np.nonzero(keep)[0]
+        idx = np.array(np.unravel_index(active, grid.shape))
+        freqs = np.fft.fftfreq(grid.N, 1.0 / grid.N).astype(int)[idx]
+        neg = np.ravel_multi_index(tuple(-idx % grid.N), grid.shape)
+        # a -N/2 component negates to +N/2, which no bucket holds: unpaired
+        paired = keep[neg] & (neg != active) & ~(2 * freqs == -grid.N).any(axis=0)
+        # each pair is represented by its member with the lower flat index
+        rep = ~(paired & (neg < active))
+        coeffs = flat[:, active[rep]] / grid.num_nodes
+        fold = paired[rep]
+        coeffs[:, fold] += flat[:, neg[rep][fold]].conj() / grid.num_nodes
         self.grid = grid
-        self.modes = np.stack([modes_1d[u] for u in unraveled], axis=-1).astype(float)
-        self.coeffs = flat[:, active] / grid.num_nodes
+        self.modes = freqs[:, rep].T
         self.nf = nf
+        self._weights = np.hstack([coeffs.real, -coeffs.imag])
+        kmax = np.abs(self.modes).max(axis=0, initial=0)
+        # an axis on which every kept mode is 0 contributes a factor of 1
+        self._axes = [(j, int(k), self.modes[:, j] + k)
+                      for j, k in enumerate(kmax) if k > 0]
+
+    def _phases(self, points: np.ndarray) -> np.ndarray:
+        """e^{2 pi i m.x} for every kept mode m, as an (F, points) block."""
+        ph = np.ones((self.modes.shape[0], points.shape[0]), dtype=complex)
+        for j, k, rows in self._axes:
+            base = np.exp(2j * np.pi * np.mod(points[:, j], 1.0))
+            table = np.empty((2 * k + 1, points.shape[0]), dtype=complex)
+            table[k] = 1.0
+            table[k + 1:] = np.cumprod(np.broadcast_to(base, (k, base.size)), axis=0)
+            table[:k] = table[:k:-1].conj()
+            ph *= table[rows]
+        return ph
 
     def __call__(self, points: np.ndarray, chunk: int | None = None) -> np.ndarray:
         points = np.atleast_2d(np.asarray(points, dtype=float))
         out = np.empty((self.nf, points.shape[0]))
-        mt = self.modes.T
         if chunk is None:
-            # keep the phase matrix near 256 MB regardless of mode count
-            chunk = max(64, int(16e6 / max(1, self.modes.shape[0])))
+            rows = sum(2 * k + 1 for _, k, _ in self._axes)
+            per_point = rows + 3 * self.modes.shape[0] + self.nf
+            chunk = max(64, 2**17 // per_point)
         for lo in range(0, points.shape[0], chunk):
             sl = slice(lo, min(lo + chunk, points.shape[0]))
-            phases = np.exp(2j * np.pi * (points[sl] @ mt))
-            out[:, sl] = (self.coeffs @ phases.T).real
+            ph = self._phases(points[sl])
+            out[:, sl] = self._weights @ np.concatenate((ph.real, ph.imag))
         return out
 
 

@@ -616,11 +616,10 @@ def integrate_isotopy(
         jac = jac + (dt / 6.0) * (j1 + 2.0 * j2 + 2.0 * j3 + j4)
         logf = logf + (dt / 6.0) * (r1 + 2.0 * r2 + 2.0 * r3 + r4)
 
-        if (k + 1) % 25 == 0 and not np.all(np.isfinite(pos)):
-            raise IsotopyDiverged(f"non-finite positions after step {k + 1}")
+        for name, arr in (("positions", pos), ("Jacobians", jac), ("log factors", logf)):
+            if not np.all(np.isfinite(arr)):
+                raise IsotopyDiverged(f"non-finite {name} after step {k + 1}")
         if rec_steps and rec_steps[0] == k + 1:
-            if not (np.all(np.isfinite(pos)) and np.all(np.isfinite(jac))):
-                raise IsotopyDiverged(f"non-finite state at t={(k + 1) / steps}")
             record(k + 1)
             rec_steps = rec_steps[1:]
 

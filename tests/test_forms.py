@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from lcsflow.forms import (
     DegreeError,
@@ -233,6 +235,80 @@ def test_mode_interpolator_drops_tiny_modes():
     assert sparse.modes.shape[0] <= 4
     pts = np.array([[0.3, 0.7]])
     assert sparse(pts)[0, 0] == pytest.approx(np.cos(TWO_PI * 0.3), abs=1e-12)
+
+
+def _dense_mode_sum(grid, spectra, rel_tol, points):
+    """Reference interpolator: one exponential per (point, kept mode).
+
+    Re sum_m c_m e^{2 pi i m.x} over every kept mode, with no folding,
+    per-axis tables or chunking.
+    """
+    flat = np.asarray(spectra, dtype=complex).reshape(spectra.shape[0], -1)
+    if rel_tol > 0.0:
+        mags = np.abs(flat)
+        active = np.nonzero((mags > rel_tol * mags.max()).any(axis=0))[0]
+    else:
+        active = np.arange(flat.shape[1])
+    modes_1d = np.fft.fftfreq(grid.N, 1.0 / grid.N).astype(int)
+    unraveled = np.unravel_index(active, grid.shape)
+    modes = np.stack([modes_1d[u] for u in unraveled], axis=-1).astype(float)
+    coeffs = flat[:, active] / grid.num_nodes
+    return (coeffs @ np.exp(2j * np.pi * (points @ modes.T)).T).real
+
+
+def _random_spectrum(grid, nf, kind, rng):
+    """nf spectra over the whole N^n grid, Nyquist buckets included.
+
+    Magnitudes are spread over six decades so a positive rel_tol drops some
+    modes.  "hermitian" spectra are those of real node values; "general"
+    ones are not; "one_sided" ones shrink every mode with m_0 < 0 by 1e-12,
+    so a positive rel_tol keeps m and drops -m; "zero" is all zeros.
+    """
+    shape = (nf,) + grid.shape
+    if kind == "zero":
+        return np.zeros(shape, dtype=complex)
+    spec = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    spec *= 10.0 ** -rng.uniform(0.0, 6.0, grid.shape)
+    if kind == "hermitian":
+        axes = tuple(range(1, grid.n + 1))
+        spec = np.fft.fftn(np.fft.ifftn(spec, axes=axes).real, axes=axes)
+    elif kind == "one_sided":
+        spec *= np.where(grid.mode_axis(0) < 0, 1e-12, 1.0)
+    return spec
+
+
+@given(n=st.sampled_from([2, 3, 4]),
+       kind=st.sampled_from(["hermitian", "general", "one_sided", "zero"]),
+       rel_tol=st.one_of(st.just(0.0), st.floats(1e-10, 1e-2)),
+       npts=st.integers(1, 40),
+       chunk=st.one_of(st.none(), st.integers(1, 45)),
+       seed=st.integers(0, 2**32 - 1))
+@example(n=2, kind="one_sided", rel_tol=1e-6, npts=7, chunk=3, seed=0)
+@example(n=4, kind="hermitian", rel_tol=0.0, npts=10, chunk=4, seed=1)
+@example(n=3, kind="zero", rel_tol=1e-3, npts=5, chunk=None, seed=2)
+def test_mode_interpolator_matches_dense_sum(n, kind, rel_tol, npts, chunk, seed):
+    rng = np.random.default_rng(seed)
+    g = GridSpec(n, 8)
+    spec = _random_spectrum(g, 3, kind, rng)
+    points = rng.uniform(-10.0, 10.0, (npts, n))
+    got = ModeInterpolator(g, spec, rel_tol)(points, chunk=chunk)
+    # the reference runs on wrapped coordinates: the same sum, but its
+    # phases 2 pi m.x then carry ~1e-15 rounding instead of ~1e-13 at |x| = 10
+    want = _dense_mode_sum(g, spec, rel_tol, np.mod(points, 1.0))
+    # the scale is each channel's RMS over the torus, sqrt(sum |c_m|^2)
+    scale = np.sqrt((np.abs(spec.reshape(3, -1)) ** 2).sum(axis=1)).max() / g.num_nodes
+    assert got.shape == (3, npts)
+    assert np.abs(got - want).max() <= 1e-13 * scale
+
+
+def test_mode_interpolator_folds_conjugate_pairs():
+    # Hermitian spectrum with every mode kept: all pairs fold except the
+    # zero mode and the modes with a Nyquist component
+    g = GridSpec(2, 8)
+    spec = np.fft.fftn(np.random.default_rng(3).standard_normal(g.shape))
+    interp = ModeInterpolator(g, spec)
+    unpaired = 1 + (g.num_nodes - 7 * 7)
+    assert interp.modes.shape == ((g.num_nodes - unpaired) // 2 + unpaired, 2)
 
 
 def test_eval_at_multicomponent():

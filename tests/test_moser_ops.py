@@ -198,6 +198,30 @@ def test_divergence_detection():
             integrate_isotopy(g, lambda t: stage, steps=4, record_times=[1.0])
 
 
+class _StageWithNaN:
+    """Stage stub whose velocity, Jacobian or rate output is NaN."""
+
+    max_speed = 0.0
+
+    def __init__(self, which: int):
+        self.which = which
+
+    def eval(self, points):
+        p, n = points.shape
+        out = [np.zeros((p, n)), np.zeros((p, n, n)), np.zeros(p)]
+        out[self.which][...] = np.nan
+        return tuple(out)
+
+
+@pytest.mark.parametrize("which, name", [(0, "positions"), (1, "Jacobians"),
+                                         (2, "log factors")])
+def test_non_finite_state_raises_at_the_first_step(which, name):
+    g = GridSpec(2, 8)
+    stage = _StageWithNaN(which)
+    with pytest.raises(IsotopyDiverged, match=f"non-finite {name} after step 1$"):
+        integrate_isotopy(g, lambda t: stage, steps=50, record_times=[1.0])
+
+
 def test_checkpoint_times_snap_to_step_grid():
     opts = PipelineOptions(steps=7, checkpoints=5)
     times = opts.checkpoint_times()
