@@ -4,6 +4,7 @@
 import numpy as np
 
 from lcsflow import (
+    DiffForm,
     GridSpec,
     LeeForm,
     d_theta,
@@ -41,12 +42,10 @@ print(f"<d_theta a, b> - <a, d_theta* b> = {lhs - rhs:.2e}")
 
 # multiplying by e^g shifts theta by dg -- the conformal chain map.
 g = random_band_limited(grid, 0, 1, rng, 0.05).comps[0]
-fa = a * 1.0
-fa.comps *= np.exp(g)[None]
+fa = DiffForm(grid, 2, a.comps * np.exp(g)[None])
 shifted = theta + ext_d(scalar_form(grid, g))
 chain = d_theta(fa, shifted)
-ref = d_theta(a, theta)
-ref.comps *= np.exp(g)[None]
+ref = DiffForm(grid, 3, d_theta(a, theta).comps * np.exp(g)[None])
 print(f"chain-map residual for f = e^g: {(chain - ref).norm():.2e}")
 
 # constant Lee forms admit an exact per-mode Hodge decomposition

@@ -397,16 +397,11 @@ def tabulated_family(
 
     def omega_at(t: float) -> LcsForm:
         idx, w = _lagrange_window(times, t)
-        vals = np.tensordot(w, comps[idx], axes=1)
-        form = DiffForm(grid, 2)
-        form.comps[:] = vals
+        form = DiffForm(grid, 2, np.tensordot(w, comps[idx], axes=1))
         return validate_lcs(form, nondeg_threshold=nondeg_threshold, lcs_tol=lee_tol)
 
     def derivative_at(t: float) -> DiffForm:
         idx, w = _lagrange_window(times, t)
-        vals = np.tensordot(w, deriv_table[idx], axes=1)
-        form = DiffForm(grid, 2)
-        form.comps[:] = vals
-        return form
+        return DiffForm(grid, 2, np.tensordot(w, deriv_table[idx], axes=1))
 
     return FormFamily(grid, omega_at, derivative_at, times, label=label)

@@ -2,15 +2,23 @@
 
 A degree-k form is stored as real node values on a regular N^n grid, one
 scalar array per strictly increasing component index set, the sets ordered
-lexicographically.  Derivatives are exact on band-limited data (FFT modes
-multiplied by 2*pi*i*m, Nyquist bucket zeroed), and every pointwise product
-(wedge, contraction) is evaluated on a 2x refined grid and truncated back,
-so products of forms with combined bandwidth < N are alias-free.
+lexicographically; the array is read-only once the form is built, so the
+cached spectra stay valid.  The signs of this component order live in one
+place, ``product_table``; wedge, contraction, d, d* and the Hodge star all
+read them from there.
+
+Derivatives are exact on band-limited data (FFT modes multiplied by
+2*pi*i*m, Nyquist bucket zeroed).  A pointwise product (wedge, contraction)
+of operands whose per-axis bands add up to less than N/2 is taken directly
+on the grid; any other product is evaluated on a 2x refined grid and
+truncated back, so products of forms with combined bandwidth < N are
+alias-free.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 from math import comb
 
@@ -106,14 +114,82 @@ def merge_sign(left: tuple[int, ...], right: tuple[int, ...]):
     return sign, merged
 
 
-def insert_sign(j: int, s: tuple[int, ...]):
-    """Sign and result of dx_j ^ dx_s, j not in s."""
-    pos = sum(1 for v in s if v < j)
-    return (-1) ** pos, tuple(sorted(s + (j,)))
+@cache
+def product_table(n: int, k: int, l: int) -> tuple[tuple[int, int, int, int], ...]:
+    """Rows (ia, ib, out, sign) with dx_{A_ia} ^ dx_{B_ib} = sign * dx_{C_out}.
+
+    A, B and C are index_sets(n, k), index_sets(n, l) and
+    index_sets(n, k + l).  Rows run over ia, then ib; pairs whose product
+    vanishes are left out.
+    """
+    out_sets = index_sets(n, k + l)
+    rows = []
+    for ia, sa in enumerate(index_sets(n, k)):
+        for ib, sb in enumerate(index_sets(n, l)):
+            sign, merged = merge_sign(sa, sb)
+            if sign:
+                rows.append((ia, ib, out_sets.index(merged), sign))
+    return tuple(rows)
+
+
+def _sum_terms(rows, coeffs, comps, out):
+    """out[dst] += sign * coeffs[j] * comps[src] over rows (j, src, dst, sign).
+
+    Terms are added in row order.  out is a zero array, or a list of None
+    in which the first term of each output is stored as it is; the two
+    differ only in the sign of an all-zero sum.  An exact scalar zero
+    coefficient contributes nothing and is skipped.
+    """
+    for j, src, dst, sign in rows:
+        c = coeffs[j]
+        if np.ndim(c) == 0 and c == 0.0:
+            continue
+        term = c * comps[src]
+        if out[dst] is None:
+            out[dst] = term if sign > 0 else -term
+        elif sign > 0:
+            out[dst] += term
+        else:
+            out[dst] -= term
+    return out
+
+
+def _zeros_for(coeffs, comps, ncomp: int) -> np.ndarray:
+    return np.zeros((ncomp,) + np.shape(comps[0]),
+                    dtype=np.result_type(coeffs[0], comps[0]))
+
+
+def _contract_rows(n: int, k: int) -> list:
+    # i_{e_j} dx_S = sign * dx_T exactly when dx_j ^ dx_T = sign * dx_S
+    return [(j, src, dst, sign) for j, dst, src, sign in product_table(n, 1, k - 1)]
+
+
+def wedge_axes(coeffs, comps, n: int, k: int) -> np.ndarray:
+    """Components of (sum_j c_j dx_j) ^ a from the k-form components of a.
+
+    Each c_j is a number, a spectral multiplier or a field.  Each output
+    component sums its terms by source component, then by ascending j.
+    """
+    rows = sorted(product_table(n, 1, k), key=lambda r: r[1])
+    return _sum_terms(rows, coeffs, comps, _zeros_for(coeffs, comps, comb(n, k + 1)))
+
+
+def contract_axes(coeffs, comps, n: int, k: int) -> np.ndarray:
+    """Components of i_V a, V = sum_j c_j e_j, from the k-form components of a.
+
+    Coefficients are as in wedge_axes; each output component sums its
+    terms by ascending j.
+    """
+    return _sum_terms(_contract_rows(n, k), coeffs, comps,
+                      _zeros_for(coeffs, comps, comb(n, k - 1)))
 
 
 class DiffForm:
-    """Differential k-form on a GridSpec, real node values per component."""
+    """Differential k-form on a GridSpec, real node values per component.
+
+    ``comps`` is a read-only view: build the component array first, then
+    wrap it.
+    """
 
     __slots__ = ("grid", "degree", "comps", "_spec_cache")
 
@@ -130,6 +206,8 @@ class DiffForm:
                     f"component array has shape {comps.shape}, "
                     f"expected {(ncomp,) + grid.shape}"
                 )
+        comps = comps.view()
+        comps.flags.writeable = False
         self.grid = grid
         self.degree = degree
         self.comps = comps
@@ -145,11 +223,11 @@ class DiffForm:
         return self.comps[self.index_set_list.index(tuple(s))]
 
     def spectra(self) -> np.ndarray:
-        """FFT of every component (cached; forms are immutable by convention)."""
+        """FFT of every component (cached and read-only, like the components)."""
         if self._spec_cache is None:
-            self._spec_cache = sfft.fftn(
-                self.comps, axes=tuple(range(1, self.grid.n + 1))
-            )
+            spec = sfft.fftn(self.comps, axes=tuple(range(1, self.grid.n + 1)))
+            spec.flags.writeable = False
+            self._spec_cache = spec
         return self._spec_cache
 
     @classmethod
@@ -157,9 +235,6 @@ class DiffForm:
         vals = sfft.ifftn(spec, axes=tuple(range(1, grid.n + 1))).real
         out = cls(grid, degree, vals)
         return out
-
-    def copy(self) -> "DiffForm":
-        return DiffForm(self.grid, self.degree, self.comps.copy())
 
     # -- arithmetic (same grid and degree) ------------------------------
 
@@ -207,21 +282,20 @@ def basis_form(grid: GridSpec, s: tuple[int, ...], coeff: float = 1.0) -> DiffFo
     """Constant form coeff * dx_s (0-based index set)."""
     s = tuple(sorted(s))
     k = len(s)
-    out = DiffForm(grid, k)
-    out.comps[index_sets(grid.n, k).index(s)] = coeff
-    return out
+    comps = np.zeros((comb(grid.n, k),) + grid.shape)
+    comps[index_sets(grid.n, k).index(s)] = coeff
+    return DiffForm(grid, k, comps)
 
 
 def form_from_components(grid: GridSpec, degree: int, parts: dict) -> DiffForm:
     """Assemble a form from {index_set: ndarray-or-constant} entries."""
-    out = DiffForm(grid, degree)
     sets = index_sets(grid.n, degree)
+    comps = np.zeros((len(sets),) + grid.shape)
     for s, vals in parts.items():
-        s = tuple(sorted(s))
-        out.comps[sets.index(s)] = np.broadcast_to(
+        comps[sets.index(tuple(sorted(s)))] = np.broadcast_to(
             np.asarray(vals, dtype=float), grid.shape
         )
-    return out
+    return DiffForm(grid, degree, comps)
 
 
 # -- de-aliased products -------------------------------------------------
@@ -333,30 +407,23 @@ def wedge(a: DiffForm, b: DiffForm) -> DiffForm:
     k, l = a.degree, b.degree
     if k + l > grid.n:
         raise DegreeError(f"wedge degree {k}+{l} exceeds dimension {grid.n}")
-    a_sets, b_sets = a.index_set_list, b.index_set_list
-    out_sets = index_sets(grid.n, k + l)
+    return _product(a, b, product_table(grid.n, k, l), k + l)
+
+
+def _product(a: DiffForm, b: DiffForm, rows, degree: int) -> DiffForm:
+    """The degree-form sum of sign * a_j * b_src over rows (j, src, dst, sign).
+
+    Products are taken on the grid when they fit, otherwise on the 2x grid
+    and truncated back.
+    """
+    grid = a.grid
     direct = _products_fit(a, b)
-    a_fine = list(a.comps) if direct else [upsample_values(c, grid) for c in a.comps]
-    b_fine = list(b.comps) if direct else [upsample_values(c, grid) for c in b.comps]
-    acc = {}
-    for ia, sa in enumerate(a_sets):
-        for ib, sb in enumerate(b_sets):
-            sign, merged = merge_sign(sa, sb)
-            if sign == 0:
-                continue
-            term = a_fine[ia] * b_fine[ib]
-            if sign < 0:
-                term = -term
-            if merged in acc:
-                acc[merged] += term
-            else:
-                acc[merged] = term
-    out = DiffForm(grid, k + l)
-    for s, fine in acc.items():
-        out.comps[out_sets.index(s)] = (
-            fine if direct else downsample_values(fine, grid)
-        )
-    return out
+    a_fine = a.comps if direct else [upsample_values(c, grid) for c in a.comps]
+    b_fine = b.comps if direct else [upsample_values(c, grid) for c in b.comps]
+    acc = _sum_terms(rows, a_fine, b_fine, [None] * comb(grid.n, degree))
+    if not direct:
+        acc = [downsample_values(fine, grid) for fine in acc]
+    return DiffForm(grid, degree, np.stack(acc))
 
 
 def ext_d(a: DiffForm) -> DiffForm:
@@ -365,44 +432,18 @@ def ext_d(a: DiffForm) -> DiffForm:
     k = a.degree
     if k >= grid.n:
         raise DegreeError(f"d of a top-degree ({k}) form is not representable")
-    out_sets = index_sets(grid.n, k + 1)
-    spec = a.spectra()
-    out_spec = np.zeros((comb(grid.n, k + 1),) + grid.shape, dtype=complex)
-    for idx, s in enumerate(a.index_set_list):
-        for j in range(grid.n):
-            if j in s:
-                continue
-            sign, target = insert_sign(j, s)
-            out_spec[out_sets.index(target)] += (
-                sign * grid.derivative_multiplier(j) * spec[idx]
-            )
-    return DiffForm.from_spectra(grid, k + 1, out_spec)
-
-
-_STAR_CACHE: dict = {}
-
-
-def _star_table(n: int, k: int):
-    key = (n, k)
-    if key not in _STAR_CACHE:
-        src = index_sets(n, k)
-        dst = index_sets(n, n - k)
-        table = []
-        for s in src:
-            sc = tuple(v for v in range(n) if v not in s)
-            sign, _ = merge_sign(s, sc)
-            table.append((dst.index(sc), sign))
-        _STAR_CACHE[key] = tuple(table)
-    return _STAR_CACHE[key]
+    mult = [grid.derivative_multiplier(j) for j in range(grid.n)]
+    return DiffForm.from_spectra(grid, k + 1, wedge_axes(mult, a.spectra(), grid.n, k))
 
 
 def hodge_star(a: DiffForm) -> DiffForm:
     """Hodge star for the flat metric: star(dx_s) = sign(s, s^c) dx_{s^c}."""
     grid = a.grid
-    out = DiffForm(grid, grid.n - a.degree)
-    for idx, (dst, sign) in enumerate(_star_table(grid.n, a.degree)):
-        out.comps[dst] = sign * a.comps[idx]
-    return out
+    k = a.degree
+    comps = np.zeros((comb(grid.n, grid.n - k),) + grid.shape)
+    for ia, ib, _, sign in product_table(grid.n, k, grid.n - k):
+        comps[ib] = sign * a.comps[ia]
+    return DiffForm(grid, grid.n - k, comps)
 
 
 def contract(x: DiffForm, a: DiffForm) -> DiffForm:
@@ -417,31 +458,7 @@ def contract(x: DiffForm, a: DiffForm) -> DiffForm:
         raise DegreeError("vector field must be given as a degree-1 form")
     if a.degree == 0:
         raise DegreeError("cannot contract a scalar field")
-    grid = a.grid
-    out_sets = index_sets(grid.n, a.degree - 1)
-    direct = _products_fit(x, a)
-    x_fine = list(x.comps) if direct else [upsample_values(c, grid) for c in x.comps]
-    acc = {}
-    for idx, s in enumerate(a.index_set_list):
-        a_fine = None
-        for pos, j in enumerate(s):
-            target = s[:pos] + s[pos + 1 :]
-            if a_fine is None:
-                a_fine = (a.comps[idx] if direct
-                          else upsample_values(a.comps[idx], grid))
-            term = x_fine[j] * a_fine
-            if pos % 2:
-                term = -term
-            if target in acc:
-                acc[target] += term
-            else:
-                acc[target] = term
-    out = DiffForm(grid, a.degree - 1)
-    for s, fine in acc.items():
-        out.comps[out_sets.index(s)] = (
-            fine if direct else downsample_values(fine, grid)
-        )
-    return out
+    return _product(x, a, _contract_rows(a.grid.n, a.degree), a.degree - 1)
 
 
 def l2_inner(a: DiffForm, b: DiffForm) -> float:

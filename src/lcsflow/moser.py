@@ -38,6 +38,7 @@ from .forms import (
     contract,
     ext_d,
     index_sets,
+    product_table,
     scalar_form,
 )
 from .twisted import (
@@ -45,6 +46,7 @@ from .twisted import (
     HodgeSolveResult,
     LcsForm,
     LeeForm,
+    d_theta,
     pfaffian_values,
     solve_primitive,
     validate_lcs,
@@ -338,15 +340,12 @@ def absorbed_family(F: FormFamily, cert: ExactnessCertificate) -> FormFamily:
 # -- vector field construction -------------------------------------------
 
 
-def _matrix_of(om: DiffForm) -> np.ndarray:
-    """(P, n, n) antisymmetric coefficient matrices of a 2-form."""
-    grid = om.grid
-    n = grid.n
-    mat = np.zeros((grid.num_nodes, n, n))
-    for idx, (i, j) in enumerate(index_sets(n, 2)):
-        v = om.comps[idx].reshape(-1)
-        mat[:, i, j] = v
-        mat[:, j, i] = -v
+def _matrix_of(comps: np.ndarray, n: int) -> np.ndarray:
+    """(P, n, n) matrices Omega_ij = omega(e_i, e_j) from 2-form components."""
+    flat = comps.reshape(comps.shape[0], -1)
+    mat = np.zeros((flat.shape[1], n, n))
+    for i, j, out, sign in product_table(n, 1, 1):
+        mat[:, i, j] = sign * flat[out]
     return mat
 
 
@@ -371,7 +370,7 @@ def moser_vector_field(
         raise DegenerateForm(
             f"Pfaffian margin {margin:.3e} below {nondeg_margin:.1e}"
         )
-    mat = _matrix_of(om)
+    mat = _matrix_of(om.comps, grid.n)
     rhs = alpha.comps.reshape(grid.n, -1).T[:, :, None]
     x = np.linalg.solve(mat, rhs)
     resid = float(np.max(np.abs(mat @ x - rhs)))
@@ -664,14 +663,9 @@ def pullback_form(
         raise ValueError("pullback_form expects a 2-form")
     pos, jac, _ = flow.at(t)
     vals = ModeInterpolator(grid, om.spectra(), rel_tol)(pos)
-    n = grid.n
-    pairs = index_sets(n, 2)
-    mat = np.zeros((pos.shape[0], n, n))
-    for idx, (i, j) in enumerate(pairs):
-        mat[:, i, j] = vals[idx]
-        mat[:, j, i] = -vals[idx]
+    mat = _matrix_of(vals, grid.n)
     back = np.einsum("pai,pab,pbj->pij", jac, mat, jac, optimize=True)
-    comps = np.stack([back[:, i, j] for (i, j) in pairs])
+    comps = np.stack([back[:, i, j] for (i, j) in index_sets(grid.n, 2)])
     return SampledForm(grid, 2, comps, flow.seeds, flow.full_grid)
 
 
@@ -768,7 +762,7 @@ def verify_eq1(
         st = fields(float(t))
         x = st.x_form
         ixw = contract(x, om)
-        d_ixw = _d_theta_of(ixw, L.lee)
+        d_ixw = d_theta(ixw, L.lee)
         theta_vals = L.lee.one_form().comps
         theta_x = np.einsum("i...,i...->...", theta_vals, x.comps)
         mis = DiffForm(grid, 2,
@@ -793,15 +787,10 @@ def verify_eq1(
         f = np.exp(u)
         lhs = DiffForm(grid, 2, f[None] * (theta_x[None] * om.comps + dom.comps))
         theta_prime = L.lee.one_form() + ext_d(scalar_form(grid, u))
-        rhs = _d_theta_of(DiffForm(grid, 1, f[None] * ixw.comps), theta_prime)
+        rhs = d_theta(DiffForm(grid, 1, f[None] * ixw.comps), theta_prime)
         nec = DiffForm(grid, 2, lhs.comps + rhs.comps).norm() / den
         out.append(Eq1Record(float(t), eq1, flow_res, nec))
     return out
-
-
-def _d_theta_of(a: DiffForm, theta) -> DiffForm:
-    from .twisted import d_theta
-    return d_theta(a, theta)
 
 
 # -- reports --------------------------------------------------------------
@@ -958,18 +947,12 @@ def _checkpoint_compare(
     if float(det.min()) <= 0.0:
         raise IsotopyDiverged(f"orientation lost at t={t}: min det J = {det.min():.3e}")
     pb = pullback_form(om_t, flow, t, rel_tol=opts.interp_rel_tol)
-    pfv = _pf_of_comps(pb.comps, flow.grid.n)
+    pfv = pfaffian_values(pb)
     if float(np.min(np.abs(pfv))) < opts.nondeg_margin:
         raise IsotopyDiverged(f"pullback degenerated at t={t}")
     cc = conformal_compare(pb, base)
     predicted = np.exp(logf)
     return cc, predicted
-
-
-def _pf_of_comps(comps: np.ndarray, n: int) -> np.ndarray:
-    if n == 2:
-        return comps[0]
-    return comps[0] * comps[5] - comps[1] * comps[4] + comps[2] * comps[3]
 
 
 def run_theorem_pipeline(
@@ -1049,7 +1032,7 @@ def run_exact_family(
         L = F.omega_at(t)
         validate_lcs(L.omega, nondeg_threshold=opts.nondeg_margin,
                      lcs_tol=opts.lcs_tol)
-        recon = _d_theta_of(ed.alpha_at(t), L.lee)
+        recon = d_theta(ed.alpha_at(t), L.lee)
         res = (recon - L.omega).norm() / max(L.omega.norm(), 1e-300)
         if res > opts.tol_lee_match:
             raise NotExactFamily(
@@ -1101,7 +1084,7 @@ def run_exact_family(
         beta = DiffForm(grid, 1,
                         f[None] * (alpha_dot(t).comps - h[None] * ed.alpha_at(t).comps))
         theta_prime = L.lee.one_form() + ext_d(scalar_form(grid, g))
-        rhs = _d_theta_of(beta, theta_prime)
+        rhs = d_theta(beta, theta_prime)
         den = max(lhs.norm(), DiffForm(grid, 2, f[None] * L.omega.comps).norm())
         cor2 = (lhs - rhs).norm() / den
 

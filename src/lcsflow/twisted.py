@@ -27,12 +27,13 @@ from .forms import (
     DegreeError,
     DiffForm,
     GridSpec,
-    index_sets,
-    insert_sign,
-    wedge,
     contract,
+    contract_axes,
     ext_d,
+    product_table,
     scalar_form,
+    wedge,
+    wedge_axes,
 )
 
 
@@ -97,9 +98,10 @@ class LeeForm:
 
     def one_form(self) -> DiffForm:
         """theta = harmonic + d(potential) as a degree-1 form."""
-        out = ext_d(scalar_form(self.grid, self.potential))
-        out.comps += self.harmonic[:, None].reshape((self.grid.n,) + (1,) * self.grid.n)
-        return out
+        n = self.grid.n
+        dg = ext_d(scalar_form(self.grid, self.potential))
+        return DiffForm(self.grid, 1,
+                        dg.comps + self.harmonic.reshape((n,) + (1,) * n))
 
 
 def _as_theta(theta, grid: GridSpec):
@@ -120,47 +122,21 @@ def _as_theta(theta, grid: GridSpec):
     return c, None
 
 
-def _wedge_const(c: np.ndarray, a: DiffForm) -> DiffForm:
-    """(sum_j c_j dx_j) ^ a for constant coefficients — exact, no FFT."""
-    grid = a.grid
-    if a.degree >= grid.n:
-        raise DegreeError("wedge with top-degree form")
-    out_sets = index_sets(grid.n, a.degree + 1)
-    out = DiffForm(grid, a.degree + 1)
-    for idx, s in enumerate(a.index_set_list):
-        for j in range(grid.n):
-            if j in s or c[j] == 0.0:
-                continue
-            sign, target = insert_sign(j, s)
-            out.comps[out_sets.index(target)] += sign * c[j] * a.comps[idx]
-    return out
-
-
-def _contract_const(c: np.ndarray, a: DiffForm) -> DiffForm:
-    """i_V a for the constant vector field V with components c — exact."""
-    grid = a.grid
-    if a.degree == 0:
-        raise DegreeError("cannot contract a scalar field")
-    out_sets = index_sets(grid.n, a.degree - 1)
-    out = DiffForm(grid, a.degree - 1)
-    for idx, s in enumerate(a.index_set_list):
-        for pos, j in enumerate(s):
-            if c[j] == 0.0:
-                continue
-            target = s[:pos] + s[pos + 1 :]
-            out.comps[out_sets.index(target)] += ((-1) ** pos) * c[j] * a.comps[idx]
-    return out
-
-
 # -- twisted differential, adjoint, Laplacian ----------------------------
 
 
 def d_theta(a: DiffForm, theta) -> DiffForm:
-    """Twisted differential d_theta a = da - theta ^ a."""
-    c, one_form = _as_theta(theta, a.grid)
+    """Twisted differential d_theta a = da - theta ^ a.
+
+    A constant theta is applied exactly, pointwise; a field theta through
+    the de-aliased wedge.
+    """
+    grid = a.grid
+    c, one_form = _as_theta(theta, grid)
     da = ext_d(a)
     if one_form is None:
-        return da - _wedge_const(c, a)
+        return da - DiffForm(grid, a.degree + 1,
+                             wedge_axes(c, a.comps, grid.n, a.degree))
     return da - wedge(one_form, a)
 
 
@@ -169,25 +145,19 @@ def codifferential(a: DiffForm) -> DiffForm:
     grid = a.grid
     if a.degree == 0:
         raise DegreeError("d* of a scalar field")
-    out_sets = index_sets(grid.n, a.degree - 1)
-    spec = a.spectra()
-    out_spec = np.zeros((comb(grid.n, a.degree - 1),) + grid.shape, dtype=complex)
-    for t_idx, t in enumerate(index_sets(grid.n, a.degree - 1)):
-        for j in range(grid.n):
-            if j in t:
-                continue
-            sign, src = insert_sign(j, t)
-            src_idx = a.index_set_list.index(src)
-            out_spec[t_idx] += sign * np.conj(grid.derivative_multiplier(j)) * spec[src_idx]
-    return DiffForm.from_spectra(grid, a.degree - 1, out_spec)
+    mult = [np.conj(grid.derivative_multiplier(j)) for j in range(grid.n)]
+    return DiffForm.from_spectra(grid, a.degree - 1,
+                                 contract_axes(mult, a.spectra(), grid.n, a.degree))
 
 
 def d_theta_star(a: DiffForm, theta) -> DiffForm:
     """Adjoint of d_theta: d_theta* = d* - i_{theta#}."""
-    c, one_form = _as_theta(theta, a.grid)
+    grid = a.grid
+    c, one_form = _as_theta(theta, grid)
     da = codifferential(a)
     if one_form is None:
-        return da - _contract_const(c, a)
+        return da - DiffForm(grid, a.degree - 1,
+                             contract_axes(c, a.comps, grid.n, a.degree))
     return da - contract(one_form, a)
 
 
@@ -239,8 +209,7 @@ def split_harmonic_exact(theta: DiffForm, tol: float = 1e-8):
 
     g = sfft.ifftn(g_spec * inv).real
     g -= g.mean()
-    recon = ext_d(scalar_form(grid, g))
-    recon.comps += c.reshape((grid.n,) + (1,) * grid.n)
+    recon = LeeForm(grid, c, g).one_form()
     residual = (theta - recon).norm() / max(nrm, 1e-300)
     return c, g, residual
 
@@ -248,8 +217,12 @@ def split_harmonic_exact(theta: DiffForm, tol: float = 1e-8):
 # -- Lee form extraction and lcs validation ------------------------------
 
 
-def pfaffian_values(omega: DiffForm) -> np.ndarray:
-    """Pointwise Pfaffian of a 2-form (n = 2 or 4)."""
+def pfaffian_values(omega) -> np.ndarray:
+    """Pointwise Pfaffian of a 2-form (n = 2 or 4).
+
+    omega is a DiffForm or anything else with grid, degree and comps, such
+    as a 2-form sampled at points.
+    """
     grid = omega.grid
     if omega.degree != 2:
         raise DegreeError("Pfaffian of a non-2-form")
@@ -278,21 +251,17 @@ def lee_form(omega: DiffForm, nondeg_threshold: float = 1e-8, lcs_tol: float = 1
         raise DegenerateForm(
             f"Pfaffian margin {margin:.3e} below threshold {nondeg_threshold:.1e}"
         )
-    two_sets = index_sets(grid.n, 2)
-    triples = index_sets(grid.n, 3)
-    if not triples:
+    ntri = comb(grid.n, 3)
+    if not ntri:
         theta_field = DiffForm(grid, 1)
         lcs_residual = 0.0
     else:
         domega = ext_d(omega)
-        npts = grid.num_nodes
-        M = np.zeros((npts, len(triples), grid.n))
-        for ti, tr in enumerate(triples):
-            for pos, j in enumerate(tr):
-                rest = tr[:pos] + tr[pos + 1 :]
-                coeff = omega.comps[two_sets.index(rest)].reshape(-1)
-                M[:, ti, j] = ((-1) ** pos) * coeff
-        b = domega.comps.reshape(len(triples), -1).T[:, :, None]
+        # (theta ^ omega)_T = sum_j M[T, j] theta_j
+        M = np.zeros((grid.num_nodes, ntri, grid.n))
+        for j, rest, tri, sign in product_table(grid.n, 1, 2):
+            M[:, tri, j] = sign * omega.comps[rest].reshape(-1)
+        b = domega.comps.reshape(ntri, -1).T[:, :, None]
         mtm = np.einsum("pij,pik->pjk", M, M)
         mtb = np.einsum("pij,pik->pjk", M, b)
         theta_flat = np.linalg.solve(mtm, mtb)[:, :, 0]
@@ -375,13 +344,13 @@ def _require_constant(theta, grid: GridSpec) -> np.ndarray:
 
 
 class _ModeOps:
-    """Vectorized per-mode wedge/contraction by mu(m) = 2*pi*i*m - c."""
+    """Per-mode multipliers mu(m) = 2*pi*i*m - c, |mu|^2 and its inverse."""
 
     def __init__(self, grid: GridSpec, c: np.ndarray):
-        self.grid = grid
         # true modes here: the Nyquist bucket is a genuine nonzero mode for
         # the harmonic test mu(m) = 0, unlike in the (real-symmetric) d
         self.mu = [grid.true_multiplier(j) - c[j] for j in range(grid.n)]
+        self.mubar = [np.conj(m) for m in self.mu]
         mu2 = np.zeros(grid.shape)
         for m in self.mu:
             mu2 = mu2 + np.abs(np.broadcast_to(m, grid.shape)) ** 2
@@ -391,31 +360,6 @@ class _ModeOps:
         nz = ~self.harmonic_mask
         inv[nz] = 1.0 / mu2[nz]
         self.inv = inv
-
-    def wedge_mu(self, spec: np.ndarray, degree: int) -> np.ndarray:
-        grid = self.grid
-        out_sets = index_sets(grid.n, degree + 1)
-        out = np.zeros((comb(grid.n, degree + 1),) + grid.shape, dtype=complex)
-        for idx, s in enumerate(index_sets(grid.n, degree)):
-            for j in range(grid.n):
-                if j in s:
-                    continue
-                sign, target = insert_sign(j, s)
-                out[out_sets.index(target)] += sign * self.mu[j] * spec[idx]
-        return out
-
-    def contract_mubar(self, spec: np.ndarray, degree: int) -> np.ndarray:
-        grid = self.grid
-        out_sets = index_sets(grid.n, degree - 1)
-        src_sets = index_sets(grid.n, degree)
-        out = np.zeros((comb(grid.n, degree - 1),) + grid.shape, dtype=complex)
-        for t_idx, t in enumerate(out_sets):
-            for j in range(grid.n):
-                if j in t:
-                    continue
-                sign, src = insert_sign(j, t)
-                out[t_idx] += sign * np.conj(self.mu[j]) * spec[src_sets.index(src)]
-        return out
 
 
 def _spec_norm(spec: np.ndarray, grid: GridSpec) -> float:
@@ -446,10 +390,11 @@ def hodge_decompose(a: DiffForm, theta) -> tuple[DiffForm, DiffForm, DiffForm]:
     harmonic = spec * ops.harmonic_mask
     exact = np.zeros_like(spec)
     coexact = np.zeros_like(spec)
+    n = grid.n
     if k > 0:
-        exact = ops.wedge_mu(ops.contract_mubar(spec, k) * ops.inv, k - 1)
-    if k < grid.n:
-        coexact = ops.contract_mubar(ops.wedge_mu(spec, k) * ops.inv, k + 1)
+        exact = wedge_axes(ops.mu, contract_axes(ops.mubar, spec, n, k) * ops.inv, n, k - 1)
+    if k < n:
+        coexact = contract_axes(ops.mubar, wedge_axes(ops.mu, spec, n, k) * ops.inv, n, k + 1)
     return (
         DiffForm.from_spectra(grid, k, harmonic),
         DiffForm.from_spectra(grid, k, exact),
@@ -472,9 +417,9 @@ def solve_primitive(target: DiffForm, theta) -> HodgeSolveResult:
     ops = _ModeOps(grid, c)
     k = target.degree
     t_spec = target.spectra()
-    alpha_spec = ops.contract_mubar(t_spec, k) * ops.inv
+    alpha_spec = contract_axes(ops.mubar, t_spec, grid.n, k) * ops.inv
     alpha = DiffForm.from_spectra(grid, k - 1, alpha_spec)
-    recon = ops.wedge_mu(alpha_spec, k - 1)
+    recon = wedge_axes(ops.mu, alpha_spec, grid.n, k - 1)
     t_norm = _spec_norm(t_spec, grid)
     residual = _spec_norm(recon - t_spec, grid) / max(t_norm, 1e-300)
     harm = _spec_norm(t_spec * ops.harmonic_mask, grid)

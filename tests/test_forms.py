@@ -22,6 +22,7 @@ from lcsflow.forms import (
     index_sets,
     l2_inner,
     merge_sign,
+    product_table,
     random_band_limited,
     scalar_form,
     upsample_values,
@@ -60,6 +61,34 @@ def test_index_sets_and_merge_sign():
     assert (s, merged) == (-1, (0, 1, 2))
     s, _ = merge_sign((1,), (1, 2))
     assert s == 0
+
+
+def _permutation_sign(seq):
+    """Sign of the permutation that sorts seq, by counting selection-sort swaps."""
+    seq, sign = list(seq), 1
+    for i in range(len(seq)):
+        m = seq.index(min(seq[i:]), i)
+        if m != i:
+            seq[i], seq[m] = seq[m], seq[i]
+            sign = -sign
+    return sign
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_product_table_matches_brute_force(n):
+    for k in range(n + 1):
+        for l in range(n + 1):
+            out_sets = index_sets(n, k + l)
+            want = []
+            for ia, sa in enumerate(index_sets(n, k)):
+                for ib, sb in enumerate(index_sets(n, l)):
+                    sign, merged = merge_sign(sa, sb)
+                    if set(sa) & set(sb):
+                        assert sign == 0
+                        continue
+                    assert sign == _permutation_sign(sa + sb)
+                    want.append((ia, ib, out_sets.index(merged), sign))
+            assert product_table(n, k, l) == tuple(want)
 
 
 def test_ext_d_matches_analytic_gradient():
@@ -143,18 +172,37 @@ def test_wedge_fast_path_matches_dealiased():
     a = random_band_limited(g, 1, 2, rng)
     b = random_band_limited(g, 1, 3, rng)       # 2 + 3 <= 7: direct path
     c = random_band_limited(g, 1, 7, rng)       # 2 + 7 > 7: dealiased path
-    w_ref = DiffForm(g, 2)
+    ref = np.zeros((3,) + g.shape)
     sets2 = index_sets(3, 2)
     for ia, sa in enumerate(a.index_set_list):
         for ib, sb in enumerate(b.index_set_list):
             s, merged = merge_sign(sa, sb)
             if s == 0:
                 continue
-            w_ref.comps[sets2.index(merged)] += s * dealiased_product(
+            ref[sets2.index(merged)] += s * dealiased_product(
                 a.comps[ia], b.comps[ib], g)
+    w_ref = DiffForm(g, 2, ref)
     assert (wedge(a, b) - w_ref).norm() < 1e-13
     # wide operand still goes through the upsampled route without error
     assert wedge(a, c).norm() > 0
+
+
+def test_components_and_spectra_are_read_only():
+    rng = np.random.default_rng(7)
+    g = GridSpec(3, 8)
+    a = random_band_limited(g, 1, 2, rng)
+    spec = a.spectra().copy()
+    with pytest.raises(ValueError):
+        a.comps[0] += 1.0
+    with pytest.raises(ValueError):
+        a.comps[:] = 0.0
+    with pytest.raises(ValueError):
+        a.spectra()[0] = 0.0
+    np.testing.assert_array_equal(a.spectra(), spec)
+    # forms built from a fresh array are read-only too
+    b = DiffForm(g, 1, np.ones((3,) + g.shape))
+    with pytest.raises(ValueError):
+        b.comps[1, 0, 0, 0] = 2.0
 
 
 def test_hodge_star_involution_sign():

@@ -1,0 +1,147 @@
+"""Operator identities of the (twisted) exterior calculus on random inputs.
+
+Each test draws the dimension, the degrees, the operand bandwidth and the
+Lee form.  Operands have unit-ish norm on an N = 8 grid.  "narrow"
+operands have band 1, so every product in the identity is taken directly
+on the grid; "wide" ones have band N/2 - 1, so products of two of them go
+through the 2x grid and are truncated back.  Each identity draws only the
+inputs for which it holds exactly on the grid, so the tolerances are
+rounding-level:
+
+- d_theta^2 = 0 with a closed field theta needs every product to stay in
+  band, so it uses narrow operands; with a constant theta no product is
+  taken at all.
+- The antiderivation rule with wide operands uses a constant-coefficient
+  X, which commutes with the band truncation.
+- The Hodge splitting and the primitive solver are per-mode and need a
+  constant theta.
+"""
+
+import numpy as np
+from hypothesis import given
+from hypothesis import strategies as st
+
+from lcsflow.forms import (
+    DiffForm,
+    GridSpec,
+    contract,
+    form_from_components,
+    l2_inner,
+    random_band_limited,
+    wedge,
+)
+from lcsflow.twisted import (
+    LeeForm,
+    d_theta,
+    d_theta_star,
+    hodge_decompose,
+    solve_primitive,
+)
+
+N = 8
+BANDS = {"narrow": 1, "wide": N // 2 - 1}
+TOL = 1e-10
+
+dims = st.sampled_from([2, 3, 4])
+bands = st.sampled_from(sorted(BANDS))
+theta_kinds = st.sampled_from(["constant", "closed"])
+seeds = st.integers(0, 2**32 - 1)
+
+
+def _constant(n, rng):
+    """Random constant Lee coefficients, some of them exactly zero."""
+    c = rng.uniform(-1.5, 1.5, n)
+    c[rng.random(n) < 0.3] = 0.0
+    return c
+
+
+def _theta(g, kind, rng):
+    """A constant theta (coefficient array) or a closed field c + dg."""
+    c = _constant(g.n, rng)
+    if kind == "constant":
+        return c
+    return LeeForm(g, c, random_band_limited(g, 0, 1, rng, 0.3).comps[0]).one_form()
+
+
+@given(n=dims, k=st.integers(0, 2), band=bands, kind=theta_kinds, seed=seeds)
+def test_d_theta_squares_to_zero(n, k, band, kind, seed):
+    k = k % (n - 1)
+    if kind == "closed":
+        band = "narrow"
+    rng = np.random.default_rng(seed)
+    g = GridSpec(n, N)
+    theta = _theta(g, kind, rng)
+    a = random_band_limited(g, k, BANDS[band], rng)
+    assert d_theta(d_theta(a, theta), theta).norm() < TOL
+
+
+@given(n=dims, k=st.integers(0, 3), band_a=bands, band_b=bands,
+       kind=theta_kinds, seed=seeds)
+def test_d_theta_star_is_the_adjoint(n, k, band_a, band_b, kind, seed):
+    k = k % n
+    rng = np.random.default_rng(seed)
+    g = GridSpec(n, N)
+    theta = _theta(g, kind, rng)
+    a = random_band_limited(g, k, BANDS[band_a], rng)
+    b = random_band_limited(g, k + 1, BANDS[band_b], rng)
+    lhs = l2_inner(d_theta(a, theta), b)
+    rhs = l2_inner(a, d_theta_star(b, theta))
+    assert abs(lhs - rhs) < TOL * max(1.0, abs(lhs))
+
+
+@given(n=dims, k=st.integers(0, 4), l=st.integers(0, 4), band=bands,
+       seed=seeds)
+def test_contraction_is_an_antiderivation(n, k, l, band, seed):
+    k = k % (n + 1)
+    l = l % (n + 1 - k)
+    if k + l == 0:
+        l = 1
+    rng = np.random.default_rng(seed)
+    g = GridSpec(n, N)
+    if band == "narrow":
+        x = random_band_limited(g, 1, 1, rng)
+    else:
+        x = form_from_components(g, 1, dict(zip(((j,) for j in range(n)),
+                                                rng.standard_normal(n))))
+    a = random_band_limited(g, k, BANDS[band], rng)
+    b = random_band_limited(g, l, BANDS[band], rng)
+    lhs = contract(x, wedge(a, b))
+    rhs = DiffForm(g, k + l - 1)
+    if k:
+        rhs = rhs + wedge(contract(x, a), b)
+    if l:
+        rhs = rhs + wedge(a, contract(x, b)) * (-1) ** k
+    assert (lhs - rhs).norm() < TOL * max(1.0, lhs.norm())
+
+
+@given(n=dims, k=st.integers(0, 4), band=bands, zero_theta=st.booleans(),
+       seed=seeds)
+def test_hodge_decomposition_reconstructs_orthogonally(n, k, band, zero_theta, seed):
+    k = k % (n + 1)
+    rng = np.random.default_rng(seed)
+    g = GridSpec(n, N)
+    theta = np.zeros(n) if zero_theta else _constant(n, rng)
+    a = random_band_limited(g, k, BANDS[band], rng)
+    h, ex, co = hodge_decompose(a, theta)
+    assert (h + ex + co - a).norm() < TOL
+    for p, q in ((h, ex), (h, co), (ex, co)):
+        assert abs(l2_inner(p, q)) < TOL
+
+
+@given(n=dims, k=st.integers(1, 4), band=bands, zero_theta=st.booleans(),
+       seed=seeds)
+def test_solve_primitive_round_trip(n, k, band, zero_theta, seed):
+    k = 1 + (k - 1) % n
+    rng = np.random.default_rng(seed)
+    g = GridSpec(n, N)
+    theta = np.zeros(n) if zero_theta else _constant(n, rng)
+    beta = random_band_limited(g, k - 1, BANDS[band], rng)
+    target = d_theta(beta, theta)
+    sol = solve_primitive(target, theta)
+    scale = max(1.0, target.norm())
+    assert (d_theta(sol.primitive, theta) - target).norm() < TOL * scale
+    assert sol.residual < TOL
+    assert sol.harmonic_part_norm < TOL * scale
+    if k > 1:
+        # the primitive is the coexact representative
+        assert d_theta_star(sol.primitive, theta).norm() < TOL * scale
