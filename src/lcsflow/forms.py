@@ -354,7 +354,8 @@ def upsample_values(vals: np.ndarray, grid: GridSpec) -> np.ndarray:
     spec = sfft.fftn(np.asarray(vals, dtype=float))
     for ax in range(grid.n):
         spec = _pad_axis(spec, ax, grid.N)
-    return sfft.ifftn(spec * 2**grid.n).real
+    # a real copy, so the complex 2N-grid array is freed on return
+    return sfft.ifftn(spec * 2**grid.n).real.copy()
 
 
 def downsample_values(fine: np.ndarray, grid: GridSpec) -> np.ndarray:

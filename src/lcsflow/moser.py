@@ -8,10 +8,13 @@ flow together with its Jacobian and conformal exponent, and verifies
 pointwise that the pulled-back family stays conformally equivalent to
 the initial form with the predicted factor.
 
-Two entry points:
+One driver runs flow -> identity residuals -> checkpoint comparison ->
+report for two primitive providers, each behind a public entry point:
   run_theorem_pipeline -- primitive found by per-mode Hodge solves;
   run_exact_family     -- a supplied primitive alpha_t with
                           d/dt theta_t = d h_t bypasses the Hodge solve.
+The time integrals the residuals need are swept by the RK4 integrator
+on its own stages; the absorption gauge c(t) has a closed form.
 
 Errors never silently degrade into numbers: a drifting Lee class, a
 surviving harmonic obstruction, a degenerate form, or a collapsing
@@ -25,7 +28,7 @@ from __future__ import annotations
 
 import warnings
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -43,7 +46,6 @@ from .forms import (
 )
 from .twisted import (
     DegenerateForm,
-    HodgeSolveResult,
     LcsForm,
     LeeForm,
     d_theta,
@@ -206,40 +208,58 @@ def _absorption_rate(dom: DiffForm, om: DiffForm) -> float:
     return float(hd @ ho) / denom
 
 
+def _hodge_primitive(om: DiffForm, dom: DiffForm, theta_h: np.ndarray,
+                     absorb: bool, residual_floor: float):
+    """Solve d_theta beta = d omega/dt - a omega by per-mode Hodge solves.
+
+    Returns (a, solve result, residual, obstruction), the last two
+    relative to max(||target||, residual_floor * ||omega||).
+    """
+    a = _absorption_rate(dom, om) if absorb else 0.0
+    target = dom + om * (-a) if a != 0.0 else dom
+    sol = solve_primitive(target, theta_h)
+    den = max(target.norm(), residual_floor * om.norm())
+    return a, sol, sol.residual * target.norm() / den, sol.harmonic_part_norm / den
+
+
 @dataclass
 class ExactnessCertificate:
     """Per-checkpoint twisted-exactness data for a normalized family.
 
     residuals/obstructions are relative to max(||target||,
-    residual_floor * ||omega||); absorption_log holds c(t) with
-    f -> e^{c(t)} f and dc/dt = -a(t) on the quadrature grid.
+    residual_floor * ||omega||).  Absorption certifies H(d omega/dt) =
+    a(t) H(omega_t), so the constant gauge f -> e^{c(t)} f with
+    dc/dt = -a(t) has the closed form c(t) = log(|H(omega_0)|^2 /
+    H(omega_t).H(omega_0)), evaluated on the certified family.
     """
 
     times: list[float]
     residuals: list[float]
     obstructions: list[float]
     rates: list[float]
-    quad_times: np.ndarray
-    absorption_log: np.ndarray
     used_absorption: bool
     theta_h: np.ndarray
-    rate_quad: np.ndarray | None = None
+    family: FormFamily
+    harmonic0: np.ndarray | None
     primitives: list[DiffForm] = field(default_factory=list)
 
-    def c_at(self, t: float) -> float:
-        return float(np.interp(t, self.quad_times, self.absorption_log))
-
-    def rate_at(self, t: float) -> float:
-        if not self.used_absorption or self.rate_quad is None:
+    def c_of(self, om: DiffForm) -> float:
+        """c with e^c H(om) = H(omega_0), om a sample of the family."""
+        if not self.used_absorption:
             return 0.0
-        return float(np.interp(t, self.quad_times, self.rate_quad))
+        h0 = self.harmonic0
+        return float(np.log((h0 @ h0) / (_harmonic_parts(om) @ h0)))
+
+    def c_at(self, t: float) -> float:
+        if not self.used_absorption:
+            return 0.0
+        return self.c_of(self.family.omega_at(t).omega)
 
 
 def exactness_certificate(
     F: FormFamily,
     opts: PipelineOptions | None = None,
     times: list[float] | None = None,
-    quad_panels: int = 100,
 ) -> ExactnessCertificate:
     """Certify that the family derivative is d_theta-exact at every t.
 
@@ -256,34 +276,11 @@ def exactness_certificate(
         times = opts.checkpoint_times()
 
     absorb = opts.allow_scalar_absorption and not theta_h.any()
-
-    # c(t) from composite Simpson over a fine uniform grid
-    quad_times = np.linspace(0.0, 1.0, 2 * quad_panels + 1)
-    if absorb:
-        rate_quad = np.array([
-            _absorption_rate(F.derivative_at(float(t)), F.omega_at(float(t)).omega)
-            for t in quad_times
-        ])
-    else:
-        rate_quad = np.zeros_like(quad_times)
-    h = quad_times[1] - quad_times[0]
-    clog = np.zeros_like(quad_times)
-    for k in range(quad_panels):
-        seg = -(h / 3.0) * (rate_quad[2 * k] + 4.0 * rate_quad[2 * k + 1]
-                            + rate_quad[2 * k + 2])
-        clog[2 * k + 1] = clog[2 * k] + 0.5 * seg  # midpoint: half-panel estimate
-        clog[2 * k + 2] = clog[2 * k] + seg
-
     residuals, obstructions, rates, primitives = [], [], [], []
     for t in times:
         om = F.omega_at(float(t)).omega
-        dom = F.derivative_at(float(t))
-        a = _absorption_rate(dom, om) if absorb else 0.0
-        target = dom + om * (-a) if a != 0.0 else dom
-        sol = solve_primitive(target, theta_h)
-        den = max(target.norm(), opts.residual_floor * om.norm())
-        res = sol.residual * target.norm() / den
-        obs = sol.harmonic_part_norm / den
+        a, sol, res, obs = _hodge_primitive(om, F.derivative_at(float(t)), theta_h,
+                                            absorb, opts.residual_floor)
         if obs > opts.tol_exactness:
             hint = ("scalar absorption disabled" if not opts.allow_scalar_absorption
                     and not theta_h.any() else "obstruction not proportional to "
@@ -298,11 +295,12 @@ def exactness_certificate(
         rates.append(a)
         primitives.append(sol.primitive)
 
+    used = bool(absorb and any(abs(a) > 1e-13 for a in rates))
     return ExactnessCertificate(
         times=list(times), residuals=residuals, obstructions=obstructions,
-        rates=rates, quad_times=quad_times, absorption_log=clog,
-        used_absorption=bool(absorb and np.max(np.abs(rate_quad)) > 1e-13),
-        theta_h=theta_h.copy(), rate_quad=rate_quad, primitives=primitives,
+        rates=rates, used_absorption=used, theta_h=theta_h.copy(), family=F,
+        harmonic0=_harmonic_parts(F.omega_at(0.0).omega) if used else None,
+        primitives=primitives,
     )
 
 
@@ -314,15 +312,15 @@ def absorbed_family(F: FormFamily, cert: ExactnessCertificate) -> FormFamily:
 
     def omega_a_at(t: float) -> LcsForm:
         L = F.omega_at(t)
-        s = np.exp(cert.c_at(t))
+        s = np.exp(cert.c_of(L.omega))
         return LcsForm(DiffForm(grid, 2, L.omega.comps * s), L.lee,
                        {"gauge": "absorbed", "t": t})
 
     def derivative_a_at(t: float) -> DiffForm:
-        L = F.omega_at(t)
+        om = F.omega_at(t).omega
         dom = F.derivative_at(t)
-        a = cert.rate_at(t)
-        return (dom + L.omega * (-a)) * float(np.exp(cert.c_at(t)))
+        a = _absorption_rate(dom, om)
+        return (dom + om * (-a)) * float(np.exp(cert.c_of(om)))
 
     prev_gauge = F.gauge_log_at
 
@@ -397,8 +395,7 @@ class StageData:
 
     def __init__(self, t: float, x_form: DiffForm, rate_values: np.ndarray,
                  lee_rate_values: np.ndarray, rel_tol: float,
-                 solve_residual: float = 0.0, obstruction: float = 0.0,
-                 absorption_rate: float = 0.0):
+                 solve_residual: float = 0.0):
         grid = x_form.grid
         n = grid.n
         xhat = x_form.spectra()
@@ -416,8 +413,6 @@ class StageData:
         self.rate_values = rate_values
         self.lee_rate_values = lee_rate_values
         self.solve_residual = solve_residual
-        self.obstruction = obstruction
-        self.absorption_rate = absorption_rate
         self.max_speed = float(x_form.max_abs())
         self._interp = ModeInterpolator(grid, np.concatenate(channels), rel_tol)
 
@@ -438,7 +433,6 @@ class StageCache:
         self._cache: OrderedDict[float, StageData] = OrderedDict()
         self._maxsize = maxsize
         self.max_solve_residual = 0.0
-        self.max_obstruction = 0.0
 
     def __call__(self, t: float) -> StageData:
         key = round(float(t), 12)
@@ -447,7 +441,6 @@ class StageCache:
             return self._cache[key]
         data = self._builder(key)
         self.max_solve_residual = max(self.max_solve_residual, data.solve_residual)
-        self.max_obstruction = max(self.max_obstruction, data.obstruction)
         self._cache[key] = data
         if len(self._cache) > self._maxsize:
             self._cache.popitem(last=False)
@@ -463,23 +456,25 @@ def theorem_stage_builder(
 
     def build(t: float) -> StageData:
         L = F.omega_at(t)
-        om = L.omega
-        dom = F.derivative_at(t)
-        a = _absorption_rate(dom, om) if absorb else 0.0
-        target = dom + om * (-a) if a != 0.0 else dom
-        sol = solve_primitive(target, theta_h)
-        den = max(target.norm(), opts.residual_floor * om.norm())
+        _, sol, res, _ = _hodge_primitive(L.omega, F.derivative_at(t), theta_h,
+                                          absorb, opts.residual_floor)
         x = moser_vector_field(L, sol.primitive, opts.nondeg_margin,
                                opts.backsub_tol)
         rate = np.tensordot(theta_h, x.comps, axes=1)
-        return StageData(
-            t, x, rate, rate, opts.interp_rel_tol,
-            solve_residual=sol.residual * target.norm() / den,
-            obstruction=sol.harmonic_part_norm / den,
-            absorption_rate=a,
-        )
+        return StageData(t, x, rate, rate, opts.interp_rel_tol,
+                         solve_residual=res)
 
     return build
+
+
+def _exact_beta(ed: ExactData, t: float, h: np.ndarray, fd_step: float) -> DiffForm:
+    """beta_t = d alpha_t/dt - h_t alpha_t, the right side of the exact path."""
+    al = ed.alpha_at(t)
+    if ed.alpha_dot_at is not None:
+        al_dot = ed.alpha_dot_at(t)
+    else:
+        al_dot = fd_derivative(ed.alpha_at, t, fd_step)
+    return DiffForm(al.grid, 1, al_dot.comps - h[None] * al.comps)
 
 
 def exact_stage_builder(
@@ -490,17 +485,11 @@ def exact_stage_builder(
     if ed is None:
         raise ValueError("family has no exact primitive data")
 
-    def alpha_dot(t: float) -> DiffForm:
-        if ed.alpha_dot_at is not None:
-            return ed.alpha_dot_at(t)
-        return fd_derivative(ed.alpha_at, t, opts.fd_step)
-
     def build(t: float) -> StageData:
         L = F.omega_at(t)
-        al = ed.alpha_at(t)
         h = ed.h_at(t)
-        beta = DiffForm(F.grid, 1, alpha_dot(t).comps - h[None] * al.comps)
-        x = moser_vector_field(L, beta, opts.nondeg_margin, opts.backsub_tol)
+        x = moser_vector_field(L, _exact_beta(ed, t, h, opts.fd_step),
+                               opts.nondeg_margin, opts.backsub_tol)
         theta_vals = L.lee.one_form().comps
         lee_rate = np.einsum("i...,i...->...", theta_vals, x.comps)
         return StageData(t, x, lee_rate + h, lee_rate, opts.interp_rel_tol)
@@ -513,7 +502,11 @@ def exact_stage_builder(
 
 @dataclass
 class FlowState:
-    """Snapshots of the isotopy: positions, Jacobians, conformal exponent."""
+    """Snapshots of the isotopy: positions, Jacobians, conformal exponent.
+
+    lee_integral / rate_integral hold the grid fields int_0^t lee_rate
+    and int_0^t rate at each recorded time.
+    """
 
     grid: GridSpec
     seeds: np.ndarray
@@ -524,6 +517,8 @@ class FlowState:
     log_factor: list[np.ndarray]
     max_speed: float
     full_grid: bool
+    lee_integral: list[np.ndarray] = field(default_factory=list)
+    rate_integral: list[np.ndarray] = field(default_factory=list)
 
     def index(self, t: float) -> int:
         for i, ti in enumerate(self.times):
@@ -547,7 +542,9 @@ def integrate_isotopy(
     """Classic RK4 on (x, J, L): dx = X, dJ = DX J, dL = rate, t in [0, 1].
 
     Spatial evaluation is exact trigonometric interpolation, so the
-    global error is O(steps^-4) for smooth stage data.  Issues a
+    global error is O(steps^-4) for smooth stage data.  The grid fields
+    rate_values and lee_rate_values are integrated in time alongside, by
+    Simpson's rule on each step's own stages k/s, (2k+1)/2s, (k+1)/s.  Issues a
     StepCountTooSmall warning when max |X| dt exceeds half a grid cell
     times the safety factor; raises IsotopyDiverged on non-finite state.
     """
@@ -566,16 +563,19 @@ def integrate_isotopy(
     pos = seeds.copy()
     jac = np.broadcast_to(np.eye(grid.n), (len(seeds), grid.n, grid.n)).copy()
     logf = np.zeros(len(seeds))
+    lee_int, rate_int = np.zeros(grid.shape), np.zeros(grid.shape)
     dt = 1.0 / steps
 
     times: list[float] = []
-    positions, jacobians, logs = [], [], []
+    positions, jacobians, logs, lee_ints, rate_ints = [], [], [], [], []
 
     def record(k: int):
         times.append(k / steps)
         positions.append(np.mod(pos, 1.0))
         jacobians.append(jac.copy())
         logs.append(logf.copy())
+        lee_ints.append(lee_int)
+        rate_ints.append(rate_int)
 
     if rec_steps and rec_steps[0] == 0:
         record(0)
@@ -618,12 +618,16 @@ def integrate_isotopy(
         for name, arr in (("positions", pos), ("Jacobians", jac), ("log factors", logf)):
             if not np.all(np.isfinite(arr)):
                 raise IsotopyDiverged(f"non-finite {name} after step {k + 1}")
+        lee_int = lee_int + (dt / 6.0) * (s1.lee_rate_values + 4.0 * s2.lee_rate_values
+                                          + s3.lee_rate_values)
+        rate_int = rate_int + (dt / 6.0) * (s1.rate_values + 4.0 * s2.rate_values
+                                            + s3.rate_values)
         if rec_steps and rec_steps[0] == k + 1:
             record(k + 1)
             rec_steps = rec_steps[1:]
 
     return FlowState(grid, seeds, steps, times, positions, jacobians,
-                     logs, max_speed, full)
+                     logs, max_speed, full, lee_ints, rate_ints)
 
 
 # -- pullback and conformal comparison -----------------------------------
@@ -733,11 +737,11 @@ class Eq1Record:
 def verify_eq1(
     F: FormFamily,
     fields: Callable[[float], StageData],
-    times: list[float] | None = None,
-    opts: PipelineOptions | None = None,
+    flow: FlowState,
 ) -> list[Eq1Record]:
     """Spectral residuals of the infinitesimal stability identities.
 
+    Evaluated at the times the flow recorded:
     eq1_residual:  || d/dt omega + d_theta(i_X omega) + theta(X) omega ||
     flow_identity: the same minus (rate) * omega, where rate is theta(X)
                    plus the h-term on the exact path -- this is the
@@ -745,21 +749,16 @@ def verify_eq1(
                    phi^*(rate * omega) hold, and the success verdict
                    gates on it.
     necessity:     || d/dt(f omega) + d_{theta + d ln f}(f i_X omega) ||
-                   with f = exp(int_0^t theta(X) ds), the bookkeeping of
-                   the necessity direction.
+                   with f = exp(int_0^t theta(X) ds) from the flow's
+                   lee_integral, the bookkeeping of the necessity direction.
     All residuals are relative to max(||d omega/dt||, ||omega||).
     """
-    opts = opts or PipelineOptions()
-    if times is None:
-        times = opts.checkpoint_times()
     grid = F.grid
-    u = np.zeros(grid.shape)
-    prev_t = 0.0
     out: list[Eq1Record] = []
-    for t in times:
-        L = F.omega_at(float(t))
-        om, dom = L.omega, F.derivative_at(float(t))
-        st = fields(float(t))
+    for t, u in zip(flow.times, flow.lee_integral):
+        L = F.omega_at(t)
+        om, dom = L.omega, F.derivative_at(t)
+        st = fields(t)
         x = st.x_form
         ixw = contract(x, om)
         d_ixw = d_theta(ixw, L.lee)
@@ -773,23 +772,12 @@ def verify_eq1(
                             mis.comps - st.rate_values[None] * om.comps)
         flow_res = flow_mis.norm() / den
 
-        # accumulate u(t) = int theta(X) ds (Simpson) unless identically 0
-        if t > prev_t:
-            if np.max(np.abs(st.lee_rate_values)) > 1e-13 or np.max(np.abs(u)) > 0:
-                panels = 8
-                tq = np.linspace(prev_t, t, 2 * panels + 1)
-                vals = np.stack([fields(float(s)).lee_rate_values for s in tq])
-                hq = tq[1] - tq[0]
-                for k in range(panels):
-                    u = u + (hq / 3.0) * (vals[2 * k] + 4.0 * vals[2 * k + 1]
-                                          + vals[2 * k + 2])
-            prev_t = t
         f = np.exp(u)
         lhs = DiffForm(grid, 2, f[None] * (theta_x[None] * om.comps + dom.comps))
         theta_prime = L.lee.one_form() + ext_d(scalar_form(grid, u))
         rhs = d_theta(DiffForm(grid, 1, f[None] * ixw.comps), theta_prime)
         nec = DiffForm(grid, 2, lhs.comps + rhs.comps).norm() / den
-        out.append(Eq1Record(float(t), eq1, flow_res, nec))
+        out.append(Eq1Record(t, eq1, flow_res, nec))
     return out
 
 
@@ -811,20 +799,9 @@ class CheckpointRecord:
     cor2_identity_residual: float | None = None
 
     def as_dict(self) -> dict:
-        d = {
-            "t": self.t,
-            "exactness_residual": self.exactness_residual,
-            "harmonic_obstruction": self.harmonic_obstruction,
-            "conformal_consistency_error": self.conformal_consistency_error,
-            "factor_error": self.factor_error,
-            "eq1_residual": self.eq1_residual,
-            "flow_identity_residual": self.flow_identity_residual,
-            "necessity_residual": self.necessity_residual,
-            "factor_min": self.factor_min,
-            "factor_max": self.factor_max,
-        }
-        if self.cor2_identity_residual is not None:
-            d["cor2_identity_residual"] = self.cor2_identity_residual
+        d = asdict(self)
+        if self.cor2_identity_residual is None:
+            del d["cor2_identity_residual"]
         return d
 
 
@@ -854,39 +831,18 @@ class MoserReport:
     verdict: str
 
     def as_dict(self) -> dict:
-        return {
-            "path": self.path,
-            "label": self.label,
-            "grid": {"n": self.grid[0], "N": self.grid[1]},
-            "steps": self.steps,
-            "checkpoints": [r.as_dict() for r in self.records],
-            "max_exactness": self.max_exactness,
-            "max_obstruction": self.max_obstruction,
-            "max_consistency": self.max_consistency,
-            "max_factor_error": self.max_factor_error,
-            "max_eq1": self.max_eq1,
-            "max_flow_identity": self.max_flow_identity,
-            "max_necessity": self.max_necessity,
-            "max_cor2": self.max_cor2,
-            "factor_positive": self.factor_positive,
-            "absorption_used": self.absorption_used,
-            "absorption_log_final": self.absorption_log_final,
-            "max_speed": self.max_speed,
-            "stage_solve_residual_max": self.stage_solve_residual_max,
-            "success": self.success,
-            "verdict": self.verdict,
-        }
+        d = dict(vars(self))
+        d["grid"] = {"n": self.grid[0], "N": self.grid[1]}
+        d["checkpoints"] = [r.as_dict() for r in d.pop("records")]
+        return d
 
 
 def _assemble_report(
-    path: str,
+    pv: _Provider,
     label: str,
-    grid: GridSpec,
     opts: PipelineOptions,
     records: list[CheckpointRecord],
     factor_positive: bool,
-    absorption_used: bool,
-    absorption_log_final: float,
     max_speed: float,
     stage_res: float,
 ) -> MoserReport:
@@ -909,13 +865,14 @@ def _assemble_report(
         and factor_positive
         and (max_c2 is None or max_c2 <= opts.tol_cor2)
     )
+    grid = pv.family.grid
     return MoserReport(
-        path=path, label=label, grid=(grid.n, grid.N), steps=opts.steps,
+        path=pv.path, label=label, grid=(grid.n, grid.N), steps=opts.steps,
         records=records, max_exactness=max_ex, max_obstruction=max_ob,
         max_consistency=max_cc, max_factor_error=max_fe, max_eq1=max_e1,
         max_flow_identity=max_fl, max_necessity=max_ne, max_cor2=max_c2,
-        factor_positive=factor_positive, absorption_used=absorption_used,
-        absorption_log_final=absorption_log_final, max_speed=max_speed,
+        factor_positive=factor_positive, absorption_used=pv.absorption_used,
+        absorption_log_final=pv.absorption_log_final, max_speed=max_speed,
         stage_solve_residual_max=stage_res, success=ok,
         verdict=("certified_conformally_equivalent" if ok
                  else "not_certified_in_canonical_gauge"),
@@ -955,78 +912,46 @@ def _checkpoint_compare(
     return cc, predicted
 
 
-def run_theorem_pipeline(
-    F: FormFamily, opts: PipelineOptions | None = None
-) -> MoserReport:
-    """Full certify-solve-integrate-verify cycle via Hodge primitives."""
-    opts = opts or PipelineOptions()
+@dataclass
+class _Provider:
+    """What a primitive provider hands the driver, before any integration.
+
+    family is the family the flow runs on; exactness / obstructions are
+    per checkpoint; cor2, when given, is the extra per-checkpoint gate
+    cor2(t, omega_t, flow).
+    """
+
+    path: str
+    family: FormFamily
+    builder: Callable[[float], StageData]
+    exactness: list[float]
+    obstructions: list[float]
+    absorption_used: bool = False
+    absorption_log_final: float = 0.0
+    cor2: Callable[[float, LcsForm, FlowState], float] | None = None
+
+
+def _theorem_provider(F: FormFamily, opts: PipelineOptions,
+                      times: list[float]) -> _Provider:
+    """Hodge primitives on the normalized, scalar-absorbed family."""
     Fn = normalize_family(F, opts)
-    times = opts.checkpoint_times()
     cert = exactness_certificate(Fn, opts, times=times)
     Fa = absorbed_family(Fn, cert)
-
-    provider = StageCache(theorem_stage_builder(Fa, opts))
-    grid = Fa.grid
-    seeds = grid.nodes()[:: opts.seed_stride]
-    flow = integrate_isotopy(Fa, provider, opts.steps, record_times=times,
-                             seeds=seeds, opts=opts)
-    eq1 = verify_eq1(Fa, provider, times, opts)
-    base = _base_values(Fa.omega_at(0.0).omega, flow.seeds, flow.full_grid,
-                        opts.interp_rel_tol)
-
-    records = []
-    positive = True
-    for i, t in enumerate(times):
-        L = Fa.omega_at(t)
-        validate_lcs(L.omega, nondeg_threshold=opts.nondeg_margin,
+    for t in times:
+        validate_lcs(Fa.omega_at(t).omega, nondeg_threshold=opts.nondeg_margin,
                      lcs_tol=opts.lcs_tol)
-        cc, predicted = _checkpoint_compare(L.omega, base, flow, t, opts)
-        positive = positive and cc.positive
-        ferr = float(np.max(np.abs(cc.factor - predicted) / predicted))
-        records.append(CheckpointRecord(
-            t=t,
-            exactness_residual=cert.residuals[i],
-            harmonic_obstruction=cert.obstructions[i],
-            conformal_consistency_error=cc.consistency_error,
-            factor_error=ferr,
-            eq1_residual=eq1[i].eq1_residual,
-            flow_identity_residual=eq1[i].flow_identity_residual,
-            necessity_residual=eq1[i].necessity_residual,
-            factor_min=float(cc.factor.min()),
-            factor_max=float(cc.factor.max()),
-        ))
-    return _assemble_report(
-        "theorem", F.label, grid, opts, records, positive,
-        cert.used_absorption, cert.c_at(1.0), flow.max_speed,
-        provider.max_solve_residual,
-    )
+    return _Provider("theorem", Fa, theorem_stage_builder(Fa, opts),
+                     cert.residuals, cert.obstructions,
+                     cert.used_absorption, cert.c_at(1.0))
 
 
-def run_exact_family(
-    F: FormFamily, opts: PipelineOptions | None = None
-) -> MoserReport:
-    """Certify and verify a family with a supplied twisted primitive.
-
-    Checks omega_t = d alpha_t - theta_t ^ alpha_t (NotExactFamily) and
-    d/dt theta_t = d h_t (InconsistentLeeDerivative), integrates the
-    vector field of i_X omega = -(d alpha/dt - h alpha), and verifies the
-    conformal-factor prediction exp(int (theta(X) + h)) together with the
-    time-derivative identity for the gauge-corrected family e^{g} omega,
-    g = -int h.
-    """
-    opts = opts or PipelineOptions()
+def _exact_provider(F: FormFamily, opts: PipelineOptions,
+                    times: list[float]) -> _Provider:
+    """A supplied primitive: checks its preconditions, then the cor2 gate."""
     ed = F.exact_data
     if ed is None:
         raise ValueError("family has no exact primitive data")
     grid = F.grid
-    times = opts.checkpoint_times()
-
-    def alpha_dot(t: float) -> DiffForm:
-        if ed.alpha_dot_at is not None:
-            return ed.alpha_dot_at(t)
-        return fd_derivative(ed.alpha_at, t, opts.fd_step)
-
-    # preconditions of the supplied-primitive path
     exact_res = []
     for t in times:
         L = F.omega_at(t)
@@ -1048,60 +973,82 @@ def run_exact_family(
                 f"d theta/dt differs from d h by {dev:.3e} at t={t}"
             )
 
-    provider = StageCache(exact_stage_builder(F, opts))
-    seeds = grid.nodes()[:: opts.seed_stride]
-    flow = integrate_isotopy(F, provider, opts.steps, record_times=times,
-                             seeds=seeds, opts=opts)
-    eq1 = verify_eq1(F, provider, times, opts)
-    base = _base_values(F.omega_at(0.0).omega, flow.seeds, flow.full_grid,
-                        opts.interp_rel_tol)
-
-    # g(t) = -int_0^t h ds on the static grid (Simpson per checkpoint gap)
-    g = np.zeros(grid.shape)
-    records = []
-    positive = True
-    prev_t = 0.0
-    for i, t in enumerate(times):
-        if t > prev_t:
-            panels = 8
-            tq = np.linspace(prev_t, t, 2 * panels + 1)
-            hv = np.stack([ed.h_at(float(s)) for s in tq])
-            hq = tq[1] - tq[0]
-            for k in range(panels):
-                g = g - (hq / 3.0) * (hv[2 * k] + 4.0 * hv[2 * k + 1]
-                                      + hv[2 * k + 2])
-            prev_t = t
-        L = F.omega_at(t)
-        cc, predicted = _checkpoint_compare(L.omega, base, flow, t, opts)
-        positive = positive and cc.positive
-        ferr = float(np.max(np.abs(cc.factor - predicted) / predicted))
-
-        # Corollary-style primitive identity for f = e^g
+    def cor2(t: float, L: LcsForm, flow: FlowState) -> float:
+        """Corollary-style primitive identity for f = e^g, g = -int h."""
+        i = flow.index(t)
+        g = flow.lee_integral[i] - flow.rate_integral[i]
         h = ed.h_at(t)
         f = np.exp(g)
         dom = F.derivative_at(t)
         lhs = DiffForm(grid, 2, f[None] * (dom.comps - h[None] * L.omega.comps))
-        beta = DiffForm(grid, 1,
-                        f[None] * (alpha_dot(t).comps - h[None] * ed.alpha_at(t).comps))
+        beta = DiffForm(grid, 1, f[None] * _exact_beta(ed, t, h, opts.fd_step).comps)
         theta_prime = L.lee.one_form() + ext_d(scalar_form(grid, g))
         rhs = d_theta(beta, theta_prime)
         den = max(lhs.norm(), DiffForm(grid, 2, f[None] * L.omega.comps).norm())
-        cor2 = (lhs - rhs).norm() / den
+        return (lhs - rhs).norm() / den
 
+    return _Provider("exact_family", F, exact_stage_builder(F, opts),
+                     exact_res, [0.0] * len(times), cor2=cor2)
+
+
+def _run_moser(
+    F: FormFamily,
+    opts: PipelineOptions | None,
+    provide: Callable[[FormFamily, PipelineOptions, list[float]], _Provider],
+) -> MoserReport:
+    """The one driver: flow, identity residuals, checkpoint comparison."""
+    opts = opts or PipelineOptions()
+    times = opts.checkpoint_times()
+    pv = provide(F, opts, times)
+    Fp = pv.family
+    stages = StageCache(pv.builder)
+    seeds = Fp.grid.nodes()[:: opts.seed_stride]
+    flow = integrate_isotopy(Fp, stages, opts.steps, record_times=times,
+                             seeds=seeds, opts=opts)
+    eq1 = verify_eq1(Fp, stages, flow)
+    base = _base_values(Fp.omega_at(0.0).omega, flow.seeds, flow.full_grid,
+                        opts.interp_rel_tol)
+
+    records = []
+    positive = True
+    for i, t in enumerate(times):
+        L = Fp.omega_at(t)
+        cc, predicted = _checkpoint_compare(L.omega, base, flow, t, opts)
+        positive = positive and cc.positive
         records.append(CheckpointRecord(
             t=t,
-            exactness_residual=exact_res[i],
-            harmonic_obstruction=0.0,
+            exactness_residual=pv.exactness[i],
+            harmonic_obstruction=pv.obstructions[i],
             conformal_consistency_error=cc.consistency_error,
-            factor_error=ferr,
+            factor_error=float(np.max(np.abs(cc.factor - predicted) / predicted)),
             eq1_residual=eq1[i].eq1_residual,
             flow_identity_residual=eq1[i].flow_identity_residual,
             necessity_residual=eq1[i].necessity_residual,
             factor_min=float(cc.factor.min()),
             factor_max=float(cc.factor.max()),
-            cor2_identity_residual=cor2,
+            cor2_identity_residual=pv.cor2(t, L, flow) if pv.cor2 else None,
         ))
-    return _assemble_report(
-        "exact_family", F.label, grid, opts, records, positive,
-        False, 0.0, flow.max_speed, provider.max_solve_residual,
-    )
+    return _assemble_report(pv, F.label, opts, records, positive,
+                            flow.max_speed, stages.max_solve_residual)
+
+
+def run_theorem_pipeline(
+    F: FormFamily, opts: PipelineOptions | None = None
+) -> MoserReport:
+    """Full certify-solve-integrate-verify cycle via Hodge primitives."""
+    return _run_moser(F, opts, _theorem_provider)
+
+
+def run_exact_family(
+    F: FormFamily, opts: PipelineOptions | None = None
+) -> MoserReport:
+    """Certify and verify a family with a supplied twisted primitive.
+
+    Checks omega_t = d alpha_t - theta_t ^ alpha_t (NotExactFamily) and
+    d/dt theta_t = d h_t (InconsistentLeeDerivative), integrates the
+    vector field of i_X omega = -(d alpha/dt - h alpha), and verifies the
+    conformal-factor prediction exp(int (theta(X) + h)) together with the
+    time-derivative identity for the gauge-corrected family e^{g} omega,
+    g = -int h.
+    """
+    return _run_moser(F, opts, _exact_provider)

@@ -25,7 +25,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .exactlinalg import fraction_from_string
 from .families import (
     FormFamily,
     area_interpolation_family,
@@ -449,8 +448,9 @@ def _summary_lines(report: dict) -> list[str]:
             lines.append(f"  b2_at_least_two = {ec['b2_at_least_two']}")
     elif cfg["scenario"] == "moser" and res:
         lines.append(f"  verdict = {res.get('verdict')}")
-        for k in ("max_consistency", "max_factor_error", "max_eq1"):
-            if k in res:
+        for k in ("max_consistency", "max_factor_error", "max_eq1",
+                  "max_flow_identity", "max_cor2"):
+            if res.get(k) is not None:
                 lines.append(f"  {k} = {res[k]:.3e}")
     if "error" in report:
         err = report["error"]

@@ -28,3 +28,5 @@ def test_demo_runs(name, tmp_path):
                           cwd=tmp_path, env=env, capture_output=True, text=True,
                           timeout=300)
     assert proc.returncode == 0, proc.stderr
+    # the demos clean up their temporary directories
+    assert not list(tmp_path.glob("lcsflow_demo_*"))

@@ -99,6 +99,32 @@ def test_integrator_accumulates_the_rate_channel():
     assert np.max(np.abs(flow.at(1.0)[2] - 0.7)) < 1e-14
 
 
+def test_integrator_sweeps_the_rate_integrals_by_simpson():
+    # rate = cos(2 pi t) phi, lee rate = sin(2 pi t) phi; Simpson on the
+    # RK4 stages (node spacing dt / 2) errs by at most
+    # t (dt / 2)^4 max |f^(4)| / 180, so the bound falls as steps^-4
+    g = GridSpec(2, 8)
+    x1, x2 = g.coordinates()
+    phi = 1.0 + 0.5 * np.sin(TWO_PI * x1) * np.cos(TWO_PI * x2)
+    x = zero_form(g, 1)
+
+    def stage(t):
+        return StageData(t, x, np.cos(TWO_PI * t) * phi,
+                         np.sin(TWO_PI * t) * phi, 1e-14)
+
+    for steps in (4, 8, 16):
+        flow = integrate_isotopy(g, stage, steps=steps,
+                                 record_times=[0.0, 0.25, 0.5, 1.0])
+        assert flow.times == [0.0, 0.25, 0.5, 1.0]
+        bound = TWO_PI**4 * np.max(phi) / (180.0 * 16.0 * steps**4)
+        for t, rate_int, lee_int in zip(flow.times, flow.rate_integral,
+                                        flow.lee_integral):
+            rate_exact = np.sin(TWO_PI * t) / TWO_PI * phi
+            lee_exact = (1.0 - np.cos(TWO_PI * t)) / TWO_PI * phi
+            assert np.max(np.abs(rate_int - rate_exact)) <= t * bound + 1e-15
+            assert np.max(np.abs(lee_int - lee_exact)) <= t * bound + 1e-15
+
+
 def test_pullback_at_time_zero_is_the_identity():
     g = GridSpec(2, 16)
     fam = area_interpolation_family(g, eps=0.3)
@@ -164,6 +190,8 @@ def test_absorption_certificate_matches_closed_form():
     assert cert.used_absorption
     for t in (0.25, 0.5, 1.0):
         assert abs(cert.c_at(t) + np.log1p(sigma * t)) < 1e-10
+        # c(t) is evaluated in closed form, not by quadrature
+        assert abs(cert.c_at(t) + np.log1p(sigma * t)) < 1e-13
     assert max(cert.residuals) < 1e-9
     # mean-free interpolation needs no absorption at all
     cert0 = exactness_certificate(area_interpolation_family(GridSpec(2, 32), eps=0.1))

@@ -12,6 +12,7 @@ from lcsflow.families import (
     gcs_rescale_family,
     lee_drift_family,
 )
+from lcsflow import moser
 from lcsflow.forms import GridSpec
 from lcsflow.moser import (
     InconsistentLeeDerivative,
@@ -126,6 +127,32 @@ def test_drifting_exact_lee_family():
     for r in rep.records:
         assert abs(r.factor_min - 1.0) < 1e-6
         assert abs(r.factor_max - 1.0) < 1e-6
+
+
+@pytest.mark.filterwarnings("ignore::lcsflow.moser.StepCountTooSmall")
+def test_exact_path_builds_stages_only_at_rk4_stage_times(monkeypatch):
+    # theta(X) is nonzero on this family, yet the integrals behind the
+    # necessity and cor2 residuals come from the RK4 sweep: every stage is
+    # built at some k / (2 steps)
+    built = []
+    make = moser.exact_stage_builder
+
+    def recording(F, opts):
+        build = make(F, opts)
+
+        def traced(t):
+            built.append(t)
+            return build(t)
+        return traced
+
+    monkeypatch.setattr(moser, "exact_stage_builder", recording)
+    steps = 4
+    fam = corollary_two_family(GridSpec(4, 16), a=0.3, n_times=3)
+    rep = run_exact_family(fam, PipelineOptions(steps=steps, checkpoints=3,
+                                                seed_stride=8))
+    assert rep.max_cor2 < 1e-8
+    assert all(abs(2 * steps * t - round(2 * steps * t)) < 1e-9 for t in built)
+    assert len(set(built)) == 2 * steps + 1
 
 
 def test_corrupted_primitive_is_rejected():

@@ -12,7 +12,6 @@ from lcsflow.forms import (
     l2_inner,
     random_band_limited,
     scalar_form,
-    wedge,
 )
 from lcsflow.twisted import (
     DegenerateForm,
