@@ -10,20 +10,22 @@ read them from there.
 Derivatives are exact on band-limited data (FFT modes multiplied by
 2*pi*i*m, Nyquist bucket zeroed).  A pointwise product (wedge, contraction)
 of operands whose per-axis bands add up to less than N/2 is taken directly
-on the grid; any other product is evaluated on a 2x refined grid and
-truncated back, so products of forms with combined bandwidth < N are
-alias-free.
+on the grid.  Any other product is evaluated on a de-aliasing grid of
+M = GridSpec.fine_N > 3N/2 nodes per axis (Orszag's 3/2 rule) and truncated
+back: product modes reach |m_j| <= N, and with M > 3N/2 none of them wraps
+onto a kept bucket |m_j| <= N/2, so every product is alias-free.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
 from itertools import combinations
 from math import comb
 
 import numpy as np
 from scipy import fft as sfft
+from scipy.fft import next_fast_len
 
 
 class GridMismatch(ValueError):
@@ -55,6 +57,15 @@ class GridSpec:
     @property
     def num_nodes(self) -> int:
         return self.N**self.n
+
+    @property
+    def fine_N(self) -> int:
+        """Nodes per axis of the de-aliasing grid: the first fast FFT size > 3N/2."""
+        return next_fast_len(3 * self.N // 2 + 1)
+
+    @property
+    def fine_shape(self) -> tuple[int, ...]:
+        return (self.fine_N,) * self.n
 
     def axes(self) -> np.ndarray:
         return np.arange(self.N) / self.N
@@ -232,9 +243,9 @@ class DiffForm:
 
     @classmethod
     def from_spectra(cls, grid: GridSpec, degree: int, spec: np.ndarray) -> "DiffForm":
-        vals = sfft.ifftn(spec, axes=tuple(range(1, grid.n + 1))).real
-        out = cls(grid, degree, vals)
-        return out
+        vals = sfft.ifftn(spec, axes=tuple(range(1, grid.n + 1)))
+        # a real contiguous copy, so the complex transform is freed on return
+        return cls(grid, degree, vals.real.copy())
 
     # -- arithmetic (same grid and degree) ------------------------------
 
@@ -301,73 +312,98 @@ def form_from_components(grid: GridSpec, degree: int, parts: dict) -> DiffForm:
 # -- de-aliased products -------------------------------------------------
 
 
-def _pad_axis(spec: np.ndarray, ax: int, N: int) -> np.ndarray:
-    """Zero-pad one FFT axis from N to 2N, splitting the Nyquist bucket."""
+def _axis_slice(ndim: int, ax: int, a: int, b: int) -> tuple:
+    idx = [slice(None)] * ndim
+    idx[ax] = slice(a, b)
+    return tuple(idx)
+
+
+def _pad_axis(spec: np.ndarray, ax: int, N: int, M: int) -> np.ndarray:
+    """Zero-pad one FFT axis from N to M > N buckets, splitting the Nyquist one."""
     shape = list(spec.shape)
-    shape[ax] = 2 * N
+    shape[ax] = M
     out = np.zeros(shape, dtype=complex)
     half = N // 2
-
-    def sl(a, b):
-        idx = [slice(None)] * len(shape)
-        idx[ax] = slice(a, b)
-        return tuple(idx)
-
+    sl = partial(_axis_slice, spec.ndim, ax)
     out[sl(0, half)] = spec[sl(0, half)]
-    out[sl(2 * N - half + 1, 2 * N)] = spec[sl(half + 1, N)]
-    nyq = [slice(None)] * len(shape)
-    nyq[ax] = half
-    src = [slice(None)] * len(shape)
-    src[ax] = half
-    out[tuple(nyq)] = spec[tuple(src)] / 2.0
-    nyq[ax] = 2 * N - half
-    out[tuple(nyq)] = spec[tuple(src)] / 2.0
+    out[sl(M - half + 1, M)] = spec[sl(half + 1, N)]
+    nyq = spec[sl(half, half + 1)] / 2.0
+    out[sl(half, half + 1)] = nyq
+    out[sl(M - half, M - half + 1)] = nyq
     return out
 
 
-def _trunc_axis(spec: np.ndarray, ax: int, N: int) -> np.ndarray:
-    """Truncate one FFT axis from 2N to N, folding the Nyquist pair."""
-    shape = list(spec.shape)
-    shape[ax] = N
-    out = np.zeros(shape, dtype=complex)
+def _trunc_axis(spec: np.ndarray, ax: int, N: int, M: int) -> np.ndarray:
+    """Truncate one FFT axis from M to N buckets, folding the +-N/2 pair."""
     half = N // 2
+    sl = partial(_axis_slice, spec.ndim, ax)
+    out = np.concatenate((spec[sl(0, half + 1)], spec[sl(M - half + 1, M)]), axis=ax)
+    out[sl(half, half + 1)] += spec[sl(M - half, M - half + 1)]
+    return out
 
-    def sl(a, b):
-        idx = [slice(None)] * len(shape)
-        idx[ax] = slice(a, b)
-        return tuple(idx)
 
-    out[sl(0, half)] = spec[sl(0, half)]
-    out[sl(half + 1, N)] = spec[sl(2 * N - half + 1, 2 * N)]
-    dst = [slice(None)] * len(shape)
-    dst[ax] = half
-    src_p = [slice(None)] * len(shape)
-    src_p[ax] = half
-    src_m = [slice(None)] * len(shape)
-    src_m[ax] = 2 * N - half
-    out[tuple(dst)] = spec[tuple(src_p)] + spec[tuple(src_m)]
+def _pack_pairs(stack: np.ndarray) -> np.ndarray:
+    """Real fields u_0, u_1, ... as complex fields u_0 + i u_1, u_2 + i u_3, ..."""
+    count = stack.shape[0]
+    z = np.zeros(((count + 1) // 2,) + stack.shape[1:], dtype=complex)
+    z.real = stack[0::2]
+    z.imag[:count // 2] = stack[1::2]
+    return z
+
+
+def _unpack_pairs(z: np.ndarray, count: int) -> np.ndarray:
+    """Inverse of _pack_pairs for fields that a real-linear map sent to reals."""
+    out = np.empty((count,) + z.shape[1:])
+    out[0::2] = z.real
+    out[1::2] = z.imag[:count // 2]
     return out
 
 
 def upsample_values(vals: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Trig-interpolate node values onto the 2x refined grid (exact)."""
-    spec = sfft.fftn(np.asarray(vals, dtype=float))
-    for ax in range(grid.n):
-        spec = _pad_axis(spec, ax, grid.N)
-    # a real copy, so the complex 2N-grid array is freed on return
-    return sfft.ifftn(spec * 2**grid.n).real.copy()
+    """Trig-interpolate node values onto the de-aliasing grid (exact).
+
+    vals is one field of shape grid.shape or a stack of them; the result
+    has grid.fine_N nodes per axis in place of N.  Two fields share each
+    complex transform.  Each axis is padded just before its own inverse
+    transform, so the earlier transforms run on the smaller array.
+    """
+    vals = np.asarray(vals, dtype=float)
+    lead = vals.shape[:vals.ndim - grid.n]
+    stack = vals.reshape((-1,) + grid.shape)
+    axes = tuple(range(1, grid.n + 1))
+    # norm="forward" puts 1/nodes on the forward transforms only, so the
+    # Fourier coefficients move between grids without a rescale
+    spec = sfft.fftn(_pack_pairs(stack), axes=axes, norm="forward", overwrite_x=True)
+    for ax in reversed(axes):
+        spec = sfft.ifftn(_pad_axis(spec, ax, grid.N, grid.fine_N), axes=(ax,),
+                          norm="forward", overwrite_x=True)
+    return _unpack_pairs(spec, stack.shape[0]).reshape(lead + grid.fine_shape)
 
 
 def downsample_values(fine: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Project 2x-grid values back to the base grid (band truncation)."""
-    spec = sfft.fftn(np.asarray(fine, dtype=float))
-    for ax in range(grid.n):
-        spec = _trunc_axis(spec, ax, grid.N)
-    return sfft.ifftn(spec / 2**grid.n).real
+    """Project de-aliasing-grid values back to the base grid (band truncation).
+
+    Takes one field or a stack, like upsample_values, and returns real,
+    contiguous base-grid arrays.
+    """
+    fine = np.asarray(fine, dtype=float)
+    lead = fine.shape[:fine.ndim - grid.n]
+    stack = fine.reshape((-1,) + grid.fine_shape)
+    spec = _pack_pairs(stack)
+    axes = tuple(range(1, grid.n + 1))
+    for ax in axes:
+        spec = _trunc_axis(sfft.fftn(spec, axes=(ax,), norm="forward", overwrite_x=True),
+                           ax, grid.N, grid.fine_N)
+    vals = sfft.ifftn(spec, axes=axes, norm="forward", overwrite_x=True)
+    return _unpack_pairs(vals, stack.shape[0]).reshape(lead + grid.shape)
 
 
 def dealiased_product(a_vals: np.ndarray, b_vals: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Pointwise product computed on the 2x grid and truncated back."""
+    """Pointwise product computed on the de-aliasing grid and truncated back.
+
+    Exact band truncation of the product of the trigonometric interpolants
+    of a_vals and b_vals (fields or equally shaped stacks).
+    """
     return downsample_values(
         upsample_values(a_vals, grid) * upsample_values(b_vals, grid), grid
     )
@@ -400,7 +436,8 @@ def wedge(a: DiffForm, b: DiffForm) -> DiffForm:
     """Exterior product a ^ b with de-aliased coefficient products.
 
     When both operands are band-limited enough that their products fit on
-    the grid, the 2x upsample/truncate round trip is skipped.
+    the grid, they are multiplied node by node; otherwise on the
+    de-aliasing grid of more than 3N/2 nodes per axis, then truncated back.
     """
     if a.grid != b.grid:
         raise GridMismatch("wedge operands on different grids")
@@ -414,17 +451,23 @@ def wedge(a: DiffForm, b: DiffForm) -> DiffForm:
 def _product(a: DiffForm, b: DiffForm, rows, degree: int) -> DiffForm:
     """The degree-form sum of sign * a_j * b_src over rows (j, src, dst, sign).
 
-    Products are taken on the grid when they fit, otherwise on the 2x grid
-    and truncated back.
+    Products are taken on the grid when they fit.  Otherwise every
+    component of both operands goes up to the de-aliasing grid in one
+    stacked call, the sums are formed there, and every output component
+    comes back down in one stacked call.  With more than 3N/2 nodes per
+    axis no product of two modes |m_j| <= N/2 aliases onto a kept bucket,
+    the Nyquist one included, so the result is the band truncation of the
+    exact product of the trigonometric interpolants.
     """
     grid = a.grid
-    direct = _products_fit(a, b)
-    a_fine = a.comps if direct else [upsample_values(c, grid) for c in a.comps]
-    b_fine = b.comps if direct else [upsample_values(c, grid) for c in b.comps]
-    acc = _sum_terms(rows, a_fine, b_fine, [None] * comb(grid.n, degree))
-    if not direct:
-        acc = [downsample_values(fine, grid) for fine in acc]
-    return DiffForm(grid, degree, np.stack(acc))
+    ncomp = comb(grid.n, degree)
+    if _products_fit(a, b):
+        return DiffForm(grid, degree,
+                        np.stack(_sum_terms(rows, a.comps, b.comps, [None] * ncomp)))
+    fine = upsample_values(np.concatenate((a.comps, b.comps)), grid)
+    ka = a.comps.shape[0]
+    acc = _sum_terms(rows, fine[:ka], fine[ka:], np.zeros((ncomp,) + grid.fine_shape))
+    return DiffForm(grid, degree, downsample_values(acc, grid))
 
 
 def ext_d(a: DiffForm) -> DiffForm:

@@ -29,7 +29,7 @@ from __future__ import annotations
 import warnings
 from collections import OrderedDict
 from dataclasses import asdict, dataclass, field
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -426,24 +426,40 @@ class StageData:
 
 
 class StageCache:
-    """Small LRU cache over stage times (RK4 revisits each boundary twice)."""
+    """Stages by time: the ``keep`` times for good, others in a small LRU.
 
-    def __init__(self, builder: Callable[[float], StageData], maxsize: int = 8):
+    RK4 revisits each step boundary once; the kept times (the checkpoints)
+    are read again by verify_eq1 after the sweep, so each is built once.
+    """
+
+    def __init__(self, builder: Callable[[float], StageData], maxsize: int = 8,
+                 keep: Iterable[float] = ()):
         self._builder = builder
+        self._keep = {self._key(t) for t in keep}
+        self._kept: dict[float, StageData] = {}
         self._cache: OrderedDict[float, StageData] = OrderedDict()
         self._maxsize = maxsize
         self.max_solve_residual = 0.0
 
+    @staticmethod
+    def _key(t: float) -> float:
+        return round(float(t), 12)
+
     def __call__(self, t: float) -> StageData:
-        key = round(float(t), 12)
+        key = self._key(t)
+        if key in self._kept:
+            return self._kept[key]
         if key in self._cache:
             self._cache.move_to_end(key)
             return self._cache[key]
         data = self._builder(key)
         self.max_solve_residual = max(self.max_solve_residual, data.solve_residual)
-        self._cache[key] = data
-        if len(self._cache) > self._maxsize:
-            self._cache.popitem(last=False)
+        if key in self._keep:
+            self._kept[key] = data
+        else:
+            self._cache[key] = data
+            if len(self._cache) > self._maxsize:
+                self._cache.popitem(last=False)
         return data
 
 
@@ -1001,7 +1017,7 @@ def _run_moser(
     times = opts.checkpoint_times()
     pv = provide(F, opts, times)
     Fp = pv.family
-    stages = StageCache(pv.builder)
+    stages = StageCache(pv.builder, keep=times)
     seeds = Fp.grid.nodes()[:: opts.seed_stride]
     flow = integrate_isotopy(Fp, stages, opts.steps, record_times=times,
                              seeds=seeds, opts=opts)

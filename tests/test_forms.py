@@ -1,19 +1,24 @@
 """Spectral exterior calculus on periodic grids: forms, products, derivatives."""
 
+import types
+
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from lcsflow import forms
 from lcsflow.forms import (
     DegreeError,
     DiffForm,
     GridMismatch,
     GridSpec,
     ModeInterpolator,
+    _products_fit,
     basis_form,
     contract,
     dealiased_product,
+    downsample_values,
     eval_at,
     ext_d,
     form_from_components,
@@ -368,12 +373,63 @@ def test_eval_at_multicomponent():
 
 
 def test_upsample_preserves_values_on_coarse_nodes():
+    # upsampling is exact trigonometric interpolation onto the fine grid,
+    # and truncation brings the node values back
     rng = np.random.default_rng(8)
     g = GridSpec(2, 8)
-    vals = random_band_limited(g, 0, 3, rng).comps[0]
-    fine = upsample_values(vals, g)
-    assert fine.shape == (16, 16)
-    np.testing.assert_allclose(fine[::2, ::2], vals, atol=1e-13)
+    a = random_band_limited(g, 0, 3, rng)
+    fine = upsample_values(a.comps[0], g)
+    M = g.fine_N
+    assert 2 * M > 3 * g.N
+    assert fine.shape == (M, M)
+    nodes = np.stack([c.ravel() for c in np.meshgrid(
+        np.arange(M) / M, np.arange(M) / M, indexing="ij")], axis=-1)
+    np.testing.assert_allclose(fine.ravel(), eval_at(a, nodes)[0], atol=1e-13)
+    np.testing.assert_allclose(downsample_values(fine, g), a.comps[0], atol=1e-13)
+
+
+def test_products_and_derivatives_store_real_contiguous_components():
+    rng = np.random.default_rng(9)
+    g = GridSpec(3, 8)
+    a = random_band_limited(g, 1, 3, rng)
+    b = random_band_limited(g, 2, 3, rng)
+    assert not _products_fit(a, b)      # 3 + 3 > N/2 - 1: de-aliased path
+    for out in (ext_d(a), wedge(a, b), contract(a, b)):
+        arr = out.comps
+        assert arr.flags.c_contiguous
+        while arr is not None:          # no complex array behind the view
+            assert arr.dtype == np.float64
+            arr = arr.base
+
+
+def test_spectral_operators_use_only_the_counted_fft_entry_points():
+    # FFT traffic stays countable when forms.sfft is swapped for a
+    # namespace holding only fftn and ifftn
+    rng = np.random.default_rng(10)
+    g = GridSpec(3, 8)
+    a = random_band_limited(g, 1, 3, rng)
+    b = random_band_limited(g, 2, 3, rng)
+    calls = []
+
+    def counted(fn):
+        def call(x, *args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(x, *args, **kwargs)
+        return call
+
+    original = forms.sfft
+    forms.sfft = types.SimpleNamespace(fftn=counted(original.fftn),
+                                       ifftn=counted(original.ifftn))
+    try:
+        for op in (wedge, contract):
+            del calls[:]
+            op(a, b)
+            assert "fftn" in calls and "ifftn" in calls
+        del calls[:]
+        ext_d(b)
+        assert calls == ["ifftn"]       # b's spectra are cached by now
+    finally:
+        forms.sfft = original
 
 
 def test_form_literal_round_trip():

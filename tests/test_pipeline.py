@@ -155,6 +155,28 @@ def test_exact_path_builds_stages_only_at_rk4_stage_times(monkeypatch):
     assert len(set(built)) == 2 * steps + 1
 
 
+def test_theorem_path_builds_each_stage_time_once(monkeypatch):
+    # 2 steps + 1 = 11 stage times overflow the 8-stage LRU; the checkpoint
+    # stages that verify_eq1 reads after the sweep are kept, not rebuilt
+    built = []
+    make = moser.theorem_stage_builder
+
+    def recording(F, opts):
+        build = make(F, opts)
+
+        def traced(t):
+            built.append(t)
+            return build(t)
+        return traced
+
+    monkeypatch.setattr(moser, "theorem_stage_builder", recording)
+    steps = 5
+    rep = run_theorem_pipeline(contact_circle_family(T4), PipelineOptions(
+        steps=steps, checkpoints=6, seed_stride=8))
+    assert rep.success
+    assert len(built) == len(set(built)) == 2 * steps + 1
+
+
 def test_corrupted_primitive_is_rejected():
     fam = contact_circle_family(T4)
     bad = FormFamily(

@@ -4,9 +4,9 @@ Each test draws the dimension, the degrees, the operand bandwidth and the
 Lee form.  Operands have unit-ish norm on an N = 8 grid.  "narrow"
 operands have band 1, so every product in the identity is taken directly
 on the grid; "wide" ones have band N/2 - 1, so products of two of them go
-through the 2x grid and are truncated back.  Each identity draws only the
-inputs for which it holds exactly on the grid, so the tolerances are
-rounding-level:
+through the de-aliasing grid and are truncated back.  Each identity draws
+only the inputs for which it holds exactly on the grid, so the tolerances
+are rounding-level:
 
 - d_theta^2 = 0 with a closed field theta needs every product to stay in
   band, so it uses narrow operands; with a constant theta no product is
@@ -15,6 +15,9 @@ rounding-level:
   X, which commutes with the band truncation.
 - The Hodge splitting and the primitive solver are per-mode and need a
   constant theta.
+
+The de-aliased product itself is checked on stacks of full-spectrum fields,
+Nyquist buckets included, against a 2N-grid product written out here.
 """
 
 import numpy as np
@@ -25,9 +28,11 @@ from lcsflow.forms import (
     DiffForm,
     GridSpec,
     contract,
+    downsample_values,
     form_from_components,
     l2_inner,
     random_band_limited,
+    upsample_values,
     wedge,
 )
 from lcsflow.twisted import (
@@ -145,3 +150,53 @@ def test_solve_primitive_round_trip(n, k, band, zero_theta, seed):
     if k > 1:
         # the primitive is the coexact representative
         assert d_theta_star(sol.primitive, theta).norm() < TOL * scale
+
+
+def _doubling_maps():
+    """Spectral maps between N and 2N buckets per axis.
+
+    pad (2N x N) splits the Nyquist bucket evenly between -N/2 and +N/2;
+    trunc (N x 2N) keeps |m| < N/2 and folds -N/2 and +N/2 back together.
+    """
+    pad, trunc = np.zeros((2 * N, N)), np.zeros((N, 2 * N))
+    for i, m in enumerate(np.fft.fftfreq(N, 1.0 / N).astype(int)):
+        if m == -N // 2:
+            pad[[N // 2, 2 * N - N // 2], i] = 0.5
+            trunc[i, [N // 2, 2 * N - N // 2]] = 1.0
+        else:
+            pad[m % (2 * N), i] = 1.0
+            trunc[i, m % (2 * N)] = 1.0
+    return pad, trunc
+
+
+def _on_every_axis(mat, spec):
+    for ax in range(1, spec.ndim):
+        spec = np.moveaxis(np.tensordot(mat, spec, axes=([1], [ax])), 0, ax)
+    return spec
+
+
+def _doubled_grid_product(u, v, n):
+    """Band truncation of u * v, computed on the 2N grid field by field."""
+    pad, trunc = _doubling_maps()
+    axes = tuple(range(1, n + 1))
+
+    def up(w):
+        spec = _on_every_axis(pad, np.fft.fftn(w, axes=axes))
+        return np.fft.ifftn(spec, axes=axes).real * 2**n
+
+    prod_spec = np.fft.fftn(up(u) * up(v), axes=axes)
+    return np.fft.ifftn(_on_every_axis(trunc, prod_spec), axes=axes).real / 2**n
+
+
+@given(n=dims, count=st.integers(1, 6), seed=seeds)
+def test_dealiased_product_matches_the_doubled_grid(n, count, seed):
+    # odd and even stack sizes exercise the two-fields-per-transform packing;
+    # white-noise fields fill every bucket up to and including Nyquist
+    rng = np.random.default_rng(seed)
+    g = GridSpec(n, N)
+    scale = rng.uniform(0.1, 10.0, (2, count) + (1,) * n)
+    u, v = rng.standard_normal((2, count) + g.shape) * scale
+    got = downsample_values(upsample_values(u, g) * upsample_values(v, g), g)
+    want = _doubled_grid_product(u, v, n)
+    assert got.shape == u.shape
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
