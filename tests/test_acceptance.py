@@ -47,6 +47,7 @@ from lcsflow.mapping_torus import (
     mapping_torus_betti,
     toral_product_example,
 )
+from golden_reports import deterministic
 from lcsflow.twisted import (
     DegenerateForm,
     d_theta,
@@ -149,18 +150,17 @@ def test_criterion_03_lee_extraction():
              "degenerate raises DegenerateForm")
 
 
-def test_criterion_04_moser_pipeline_contact():
+def test_criterion_04_moser_pipeline_contact(golden):
     fam = contact_circle_family(T4)
     rep = run_theorem_pipeline(fam, PipelineOptions(steps=200, checkpoints=11,
                                                     seed_stride=1))
     per_checkpoint_eq1 = max(r.eq1_residual for r in rep.records)
 
     # step-halving study where the error is integrator-dominated
-    errs = []
     conv_fam = area_interpolation_family(T2, eps=0.6)
-    for steps in (5, 10, 20):
-        opts = PipelineOptions(steps=steps, checkpoints=3, seed_stride=2)
-        errs.append(run_theorem_pipeline(conv_fam, opts).max_factor_error)
+    conv = [run_theorem_pipeline(conv_fam, PipelineOptions(
+        steps=steps, checkpoints=3, seed_stride=2)) for steps in (5, 10, 20)]
+    errs = [r.max_factor_error for r in conv]
     fourth_order = all(
         errs[i] / errs[i + 1] > 8.0 or errs[i + 1] < 1e-9 for i in range(2)
     )
@@ -176,9 +176,11 @@ def test_criterion_04_moser_pipeline_contact():
              f"factor {rep.max_factor_error:.2e} <= 1e-3, positive, "
              f"eq1 {per_checkpoint_eq1:.2e} <= 1e-6, "
              f"step halving errors {errs[0]:.1e}/{errs[1]:.1e}/{errs[2]:.1e}")
+    golden("criterion_04", {"contact_circle": rep.as_dict(),
+                            "area_step_halving": [r.as_dict() for r in conv]})
 
 
-def test_criterion_05_classical_limit():
+def test_criterion_05_classical_limit(golden):
     fam = area_interpolation_family(T2, eps=0.1, sigma=0.3)
     rep = run_theorem_pipeline(fam, PipelineOptions(steps=100, checkpoints=11,
                                                     seed_stride=1))
@@ -197,9 +199,10 @@ def test_criterion_05_classical_limit():
     _verdict(5, "classical limit", ok,
              f"absorbed, factor-1 {factor_dev:.2e} <= 1e-4, "
              "absorption-off run raises NotExact")
+    golden("criterion_05", rep.as_dict())
 
 
-def test_criterion_06_corollary_paths():
+def test_criterion_06_corollary_paths(golden):
     opts = PipelineOptions(steps=50, checkpoints=6, seed_stride=4)
     rep1 = run_exact_family(contact_circle_family(T4), opts)
     rep2 = run_exact_family(corollary_two_family(T4, a=0.3), opts)
@@ -211,6 +214,8 @@ def test_criterion_06_corollary_paths():
              f"fixed-lee consistency {rep1.max_consistency:.2e} <= 1e-3, "
              f"varying-lee consistency {rep2.max_consistency:.2e} <= 1e-3, "
              f"primitive identity {rep2.max_cor2:.2e} <= 1e-8")
+    golden("criterion_06", {"contact_circle": rep1.as_dict(),
+                            "corollary_two": rep2.as_dict()})
 
 
 def test_criterion_07_lee_class_drift_rejection():
@@ -292,9 +297,9 @@ def test_criterion_09_example_reproduction():
              f"b2 >= 2 asserted where b1, b3 >= 1")
 
 
-def test_criterion_10_cli_fixtures(tmp_path):
+def test_criterion_10_cli_fixtures(tmp_path, golden):
     import json
-    results = {}
+    results, reports = {}, {}
     for name in fixture_names():
         fdir = tmp_path / name
         cfg_path = emit_fixture(name, str(fdir))
@@ -303,6 +308,7 @@ def test_criterion_10_cli_fixtures(tmp_path):
         out_name = validate_config(cfg)["output"]["json"]
         rep = json.loads((fdir / out_name).read_text())
         results[name] = (code, rep["verdict"], cfg["expected_verdict"])
+        reports[name] = rep
     all_documented = all(
         code == 0 and got == want for code, got, want in results.values()
     )
@@ -320,3 +326,5 @@ def test_criterion_10_cli_fixtures(tmp_path):
     _verdict(10, "cli fixtures", ok,
              f"{len(results)} fixtures ran to their documented verdicts, "
              "reports deterministic")
+    for name, rep in reports.items():
+        golden(f"fixture_{name}", deterministic(rep))
