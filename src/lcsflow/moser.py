@@ -39,6 +39,7 @@ from .forms import (
     GridSpec,
     ModeInterpolator,
     contract,
+    contract_axes,
     ext_d,
     index_sets,
     product_table,
@@ -49,6 +50,7 @@ from .twisted import (
     LcsForm,
     LeeForm,
     d_theta,
+    pfaffian_inverse,
     pfaffian_values,
     solve_primitive,
     validate_lcs,
@@ -355,7 +357,8 @@ def moser_vector_field(
 ) -> DiffForm:
     """Solve i_X omega = -alpha pointwise; X returned as a degree-1 form.
 
-    In coefficients this is Omega X = alpha with Omega_ij = omega(e_i, e_j).
+    In coefficients this is Omega X = alpha with Omega_ij = omega(e_i, e_j),
+    solved in closed form as X = B alpha / Pf (twisted.pfaffian_inverse).
     Raises DegenerateForm if the Pfaffian margin is below nondeg_margin or
     the back-substitution residual exceeds backsub_tol relative to alpha.
     """
@@ -363,23 +366,17 @@ def moser_vector_field(
     grid = om.grid
     if alpha.degree != 1:
         raise ValueError("alpha must be a 1-form")
-    margin = float(np.min(np.abs(pfaffian_values(om))))
-    if margin < nondeg_margin:
-        raise DegenerateForm(
-            f"Pfaffian margin {margin:.3e} below {nondeg_margin:.1e}"
-        )
-    mat = _matrix_of(om.comps, grid.n)
-    rhs = alpha.comps.reshape(grid.n, -1).T[:, :, None]
-    x = np.linalg.solve(mat, rhs)
-    resid = float(np.max(np.abs(mat @ x - rhs)))
-    ref = max(float(np.max(np.abs(rhs))), 1e-300)
+    inv, _ = pfaffian_inverse(om, nondeg_margin)
+    # Omega^-1 alpha = -i_alpha Omega^-1, and i_X omega + alpha = alpha - Omega X
+    x = -contract_axes(alpha.comps, inv, grid.n, 2)
+    resid = float(np.max(np.abs(contract_axes(x, om.comps, grid.n, 2) + alpha.comps)))
+    ref = max(float(np.max(np.abs(alpha.comps))), 1e-300)
     if resid / ref > backsub_tol:
         raise DegenerateForm(
             f"back-substitution residual {resid / ref:.3e} above "
             f"{backsub_tol:.1e}: solve unreliable"
         )
-    comps = x[:, :, 0].T.reshape((grid.n,) + grid.shape).copy()
-    return DiffForm(grid, 1, comps)
+    return DiffForm(grid, 1, x)
 
 
 # -- stage data and cached providers -------------------------------------

@@ -42,7 +42,7 @@ class DegenerateForm(ValueError):
 
 
 class NotLcs(ValueError):
-    """No closed Lee form reproduces d omega within tolerance."""
+    """The pointwise Lee form is not closed."""
 
 
 class NotClosed(ValueError):
@@ -75,7 +75,6 @@ class LeeForm:
     grid: GridSpec
     harmonic: np.ndarray
     potential: np.ndarray
-    closedness_residual: float = 0.0
 
     @classmethod
     def constant(cls, grid: GridSpec, coeffs) -> "LeeForm":
@@ -185,7 +184,6 @@ def split_harmonic_exact(theta: DiffForm, tol: float = 1e-8):
 
     Raises NotClosed when ||d theta|| / ||theta|| exceeds tol.
     """
-    grid = theta.grid
     if theta.degree != 1:
         raise DegreeError("split expects a 1-form")
     nrm = theta.norm()
@@ -193,25 +191,23 @@ def split_harmonic_exact(theta: DiffForm, tol: float = 1e-8):
         closed_defect = ext_d(theta).norm() / nrm
         if closed_defect > tol:
             raise NotClosed(f"d theta residual {closed_defect:.3e} > {tol:.1e}")
-    c = np.array([float(np.mean(comp)) for comp in theta.comps])
-    c[np.abs(c) <= HARMONIC_SNAP] = 0.0
-    spec = theta.spectra()
-    k2 = np.zeros(grid.shape)
-    g_spec = np.zeros(grid.shape, dtype=complex)
-    for j in range(grid.n):
-        mult = grid.derivative_multiplier(j)
-        k2 = k2 + np.abs(mult) ** 2
-        g_spec += np.conj(mult) * spec[j]
-    inv = np.zeros_like(k2)
-    nz = k2 > 0
-    inv[nz] = 1.0 / k2[nz]
-    from scipy import fft as sfft
-
-    g = sfft.ifftn(g_spec * inv).real
-    g -= g.mean()
-    recon = LeeForm(grid, c, g).one_form()
+    c, g = _harmonic_and_potential(theta)
+    recon = LeeForm(theta.grid, c, g).one_form()
     residual = (theta - recon).norm() / max(nrm, 1e-300)
     return c, g, residual
+
+
+def _harmonic_and_potential(theta: DiffForm):
+    """Mean of each component (snapped) and the mean-zero g solving d*dg = d*theta."""
+    grid = theta.grid
+    c = np.array([float(np.mean(comp)) for comp in theta.comps])
+    c[np.abs(c) <= HARMONIC_SNAP] = 0.0
+    mult = [grid.derivative_multiplier(j) for j in range(grid.n)]
+    k2 = sum(np.abs(m) ** 2 for m in mult)
+    g_spec = contract_axes([np.conj(m) for m in mult], theta.spectra(), grid.n, 1)
+    g_spec[0][k2 > 0] /= k2[k2 > 0]
+    g = DiffForm.from_spectra(grid, 0, g_spec).comps[0]
+    return c, g - g.mean()
 
 
 # -- Lee form extraction and lcs validation ------------------------------
@@ -234,50 +230,56 @@ def pfaffian_values(omega) -> np.ndarray:
     raise DegenerateForm(f"no nondegenerate 2-forms on T^{grid.n} (odd dimension)")
 
 
-def lee_form(omega: DiffForm, nondeg_threshold: float = 1e-8, lcs_tol: float = 1e-8):
-    """Extract the Lee form of a nondegenerate 2-form.
+def pfaffian_inverse(omega, nondeg_threshold: float):
+    """Pointwise Omega^-1, Omega_ab = omega(e_a, e_b), as B / Pf.
 
-    Solves theta ^ omega = d omega pointwise in the least-squares sense
-    (C(n,3) equations in n unknowns; on T^2 there are none and theta = 0).
-    Returns (LeeForm, diagnostics) with diagnostics keys lcs_residual and
-    nondeg_margin.  Raises DegenerateForm / NotLcs.
+    B is the dual antisymmetric matrix, Omega B = Pf * Id: the constant
+    -dx_0 ^ dx_1 on T^2 and -*omega on T^4.  Returns the components
+    (a < b) of Omega^-1, laid out like omega's, and the margin min |Pf|;
+    raises DegenerateForm when the margin is below nondeg_threshold.
     """
-    grid = omega.grid
-    if omega.degree != 2:
-        raise DegreeError("Lee form extraction expects a 2-form")
     pf = pfaffian_values(omega)
     margin = float(np.min(np.abs(pf)))
     if margin < nondeg_threshold:
         raise DegenerateForm(
             f"Pfaffian margin {margin:.3e} below threshold {nondeg_threshold:.1e}"
         )
-    ntri = comb(grid.n, 3)
-    if not ntri:
-        theta_field = DiffForm(grid, 1)
-        lcs_residual = 0.0
-    else:
-        domega = ext_d(omega)
-        # (theta ^ omega)_T = sum_j M[T, j] theta_j
-        M = np.zeros((grid.num_nodes, ntri, grid.n))
-        for j, rest, tri, sign in product_table(grid.n, 1, 2):
-            M[:, tri, j] = sign * omega.comps[rest].reshape(-1)
-        b = domega.comps.reshape(ntri, -1).T[:, :, None]
-        mtm = np.einsum("pij,pik->pjk", M, M)
-        mtb = np.einsum("pij,pik->pjk", M, b)
-        theta_flat = np.linalg.solve(mtm, mtb)[:, :, 0]
-        theta_field = DiffForm(
-            grid, 1, theta_flat.T.reshape((grid.n,) + grid.shape).copy()
-        )
-        defect = (domega - wedge(theta_field, omega)).norm()
-        lcs_residual = defect / max(omega.norm(), 1e-300)
-        if lcs_residual > lcs_tol:
-            raise NotLcs(f"lcs residual {lcs_residual:.3e} > {lcs_tol:.1e}")
-    c, g, _ = split_harmonic_exact(theta_field, tol=max(lcs_tol, 1e-8))
-    closed_defect = 0.0
-    if theta_field.norm() > 0:
-        closed_defect = ext_d(theta_field).norm() / theta_field.norm()
-    lee = LeeForm(grid, c, g, closedness_residual=closed_defect)
-    return lee, {"lcs_residual": lcs_residual, "nondeg_margin": margin}
+    if omega.grid.n == 2:
+        return -1.0 / pf[None], margin
+    inv = np.empty_like(omega.comps)
+    for ia, ib, _, sign in product_table(4, 2, 2):
+        inv[ib] = -sign * omega.comps[ia] / pf
+    return inv, margin
+
+
+def lee_form(omega: DiffForm, nondeg_threshold: float = 1e-8, lcs_tol: float = 1e-8):
+    """Extract the Lee form of a nondegenerate 2-form.
+
+    On T^4, theta ^ . : 1-forms -> 3-forms is invertible where Pf != 0
+    (Lefschetz), so theta ^ omega = d omega has the pointwise solution
+    theta_j = -1/2 sum_ab (Omega^-1)_ab (d omega)_abj, and the one lcs
+    condition left is d theta = 0.  NotLcs is raised when ||d theta|| /
+    max(||theta||, 1) exceeds lcs_tol: relative for a sizeable theta,
+    absolute for the rounding-noise theta of a symplectic omega.  On T^2
+    theta = 0 by convention.  Returns (LeeForm, diagnostics) with keys
+    lcs_residual (the gated value) and nondeg_margin.  Raises
+    DegenerateForm / NotLcs.
+    """
+    grid = omega.grid
+    if omega.degree != 2:
+        raise DegreeError("Lee form extraction expects a 2-form")
+    inv, margin = pfaffian_inverse(omega, nondeg_threshold)
+    theta = np.zeros((grid.n,) + grid.shape)
+    if grid.n == 4:
+        domega = ext_d(omega).comps
+        for ab, j, abj, sign in product_table(4, 2, 1):
+            theta[j] -= sign * inv[ab] * domega[abj]
+    theta = DiffForm(grid, 1, theta)
+    lcs_residual = ext_d(theta).norm() / max(theta.norm(), 1.0)
+    if lcs_residual > lcs_tol:
+        raise NotLcs(f"d theta residual {lcs_residual:.3e} > {lcs_tol:.1e}")
+    c, g = _harmonic_and_potential(theta)
+    return LeeForm(grid, c, g), {"lcs_residual": lcs_residual, "nondeg_margin": margin}
 
 
 @dataclass

@@ -34,6 +34,7 @@ from lcsflow.forms import (
     wedge,
     zero_form,
 )
+from lcsflow.twisted import lee_form
 
 TWO_PI = 2.0 * np.pi
 
@@ -402,13 +403,18 @@ def test_products_and_derivatives_store_real_contiguous_components():
             arr = arr.base
 
 
-def test_spectral_operators_use_only_the_counted_fft_entry_points():
+def test_spectral_operators_use_only_the_counted_fft_entry_points(monkeypatch):
     # FFT traffic stays countable when forms.sfft is swapped for a
-    # namespace holding only fftn and ifftn
+    # namespace holding only fftn and ifftn; a transform taken from
+    # scipy.fft directly fails
     rng = np.random.default_rng(10)
     g = GridSpec(3, 8)
     a = random_band_limited(g, 1, 3, rng)
     b = random_band_limited(g, 2, 3, rng)
+    g4 = GridSpec(4, 8)
+    logf = 0.05 * np.sin(TWO_PI * g4.coordinates()[1])
+    w = DiffForm(g4, 2, (basis_form(g4, (0, 1)) + basis_form(g4, (2, 3))).comps
+                 * np.exp(logf)[None])
     calls = []
 
     def counted(fn):
@@ -417,9 +423,14 @@ def test_spectral_operators_use_only_the_counted_fft_entry_points():
             return fn(x, *args, **kwargs)
         return call
 
+    def uncounted(*args, **kwargs):
+        raise AssertionError("transform outside forms.sfft")
+
     original = forms.sfft
     forms.sfft = types.SimpleNamespace(fftn=counted(original.fftn),
                                        ifftn=counted(original.ifftn))
+    for name in ("fftn", "ifftn", "fft", "ifft"):
+        monkeypatch.setattr(original, name, uncounted)
     try:
         for op in (wedge, contract):
             del calls[:]
@@ -428,6 +439,9 @@ def test_spectral_operators_use_only_the_counted_fft_entry_points():
         del calls[:]
         ext_d(b)
         assert calls == ["ifftn"]       # b's spectra are cached by now
+        del calls[:]
+        lee, _ = lee_form(w)            # theta = d log f: a potential solve
+        assert not lee.is_constant and "ifftn" in calls
     finally:
         forms.sfft = original
 

@@ -18,7 +18,13 @@ are rounding-level:
 
 The de-aliased product itself is checked on stacks of full-spectrum fields,
 Nyquist buckets included, against a 2N-grid product written out here.
+
+Lee forms: the closed-form extractor must recover theta = c dx3 + dg from
+e^g times a contact-type form, and its B / Pf inverse must agree with a
+dense per-point solve.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 from hypothesis import given
@@ -30,6 +36,7 @@ from lcsflow.forms import (
     contract,
     downsample_values,
     form_from_components,
+    index_sets,
     l2_inner,
     random_band_limited,
     upsample_values,
@@ -40,6 +47,9 @@ from lcsflow.twisted import (
     d_theta,
     d_theta_star,
     hodge_decompose,
+    lee_form,
+    pfaffian_inverse,
+    pfaffian_values,
     solve_primitive,
 )
 
@@ -200,3 +210,44 @@ def test_dealiased_product_matches_the_doubled_grid(n, count, seed):
     want = _doubled_grid_product(u, v, n)
     assert got.shape == u.shape
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@given(c=st.floats(0.25, 2.0), negative=st.booleans(), s=st.floats(0.0, 6.3),
+       amp=st.floats(0.0, 0.06), seed=seeds)
+def test_lee_form_recovers_a_conformal_gauge(c, negative, s, amp, seed):
+    # omega0 = d eta - c dx3 ^ eta, eta = cos u dx1 + sin u dx2, has Lee
+    # form c dx3 and Pf = -2 pi c; e^g omega0 has Lee form c dx3 + dg.
+    # e^g is not band-limited: at N = 16 a band-1 g of norm 0.15 already
+    # leaves a truncation d theta above lcs_tol, so g stays below 0.06
+    c = -c if negative else c
+    g = GridSpec(4, 16)
+    u = 2.0 * np.pi * g.coordinates()[0] + s
+    omega0 = form_from_components(g, 2, {
+        (0, 1): -2.0 * np.pi * np.sin(u), (0, 2): 2.0 * np.pi * np.cos(u),
+        (1, 3): c * np.cos(u), (2, 3): c * np.sin(u),
+    })
+    pot = random_band_limited(g, 0, 1, np.random.default_rng(seed), amp).comps[0]
+    lee, _ = lee_form(DiffForm(g, 2, omega0.comps * np.exp(pot)[None]))
+    np.testing.assert_allclose(lee.harmonic, [0.0, 0.0, 0.0, c], rtol=0, atol=1e-10)
+    np.testing.assert_allclose(lee.potential, pot - pot.mean(), rtol=0, atol=1e-10)
+
+
+@given(n=st.sampled_from([2, 4]), scale=st.floats(0.1, 10.0), seed=seeds)
+def test_pfaffian_inverse_matches_a_dense_solve(n, scale, seed):
+    # random antisymmetric fields at 64 sample points; points too close to
+    # degenerate for a meaningful comparison are left out
+    rng = np.random.default_rng(seed)
+    pairs = index_sets(n, 2)
+    omega = SimpleNamespace(grid=GridSpec(n, 8), degree=2,
+                            comps=scale * rng.standard_normal((len(pairs), 64)))
+    keep = np.abs(pfaffian_values(omega)) > 1e-3 * scale ** (n // 2)
+    inv, _ = pfaffian_inverse(omega, 0.0)
+    mat = np.zeros((64, n, n))
+    got = np.zeros((64, n, n))
+    for k, (i, j) in enumerate(pairs):
+        mat[:, i, j], mat[:, j, i] = omega.comps[k], -omega.comps[k]
+        got[:, i, j], got[:, j, i] = inv[k], -inv[k]
+    want = np.linalg.solve(mat[keep], np.broadcast_to(np.eye(n), mat[keep].shape))
+    err = np.abs(got[keep] - want).max(axis=(1, 2))
+    bound = 1e-14 * np.linalg.cond(mat[keep]) * np.abs(want).max(axis=(1, 2))
+    assert np.all(err <= bound)

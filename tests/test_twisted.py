@@ -170,6 +170,32 @@ def test_lee_extraction_rejects_non_lcs():
         lee_form(w)
 
 
+@pytest.mark.parametrize("N", [8, 16, 32])
+def test_lee_extraction_rejects_non_lcs_at_every_resolution(N):
+    # the same construction as above: its pointwise Lee form is far from
+    # closed at every N, so the verdict must not depend on the grid
+    rng = np.random.default_rng(14)
+    g = GridSpec(4, N)
+    w = basis_form(g, (0, 1)) + basis_form(g, (2, 3))
+    w = w + random_band_limited(g, 2, 1, rng, 0.2)
+    with pytest.raises(NotLcs):
+        lee_form(w)
+
+
+def test_lee_extraction_accepts_non_constant_symplectic_form():
+    # omega = dx0^dx1 + dx2^dx3 + d eta is symplectic: theta is rounding
+    # noise, and its closedness residual is measured against max(|theta|, 1)
+    rng = np.random.default_rng(7)
+    g = GridSpec(4, 16)
+    eta = random_band_limited(g, 1, 2, rng, 0.05)
+    w = basis_form(g, (0, 1)) + basis_form(g, (2, 3)) + ext_d(eta)
+    assert np.min(np.abs(pfaffian_values(w))) > 1e-4
+    assert np.ptp(w.comps[0]) > 0.1
+    lee, diag = lee_form(w)
+    assert lee.is_zero
+    assert diag["lcs_residual"] < 1e-9
+
+
 def test_lee_form_on_t2_is_zero_by_convention():
     # in two dimensions the defining equation is vacuous; the extractor
     # returns theta = 0 and flags the form as globally symplectic
