@@ -99,4 +99,5 @@ def check(name: str, data, update: bool = False):
     assert path.exists(), f"no golden file {path.name}; run tests/golden/regenerate.py"
     want = json.loads(path.read_text())["report"]
     problems = compare(got, want, bounds)
-    assert not problems, f"{name} differs from its golden report:\n" + "\n".join(problems)
+    assert not problems, "\n".join([f"{name} differs from its golden report:",
+                                     *problems])

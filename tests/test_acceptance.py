@@ -47,7 +47,6 @@ from lcsflow.mapping_torus import (
     mapping_torus_betti,
     toral_product_example,
 )
-from golden_reports import deterministic
 from lcsflow.twisted import (
     DegenerateForm,
     d_theta,
@@ -56,6 +55,8 @@ from lcsflow.twisted import (
     torus_twisted_betti,
     validate_lcs,
 )
+
+from golden_reports import deterministic
 
 T4 = GridSpec(4, 16)
 T2 = GridSpec(2, 32)
