@@ -10,7 +10,7 @@ skip the Hodge solve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -43,10 +43,8 @@ class FormFamily:
     derivative_at: Callable[[float], DiffForm]
     times: np.ndarray
     exact_data: ExactData | None = None
-    gauge_log_at: Callable[[float], np.ndarray] | None = None
     theta_h: np.ndarray | None = None
     label: str = ""
-    meta: dict = field(default_factory=dict)
 
 
 # -- finite differences in t ---------------------------------------------
@@ -83,26 +81,72 @@ def fd_derivative(sampler: Callable[[float], DiffForm], t: float, h: float) -> D
     return out
 
 
-def family_from_samplers(
-    grid: GridSpec,
-    omega_at: Callable[[float], LcsForm],
-    derivative_at: Callable[[float], DiffForm] | None = None,
-    times: np.ndarray | None = None,
-    exact_data: ExactData | None = None,
-    fd_step: float = 1e-3,
-    label: str = "",
-) -> FormFamily:
-    """Wrap samplers into a family; derivative defaults to 4th-order FD."""
-    if times is None:
-        times = np.linspace(0.0, 1.0, 11)
-    if derivative_at is None:
-        def derivative_at(t, _s=omega_at, _h=fd_step):
-            return fd_derivative(lambda u: _s(u).omega, t, _h)
-    return FormFamily(grid, omega_at, derivative_at, np.asarray(times, float),
-                      exact_data=exact_data, label=label)
-
-
 # -- built-in generators --------------------------------------------------
+
+
+def _coframe_form(grid: GridSpec, u: np.ndarray, c: float,
+                  twist: np.ndarray | None = None) -> DiffForm:
+    """d alpha - c dx4 ^ alpha for the coframe alpha = cos(u) dx2 + sin(u) dx3,
+    u a function of x1, plus an optional dx2 ^ dx3 component twist.
+
+    With du = 2 pi dx1 the Pfaffian is the constant -2 pi c.
+    """
+    cu, su = np.cos(u), np.sin(u)
+    comps = {(0, 1): -TWO_PI * su, (0, 2): TWO_PI * cu,
+             (1, 3): c * cu, (2, 3): c * su}
+    if twist is not None:
+        comps[(1, 2)] = twist
+    return form_from_components(grid, 2, comps)
+
+
+def _rotating_coframe_family(grid: GridSpec | None, s: float, c: float, a: float,
+                             n_times: int, label: str) -> FormFamily:
+    """omega_t = d alpha_t - theta_t ^ alpha_t with alpha_t the coframe at
+    u = 2 pi x1 + s t and theta_t = c dx4 + t a d(sin 2 pi x2).
+
+    a = 0 skips every a-term: the Lee form is then the constant c dx4.
+    """
+    if grid is None:
+        grid = GridSpec(4, 16)
+    if c == 0.0:
+        raise ValueError("c = 0 degenerates the family")
+    x1, x2 = grid.coordinates()[:2]
+    harmonic = np.array([0.0, 0.0, 0.0, c])
+    lee = LeeForm.constant(grid, harmonic)
+    if a:
+        sin2, cos2 = np.sin(TWO_PI * x2), np.cos(TWO_PI * x2)
+
+    def lee_at(t: float) -> LeeForm:
+        return LeeForm(grid, harmonic.copy(), t * a * sin2) if a else lee
+
+    def h_at(t: float) -> np.ndarray:
+        return a * sin2 if a else np.zeros(grid.shape)
+
+    def omega_at(t: float) -> LcsForm:
+        u = TWO_PI * x1 + s * t
+        twist = -TWO_PI * a * t * cos2 * np.sin(u) if a else None
+        return LcsForm(_coframe_form(grid, u, c, twist), lee_at(t))
+
+    def derivative_at(t: float) -> DiffForm:
+        u = TWO_PI * x1 + s * t
+        cu, su = np.cos(u), np.sin(u)
+        comps = {(0, 1): -TWO_PI * s * cu, (0, 2): -TWO_PI * s * su,
+                 (1, 3): -c * s * su, (2, 3): c * s * cu}
+        if a:
+            comps[(1, 2)] = -TWO_PI * a * cos2 * (su + t * s * cu)
+        return form_from_components(grid, 2, comps)
+
+    def alpha_at(t: float) -> DiffForm:
+        u = TWO_PI * x1 + s * t
+        return form_from_components(grid, 1, {(1,): np.cos(u), (2,): np.sin(u)})
+
+    def alpha_dot_at(t: float) -> DiffForm:
+        u = TWO_PI * x1 + s * t
+        return form_from_components(grid, 1, {(1,): -s * np.sin(u), (2,): s * np.cos(u)})
+
+    return FormFamily(grid, omega_at, derivative_at, np.linspace(0, 1, n_times),
+                      exact_data=ExactData(alpha_at, h_at, alpha_dot_at),
+                      theta_h=harmonic.copy(), label=label)
 
 
 def contact_circle_family(
@@ -118,44 +162,7 @@ def contact_circle_family(
     omega_t = d alpha_t - theta ^ alpha_t, and the Pfaffian is the
     constant -2 pi c, so every sample is uniformly nondegenerate.
     """
-    if grid is None:
-        grid = GridSpec(4, 16)
-    if c == 0.0:
-        raise ValueError("c = 0 degenerates the family")
-    x1 = grid.coordinates()[0]
-    lee = LeeForm.constant(grid, [0.0, 0.0, 0.0, c])
-
-    def omega_at(t: float) -> LcsForm:
-        u = TWO_PI * x1 + s * t
-        w = form_from_components(grid, 2, {
-            (0, 1): -TWO_PI * np.sin(u),
-            (0, 2): TWO_PI * np.cos(u),
-            (1, 3): c * np.cos(u),
-            (2, 3): c * np.sin(u),
-        })
-        return LcsForm(w, lee, {"generator": "contact_circle", "t": t})
-
-    def derivative_at(t: float) -> DiffForm:
-        u = TWO_PI * x1 + s * t
-        return form_from_components(grid, 2, {
-            (0, 1): -TWO_PI * s * np.cos(u),
-            (0, 2): -TWO_PI * s * np.sin(u),
-            (1, 3): -c * s * np.sin(u),
-            (2, 3): c * s * np.cos(u),
-        })
-
-    def alpha_at(t: float) -> DiffForm:
-        u = TWO_PI * x1 + s * t
-        return form_from_components(grid, 1, {(1,): np.cos(u), (2,): np.sin(u)})
-
-    def alpha_dot_at(t: float) -> DiffForm:
-        u = TWO_PI * x1 + s * t
-        return form_from_components(grid, 1, {(1,): -s * np.sin(u), (2,): s * np.cos(u)})
-
-    exact = ExactData(alpha_at, lambda t: np.zeros(grid.shape), alpha_dot_at)
-    return FormFamily(grid, omega_at, derivative_at, np.linspace(0, 1, n_times),
-                      exact_data=exact, theta_h=lee.harmonic.copy(),
-                      label="contact_circle", meta={"s": s, "c": c})
+    return _rotating_coframe_family(grid, s, c, 0.0, n_times, "contact_circle")
 
 
 def corollary_two_family(
@@ -171,51 +178,7 @@ def corollary_two_family(
     h = a sin(2 pi x2); the harmonic part stays fixed while the primitive
     alpha_t is the same rotating coframe as contact_circle_family.
     """
-    if grid is None:
-        grid = GridSpec(4, 16)
-    if c == 0.0:
-        raise ValueError("c = 0 degenerates the family")
-    x1 = grid.coordinates()[0]
-    x2 = grid.coordinates()[1]
-    sin2, cos2 = np.sin(TWO_PI * x2), np.cos(TWO_PI * x2)
-    harmonic = np.array([0.0, 0.0, 0.0, c])
-
-    def lee_at(t: float) -> LeeForm:
-        return LeeForm(grid, harmonic.copy(), t * a * sin2)
-
-    def omega_at(t: float) -> LcsForm:
-        u = TWO_PI * x1 + s * t
-        w = form_from_components(grid, 2, {
-            (0, 1): -TWO_PI * np.sin(u),
-            (0, 2): TWO_PI * np.cos(u),
-            (1, 2): -TWO_PI * a * t * cos2 * np.sin(u),
-            (1, 3): c * np.cos(u),
-            (2, 3): c * np.sin(u),
-        })
-        return LcsForm(w, lee_at(t), {"generator": "corollary_two", "t": t})
-
-    def derivative_at(t: float) -> DiffForm:
-        u = TWO_PI * x1 + s * t
-        return form_from_components(grid, 2, {
-            (0, 1): -TWO_PI * s * np.cos(u),
-            (0, 2): -TWO_PI * s * np.sin(u),
-            (1, 2): -TWO_PI * a * cos2 * (np.sin(u) + t * s * np.cos(u)),
-            (1, 3): -c * s * np.sin(u),
-            (2, 3): c * s * np.cos(u),
-        })
-
-    def alpha_at(t: float) -> DiffForm:
-        u = TWO_PI * x1 + s * t
-        return form_from_components(grid, 1, {(1,): np.cos(u), (2,): np.sin(u)})
-
-    def alpha_dot_at(t: float) -> DiffForm:
-        u = TWO_PI * x1 + s * t
-        return form_from_components(grid, 1, {(1,): -s * np.sin(u), (2,): s * np.cos(u)})
-
-    exact = ExactData(alpha_at, lambda t: a * sin2, alpha_dot_at)
-    return FormFamily(grid, omega_at, derivative_at, np.linspace(0, 1, n_times),
-                      exact_data=exact, theta_h=harmonic.copy(),
-                      label="corollary_two", meta={"s": s, "c": c, "a": a})
+    return _rotating_coframe_family(grid, s, c, a, n_times, "corollary_two")
 
 
 def area_interpolation_family(
@@ -248,15 +211,14 @@ def area_interpolation_family(
     def omega_at(t: float) -> LcsForm:
         vals = (1.0 + sigma * t) * (1.0 + t * eps * bump)
         w = form_from_components(grid, 2, {(0, 1): vals})
-        return LcsForm(w, lee, {"generator": "area_interpolation", "t": t})
+        return LcsForm(w, lee)
 
     def derivative_at(t: float) -> DiffForm:
         vals = sigma * (1.0 + t * eps * bump) + (1.0 + sigma * t) * eps * bump
         return form_from_components(grid, 2, {(0, 1): vals})
 
     return FormFamily(grid, omega_at, derivative_at, np.linspace(0, 1, n_times),
-                      theta_h=np.zeros(2), label="area_interpolation",
-                      meta={"eps": eps, "sigma": sigma, "kappa": kappa})
+                      theta_h=np.zeros(2), label="area_interpolation")
 
 
 def gcs_rescale_family(
@@ -278,13 +240,13 @@ def gcs_rescale_family(
     def omega_at(t: float) -> LcsForm:
         w = form_from_components(grid, 2, {(0, 1): np.exp(t * g_shape)})
         lee = LeeForm(grid, np.zeros(grid.n), t * g_shape)
-        return LcsForm(w, lee, {"generator": "gcs_rescale", "t": t})
+        return LcsForm(w, lee)
 
     def derivative_at(t: float) -> DiffForm:
         return form_from_components(grid, 2, {(0, 1): g_shape * np.exp(t * g_shape)})
 
     return FormFamily(grid, omega_at, derivative_at, np.linspace(0, 1, n_times),
-                      theta_h=np.zeros(2), label="gcs_rescale", meta={"amp": amp})
+                      theta_h=np.zeros(2), label="gcs_rescale")
 
 
 def lee_drift_family(
@@ -307,14 +269,8 @@ def lee_drift_family(
 
     def omega_at(t: float) -> LcsForm:
         ct = c0 + c1 * t
-        w = form_from_components(grid, 2, {
-            (0, 1): -TWO_PI * np.sin(u),
-            (0, 2): TWO_PI * np.cos(u),
-            (1, 3): ct * np.cos(u),
-            (2, 3): ct * np.sin(u),
-        })
-        lee = LeeForm.constant(grid, [0.0, 0.0, 0.0, ct])
-        return LcsForm(w, lee, {"generator": "lee_drift", "t": t})
+        return LcsForm(_coframe_form(grid, u, ct),
+                       LeeForm.constant(grid, [0.0, 0.0, 0.0, ct]))
 
     def derivative_at(t: float) -> DiffForm:
         return form_from_components(grid, 2, {
@@ -323,7 +279,7 @@ def lee_drift_family(
         })
 
     return FormFamily(grid, omega_at, derivative_at, np.linspace(0, 1, n_times),
-                      label="lee_drift", meta={"c0": c0, "c1": c1})
+                      label="lee_drift")
 
 
 def constant_family(lcs: LcsForm, n_times: int = 11) -> FormFamily:

@@ -87,6 +87,14 @@ class StepCountTooSmall(UserWarning):
     """Heuristic CFL-style warning: max |X| * dt exceeds half a grid cell."""
 
 
+# Fixed numerics of the pipeline
+INTERP_REL_TOL = 1e-14  # interpolation drops modes below this times the largest
+FD_STEP = 1e-3          # t-step of the finite differences in t
+BACKSUB_TOL = 1e-11     # back-substitution gate of moser_vector_field
+RESIDUAL_FLOOR = 1e-9   # exactness residuals are relative to at least this * ||omega||
+STAGE_LRU = 8           # uncached stage times StageCache keeps
+
+
 @dataclass
 class PipelineOptions:
     """Tolerances and discretization knobs shared by both pipelines."""
@@ -102,12 +110,7 @@ class PipelineOptions:
     tol_exactness: float = 1e-9
     tol_lee_match: float = 1e-8
     tol_cor2: float = 1e-8
-    backsub_tol: float = 1e-11
     allow_scalar_absorption: bool = True
-    fd_step: float = 1e-3
-    interp_rel_tol: float = 1e-14
-    cfl_safety: float = 1.0
-    residual_floor: float = 1e-9
 
     def checkpoint_times(self) -> list[float]:
         """Uniform checkpoint times snapped onto the step grid."""
@@ -128,9 +131,9 @@ def normalize_family(F: FormFamily, opts: PipelineOptions | None = None) -> Form
 
     Validates the family samples, checks that the harmonic Lee
     coefficients are t-independent (LeeClassDrift otherwise), and
-    returns a family whose samples have constant Lee form, with the
-    applied log-gauge recorded.  Families that already carry a constant
-    Lee form pass through untouched, keeping their analytic derivative.
+    returns a family whose samples have constant Lee form.  Families
+    that already carry a constant Lee form pass through untouched,
+    keeping their analytic derivative.
     """
     opts = opts or PipelineOptions()
     grid = F.grid
@@ -165,12 +168,9 @@ def normalize_family(F: FormFamily, opts: PipelineOptions | None = None) -> Form
             )
 
     if not need_gauge:
-        return FormFamily(
-            grid, F.omega_at, F.derivative_at, F.times,
-            exact_data=F.exact_data,
-            gauge_log_at=lambda t: np.zeros(grid.shape),
-            theta_h=c0, label=F.label + "|normalized", meta=dict(F.meta),
-        )
+        return FormFamily(grid, F.omega_at, F.derivative_at, F.times,
+                          exact_data=F.exact_data, theta_h=c0,
+                          label=F.label + "|normalized")
 
     lee_const = LeeForm.constant(grid, c0)
 
@@ -178,19 +178,13 @@ def normalize_family(F: FormFamily, opts: PipelineOptions | None = None) -> Form
         L = F.omega_at(t)
         f = np.exp(-L.lee.potential)
         w = DiffForm(grid, 2, L.omega.comps * f[None])
-        return LcsForm(w, lee_const, {"gauge": "harmonic", "t": t})
+        return LcsForm(w, lee_const)
 
     def derivative_n_at(t: float) -> DiffForm:
-        return fd_derivative(lambda u: omega_n_at(u).omega, t, opts.fd_step)
+        return fd_derivative(lambda u: omega_n_at(u).omega, t, FD_STEP)
 
-    def gauge_log_at(t: float) -> np.ndarray:
-        return -F.omega_at(t).lee.potential
-
-    return FormFamily(
-        grid, omega_n_at, derivative_n_at, F.times,
-        gauge_log_at=gauge_log_at, theta_h=c0,
-        label=F.label + "|normalized", meta=dict(F.meta),
-    )
+    return FormFamily(grid, omega_n_at, derivative_n_at, F.times, theta_h=c0,
+                      label=F.label + "|normalized")
 
 
 # -- exactness certificate with scalar absorption ------------------------
@@ -211,16 +205,16 @@ def _absorption_rate(dom: DiffForm, om: DiffForm) -> float:
 
 
 def _hodge_primitive(om: DiffForm, dom: DiffForm, theta_h: np.ndarray,
-                     absorb: bool, residual_floor: float):
+                     absorb: bool):
     """Solve d_theta beta = d omega/dt - a omega by per-mode Hodge solves.
 
     Returns (a, solve result, residual, obstruction), the last two
-    relative to max(||target||, residual_floor * ||omega||).
+    relative to max(||target||, RESIDUAL_FLOOR * ||omega||).
     """
     a = _absorption_rate(dom, om) if absorb else 0.0
     target = dom + om * (-a) if a != 0.0 else dom
     sol = solve_primitive(target, theta_h)
-    den = max(target.norm(), residual_floor * om.norm())
+    den = max(target.norm(), RESIDUAL_FLOOR * om.norm())
     return a, sol, sol.residual * target.norm() / den, sol.harmonic_part_norm / den
 
 
@@ -229,21 +223,17 @@ class ExactnessCertificate:
     """Per-checkpoint twisted-exactness data for a normalized family.
 
     residuals/obstructions are relative to max(||target||,
-    residual_floor * ||omega||).  Absorption certifies H(d omega/dt) =
+    RESIDUAL_FLOOR * ||omega||).  Absorption certifies H(d omega/dt) =
     a(t) H(omega_t), so the constant gauge f -> e^{c(t)} f with
     dc/dt = -a(t) has the closed form c(t) = log(|H(omega_0)|^2 /
     H(omega_t).H(omega_0)), evaluated on the certified family.
     """
 
-    times: list[float]
     residuals: list[float]
     obstructions: list[float]
-    rates: list[float]
     used_absorption: bool
-    theta_h: np.ndarray
     family: FormFamily
     harmonic0: np.ndarray | None
-    primitives: list[DiffForm] = field(default_factory=list)
 
     def c_of(self, om: DiffForm) -> float:
         """c with e^c H(om) = H(omega_0), om a sample of the family."""
@@ -259,11 +249,9 @@ class ExactnessCertificate:
 
 
 def exactness_certificate(
-    F: FormFamily,
-    opts: PipelineOptions | None = None,
-    times: list[float] | None = None,
+    F: FormFamily, opts: PipelineOptions | None = None
 ) -> ExactnessCertificate:
-    """Certify that the family derivative is d_theta-exact at every t.
+    """Certify that the family derivative is d_theta-exact at every checkpoint.
 
     For theta_h = 0 a harmonic obstruction proportional to the harmonic
     part of omega is absorbed into the residual constant gauge e^{c(t)}
@@ -274,15 +262,12 @@ def exactness_certificate(
     if F.theta_h is None:
         raise ValueError("family is not normalized: run normalize_family first")
     theta_h = F.theta_h
-    if times is None:
-        times = opts.checkpoint_times()
-
     absorb = opts.allow_scalar_absorption and not theta_h.any()
-    residuals, obstructions, rates, primitives = [], [], [], []
-    for t in times:
+    residuals, obstructions, rates = [], [], []
+    for t in opts.checkpoint_times():
         om = F.omega_at(float(t)).omega
-        a, sol, res, obs = _hodge_primitive(om, F.derivative_at(float(t)), theta_h,
-                                            absorb, opts.residual_floor)
+        a, _, res, obs = _hodge_primitive(om, F.derivative_at(float(t)), theta_h,
+                                          absorb)
         if obs > opts.tol_exactness:
             hint = ("scalar absorption disabled" if not opts.allow_scalar_absorption
                     and not theta_h.any() else "obstruction not proportional to "
@@ -295,14 +280,12 @@ def exactness_certificate(
         residuals.append(res)
         obstructions.append(obs)
         rates.append(a)
-        primitives.append(sol.primitive)
 
     used = bool(absorb and any(abs(a) > 1e-13 for a in rates))
     return ExactnessCertificate(
-        times=list(times), residuals=residuals, obstructions=obstructions,
-        rates=rates, used_absorption=used, theta_h=theta_h.copy(), family=F,
+        residuals=residuals, obstructions=obstructions, used_absorption=used,
+        family=F,
         harmonic0=_harmonic_parts(F.omega_at(0.0).omega) if used else None,
-        primitives=primitives,
     )
 
 
@@ -315,8 +298,7 @@ def absorbed_family(F: FormFamily, cert: ExactnessCertificate) -> FormFamily:
     def omega_a_at(t: float) -> LcsForm:
         L = F.omega_at(t)
         s = np.exp(cert.c_of(L.omega))
-        return LcsForm(DiffForm(grid, 2, L.omega.comps * s), L.lee,
-                       {"gauge": "absorbed", "t": t})
+        return LcsForm(DiffForm(grid, 2, L.omega.comps * s), L.lee)
 
     def derivative_a_at(t: float) -> DiffForm:
         om = F.omega_at(t).omega
@@ -324,17 +306,8 @@ def absorbed_family(F: FormFamily, cert: ExactnessCertificate) -> FormFamily:
         a = _absorption_rate(dom, om)
         return (dom + om * (-a)) * float(np.exp(cert.c_of(om)))
 
-    prev_gauge = F.gauge_log_at
-
-    def gauge_log_at(t: float) -> np.ndarray:
-        base = prev_gauge(t) if prev_gauge is not None else np.zeros(grid.shape)
-        return base + cert.c_at(t)
-
-    return FormFamily(
-        grid, omega_a_at, derivative_a_at, F.times,
-        gauge_log_at=gauge_log_at, theta_h=F.theta_h,
-        label=F.label + "|absorbed", meta=dict(F.meta),
-    )
+    return FormFamily(grid, omega_a_at, derivative_a_at, F.times,
+                      theta_h=F.theta_h, label=F.label + "|absorbed")
 
 
 # -- vector field construction -------------------------------------------
@@ -353,14 +326,13 @@ def moser_vector_field(
     L: LcsForm | DiffForm,
     alpha: DiffForm,
     nondeg_margin: float = 1e-8,
-    backsub_tol: float = 1e-11,
 ) -> DiffForm:
     """Solve i_X omega = -alpha pointwise; X returned as a degree-1 form.
 
     In coefficients this is Omega X = alpha with Omega_ij = omega(e_i, e_j),
     solved in closed form as X = B alpha / Pf (twisted.pfaffian_inverse).
     Raises DegenerateForm if the Pfaffian margin is below nondeg_margin or
-    the back-substitution residual exceeds backsub_tol relative to alpha.
+    the back-substitution residual exceeds BACKSUB_TOL relative to alpha.
     """
     om = L.omega if isinstance(L, LcsForm) else L
     grid = om.grid
@@ -371,10 +343,10 @@ def moser_vector_field(
     x = -contract_axes(alpha.comps, inv, grid.n, 2)
     resid = float(np.max(np.abs(contract_axes(x, om.comps, grid.n, 2) + alpha.comps)))
     ref = max(float(np.max(np.abs(alpha.comps))), 1e-300)
-    if resid / ref > backsub_tol:
+    if resid / ref > BACKSUB_TOL:
         raise DegenerateForm(
             f"back-substitution residual {resid / ref:.3e} above "
-            f"{backsub_tol:.1e}: solve unreliable"
+            f"{BACKSUB_TOL:.1e}: solve unreliable"
         )
     return DiffForm(grid, 1, x)
 
@@ -391,8 +363,7 @@ class StageData:
     """
 
     def __init__(self, t: float, x_form: DiffForm, rate_values: np.ndarray,
-                 lee_rate_values: np.ndarray, rel_tol: float,
-                 solve_residual: float = 0.0):
+                 lee_rate_values: np.ndarray, solve_residual: float = 0.0):
         grid = x_form.grid
         n = grid.n
         xhat = x_form.spectra()
@@ -402,16 +373,15 @@ class StageData:
             for j in range(n):
                 grads[i * n + j] = xhat[i] * grid.derivative_multiplier(j)
         channels.append(grads)
-        channels.append(np.fft.fftn(rate_values, axes=tuple(range(rate_values.ndim)))[None])
+        channels.append(scalar_form(grid, rate_values).spectra())
         self.t = t
-        self.grid = grid
         self.n = n
         self.x_form = x_form
         self.rate_values = rate_values
         self.lee_rate_values = lee_rate_values
         self.solve_residual = solve_residual
         self.max_speed = float(x_form.max_abs())
-        self._interp = ModeInterpolator(grid, np.concatenate(channels), rel_tol)
+        self._interp = ModeInterpolator(grid, np.concatenate(channels), INTERP_REL_TOL)
 
     def eval(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(velocity (P,n), velocity Jacobian (P,n,n), rate (P,))."""
@@ -429,13 +399,12 @@ class StageCache:
     are read again by verify_eq1 after the sweep, so each is built once.
     """
 
-    def __init__(self, builder: Callable[[float], StageData], maxsize: int = 8,
+    def __init__(self, builder: Callable[[float], StageData],
                  keep: Iterable[float] = ()):
         self._builder = builder
         self._keep = {self._key(t) for t in keep}
         self._kept: dict[float, StageData] = {}
         self._cache: OrderedDict[float, StageData] = OrderedDict()
-        self._maxsize = maxsize
         self.max_solve_residual = 0.0
 
     @staticmethod
@@ -455,7 +424,7 @@ class StageCache:
             self._kept[key] = data
         else:
             self._cache[key] = data
-            if len(self._cache) > self._maxsize:
+            if len(self._cache) > STAGE_LRU:
                 self._cache.popitem(last=False)
         return data
 
@@ -470,23 +439,21 @@ def theorem_stage_builder(
     def build(t: float) -> StageData:
         L = F.omega_at(t)
         _, sol, res, _ = _hodge_primitive(L.omega, F.derivative_at(t), theta_h,
-                                          absorb, opts.residual_floor)
-        x = moser_vector_field(L, sol.primitive, opts.nondeg_margin,
-                               opts.backsub_tol)
+                                          absorb)
+        x = moser_vector_field(L, sol.primitive, opts.nondeg_margin)
         rate = np.tensordot(theta_h, x.comps, axes=1)
-        return StageData(t, x, rate, rate, opts.interp_rel_tol,
-                         solve_residual=res)
+        return StageData(t, x, rate, rate, solve_residual=res)
 
     return build
 
 
-def _exact_beta(ed: ExactData, t: float, h: np.ndarray, fd_step: float) -> DiffForm:
+def _exact_beta(ed: ExactData, t: float, h: np.ndarray) -> DiffForm:
     """beta_t = d alpha_t/dt - h_t alpha_t, the right side of the exact path."""
     al = ed.alpha_at(t)
     if ed.alpha_dot_at is not None:
         al_dot = ed.alpha_dot_at(t)
     else:
-        al_dot = fd_derivative(ed.alpha_at, t, fd_step)
+        al_dot = fd_derivative(ed.alpha_at, t, FD_STEP)
     return DiffForm(al.grid, 1, al_dot.comps - h[None] * al.comps)
 
 
@@ -501,11 +468,10 @@ def exact_stage_builder(
     def build(t: float) -> StageData:
         L = F.omega_at(t)
         h = ed.h_at(t)
-        x = moser_vector_field(L, _exact_beta(ed, t, h, opts.fd_step),
-                               opts.nondeg_margin, opts.backsub_tol)
+        x = moser_vector_field(L, _exact_beta(ed, t, h), opts.nondeg_margin)
         theta_vals = L.lee.one_form().comps
         lee_rate = np.einsum("i...,i...->...", theta_vals, x.comps)
-        return StageData(t, x, lee_rate + h, lee_rate, opts.interp_rel_tol)
+        return StageData(t, x, lee_rate + h, lee_rate)
 
     return build
 
@@ -545,12 +511,11 @@ class FlowState:
 
 
 def integrate_isotopy(
-    family: FormFamily | GridSpec,
+    grid: GridSpec,
     fields: Callable[[float], StageData],
     steps: int,
     record_times: list[float] | None = None,
     seeds: np.ndarray | None = None,
-    opts: PipelineOptions | None = None,
 ) -> FlowState:
     """Classic RK4 on (x, J, L): dx = X, dJ = DX J, dL = rate, t in [0, 1].
 
@@ -558,11 +523,9 @@ def integrate_isotopy(
     global error is O(steps^-4) for smooth stage data.  The grid fields
     rate_values and lee_rate_values are integrated in time alongside, by
     Simpson's rule on each step's own stages k/s, (2k+1)/2s, (k+1)/s.  Issues a
-    StepCountTooSmall warning when max |X| dt exceeds half a grid cell
-    times the safety factor; raises IsotopyDiverged on non-finite state.
+    StepCountTooSmall warning when max |X| dt exceeds half a grid cell;
+    raises IsotopyDiverged on non-finite state.
     """
-    opts = opts or PipelineOptions()
-    grid = family.grid if isinstance(family, FormFamily) else family
     if steps < 1:
         raise ValueError("steps must be positive")
     if seeds is None:
@@ -596,7 +559,7 @@ def integrate_isotopy(
 
     max_speed = 0.0
     warned = False
-    cfl_limit = 0.5 * opts.cfl_safety / grid.N
+    cfl_limit = 0.5 / grid.N
     for k in range(steps):
         s1 = fields(k / steps)
         s2 = fields((2 * k + 1) / (2.0 * steps))
@@ -739,6 +702,17 @@ def conformal_compare(a, b, threshold_rel: float = 1e-6) -> ConformalComparison:
 # -- residual diagnostics -------------------------------------------------
 
 
+def _gauged_residual(theta: DiffForm, g: np.ndarray, a: np.ndarray,
+                     b: np.ndarray) -> float:
+    """|| e^g a + d_{theta + dg}(e^g b) || for component arrays a (2-form)
+    and b (1-form): the time-derivative identity of a gauged family e^g omega.
+    """
+    grid = theta.grid
+    f = np.exp(g)[None]
+    rhs = d_theta(DiffForm(grid, 1, f * b), theta + ext_d(scalar_form(grid, g)))
+    return DiffForm(grid, 2, f * a + rhs.comps).norm()
+
+
 @dataclass
 class Eq1Record:
     t: float
@@ -772,24 +746,17 @@ def verify_eq1(
         L = F.omega_at(t)
         om, dom = L.omega, F.derivative_at(t)
         st = fields(t)
-        x = st.x_form
-        ixw = contract(x, om)
-        d_ixw = d_theta(ixw, L.lee)
-        theta_vals = L.lee.one_form().comps
-        theta_x = np.einsum("i...,i...->...", theta_vals, x.comps)
+        ixw = contract(st.x_form, om)
+        theta_x = st.lee_rate_values[None]
         mis = DiffForm(grid, 2,
-                       dom.comps + d_ixw.comps + theta_x[None] * om.comps)
+                       dom.comps + d_theta(ixw, L.lee).comps + theta_x * om.comps)
         den = max(dom.norm(), om.norm())
         eq1 = mis.norm() / den
         flow_mis = DiffForm(grid, 2,
                             mis.comps - st.rate_values[None] * om.comps)
         flow_res = flow_mis.norm() / den
-
-        f = np.exp(u)
-        lhs = DiffForm(grid, 2, f[None] * (theta_x[None] * om.comps + dom.comps))
-        theta_prime = L.lee.one_form() + ext_d(scalar_form(grid, u))
-        rhs = d_theta(DiffForm(grid, 1, f[None] * ixw.comps), theta_prime)
-        nec = DiffForm(grid, 2, lhs.comps + rhs.comps).norm() / den
+        nec = _gauged_residual(L.lee.one_form(), u,
+                               theta_x * om.comps + dom.comps, ixw.comps) / den
         out.append(Eq1Record(t, eq1, flow_res, nec))
     return out
 
@@ -895,13 +862,12 @@ def _assemble_report(
 # -- pipelines ------------------------------------------------------------
 
 
-def _base_values(om: DiffForm, seeds: np.ndarray, full: bool,
-                 rel_tol: float = 0.0) -> SampledForm:
+def _base_values(om: DiffForm, seeds: np.ndarray, full: bool) -> SampledForm:
     grid = om.grid
     if full:
         comps = om.comps.reshape(om.comps.shape[0], -1)
     else:
-        comps = ModeInterpolator(grid, om.spectra(), rel_tol)(seeds)
+        comps = ModeInterpolator(grid, om.spectra(), INTERP_REL_TOL)(seeds)
     return SampledForm(grid, 2, comps, seeds, full)
 
 
@@ -916,7 +882,7 @@ def _checkpoint_compare(
     det = np.linalg.det(jac)
     if float(det.min()) <= 0.0:
         raise IsotopyDiverged(f"orientation lost at t={t}: min det J = {det.min():.3e}")
-    pb = pullback_form(om_t, flow, t, rel_tol=opts.interp_rel_tol)
+    pb = pullback_form(om_t, flow, t, rel_tol=INTERP_REL_TOL)
     pfv = pfaffian_values(pb)
     if float(np.min(np.abs(pfv))) < opts.nondeg_margin:
         raise IsotopyDiverged(f"pullback degenerated at t={t}")
@@ -948,7 +914,7 @@ def _theorem_provider(F: FormFamily, opts: PipelineOptions,
                       times: list[float]) -> _Provider:
     """Hodge primitives on the normalized, scalar-absorbed family."""
     Fn = normalize_family(F, opts)
-    cert = exactness_certificate(Fn, opts, times=times)
+    cert = exactness_certificate(Fn, opts)
     Fa = absorbed_family(Fn, cert)
     for t in times:
         validate_lcs(Fa.omega_at(t).omega, nondeg_threshold=opts.nondeg_margin,
@@ -978,7 +944,7 @@ def _exact_provider(F: FormFamily, opts: PipelineOptions,
             )
         exact_res.append(res)
         theta_dot = fd_derivative(lambda u: F.omega_at(u).lee.one_form(),
-                                  t, opts.fd_step)
+                                  t, FD_STEP)
         dh = ext_d(scalar_form(grid, ed.h_at(t)))
         dev = (theta_dot - dh).norm() / max(theta_dot.norm(), 1.0)
         if dev > opts.tol_lee_match:
@@ -991,14 +957,13 @@ def _exact_provider(F: FormFamily, opts: PipelineOptions,
         i = flow.index(t)
         g = flow.lee_integral[i] - flow.rate_integral[i]
         h = ed.h_at(t)
-        f = np.exp(g)
-        dom = F.derivative_at(t)
-        lhs = DiffForm(grid, 2, f[None] * (dom.comps - h[None] * L.omega.comps))
-        beta = DiffForm(grid, 1, f[None] * _exact_beta(ed, t, h, opts.fd_step).comps)
-        theta_prime = L.lee.one_form() + ext_d(scalar_form(grid, g))
-        rhs = d_theta(beta, theta_prime)
-        den = max(lhs.norm(), DiffForm(grid, 2, f[None] * L.omega.comps).norm())
-        return (lhs - rhs).norm() / den
+        f = np.exp(g)[None]
+        a = F.derivative_at(t).comps - h[None] * L.omega.comps
+        den = max(DiffForm(grid, 2, f * a).norm(),
+                  DiffForm(grid, 2, f * L.omega.comps).norm())
+        # i_X omega = -beta
+        b = -_exact_beta(ed, t, h).comps
+        return _gauged_residual(L.lee.one_form(), g, a, b) / den
 
     return _Provider("exact_family", F, exact_stage_builder(F, opts),
                      exact_res, [0.0] * len(times), cor2=cor2)
@@ -1016,11 +981,10 @@ def _run_moser(
     Fp = pv.family
     stages = StageCache(pv.builder, keep=times)
     seeds = Fp.grid.nodes()[:: opts.seed_stride]
-    flow = integrate_isotopy(Fp, stages, opts.steps, record_times=times,
-                             seeds=seeds, opts=opts)
+    flow = integrate_isotopy(Fp.grid, stages, opts.steps, record_times=times,
+                             seeds=seeds)
     eq1 = verify_eq1(Fp, stages, flow)
-    base = _base_values(Fp.omega_at(0.0).omega, flow.seeds, flow.full_grid,
-                        opts.interp_rel_tol)
+    base = _base_values(Fp.omega_at(0.0).omega, flow.seeds, flow.full_grid)
 
     records = []
     positive = True

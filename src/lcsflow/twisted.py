@@ -18,7 +18,7 @@ The metric is the flat one throughout; there is no metric parameter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb
 
 import numpy as np
@@ -260,8 +260,9 @@ def lee_form(omega: DiffForm, nondeg_threshold: float = 1e-8, lcs_tol: float = 1
     theta_j = -1/2 sum_ab (Omega^-1)_ab (d omega)_abj, and the one lcs
     condition left is d theta = 0.  NotLcs is raised when ||d theta|| /
     max(||theta||, 1) exceeds lcs_tol: relative for a sizeable theta,
-    absolute for the rounding-noise theta of a symplectic omega.  On T^2
-    theta = 0 by convention.  Returns (LeeForm, diagnostics) with keys
+    absolute for the rounding-noise theta of a symplectic omega, which is
+    why a theta with ||theta|| <= lcs_tol is returned as exactly zero.  On
+    T^2 theta = 0 by convention.  Returns (LeeForm, diagnostics) with keys
     lcs_residual (the gated value) and nondeg_margin.  Raises
     DegenerateForm / NotLcs.
     """
@@ -275,20 +276,27 @@ def lee_form(omega: DiffForm, nondeg_threshold: float = 1e-8, lcs_tol: float = 1
         for ab, j, abj, sign in product_table(4, 2, 1):
             theta[j] -= sign * inv[ab] * domega[abj]
     theta = DiffForm(grid, 1, theta)
-    lcs_residual = ext_d(theta).norm() / max(theta.norm(), 1.0)
+    size = theta.norm()
+    lcs_residual = ext_d(theta).norm() / max(size, 1.0)
     if lcs_residual > lcs_tol:
-        raise NotLcs(f"d theta residual {lcs_residual:.3e} > {lcs_tol:.1e}")
+        raise NotLcs(
+            f"d theta residual {lcs_residual:.3e} > {lcs_tol:.1e} at N = {grid.N}; "
+            "an lcs form that is not band-limited at this N (such as e^g omega) "
+            "fails too, so a finer grid may pass it"
+        )
+    diagnostics = {"lcs_residual": lcs_residual, "nondeg_margin": margin}
+    if size <= lcs_tol:
+        return LeeForm.zero(grid), diagnostics
     c, g = _harmonic_and_potential(theta)
-    return LeeForm(grid, c, g), {"lcs_residual": lcs_residual, "nondeg_margin": margin}
+    return LeeForm(grid, c, g), diagnostics
 
 
 @dataclass
 class LcsForm:
-    """A validated lcs pair (omega, theta) with extraction diagnostics."""
+    """A validated lcs pair (omega, theta)."""
 
     omega: DiffForm
     lee: LeeForm
-    diagnostics: dict = field(default_factory=dict)
 
     @property
     def grid(self) -> GridSpec:
@@ -299,8 +307,8 @@ def validate_lcs(
     omega: DiffForm, nondeg_threshold: float = 1e-8, lcs_tol: float = 1e-8
 ) -> LcsForm:
     """Extract and check the Lee form; package the certified pair."""
-    lee, diag = lee_form(omega, nondeg_threshold=nondeg_threshold, lcs_tol=lcs_tol)
-    return LcsForm(omega, lee, diag)
+    lee, _ = lee_form(omega, nondeg_threshold=nondeg_threshold, lcs_tol=lcs_tol)
+    return LcsForm(omega, lee)
 
 
 def conformal_rescale(L: LcsForm, f_values, lcs_tol: float = 1e-8) -> LcsForm:

@@ -14,9 +14,10 @@ from lcsflow.families import (
     lee_drift_family,
     tabulated_family,
 )
-from lcsflow.forms import GridSpec
+from lcsflow.forms import GridSpec, form_from_components
 from lcsflow.twisted import d_theta, validate_lcs
 
+TWO_PI = 2.0 * np.pi
 SMALL4 = GridSpec(4, 8)
 SMALL2 = GridSpec(2, 16)
 
@@ -64,6 +65,62 @@ def test_exact_data_really_is_a_twisted_primitive():
             # alpha_dot agrees with finite differences of alpha
             fd = fd_derivative(fam.exact_data.alpha_at, t, 1e-3)
             assert (fam.exact_data.alpha_dot_at(t) - fd).norm() < 1e-9
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _coframe_closed_form(grid, u, c):
+    return form_from_components(grid, 2, {
+        (0, 1): -TWO_PI * np.sin(u),
+        (0, 2): TWO_PI * np.cos(u),
+        (1, 3): c * np.cos(u),
+        (2, 3): c * np.sin(u),
+    }).comps
+
+
+def test_contact_circle_is_the_coframe_family_at_a_zero():
+    # bit for bit: at a = 0 the a-terms are skipped, not multiplied by
+    # zero, so no channel picks up a -0.0 the closed form does not have
+    g, s, c = SMALL4, 0.6, 1.2
+    contact = contact_circle_family(g, s=s, c=c)
+    flat = corollary_two_family(g, s=s, c=c, a=0.0)
+    x1 = g.coordinates()[0]
+    for t in (0.0, 0.37, 1.0):
+        u = TWO_PI * x1 + s * t
+        assert _same_bits(contact.omega_at(t).omega.comps,
+                          _coframe_closed_form(g, u, c))
+        deriv = form_from_components(g, 2, {
+            (0, 1): -TWO_PI * s * np.cos(u),
+            (0, 2): -TWO_PI * s * np.sin(u),
+            (1, 3): -c * s * np.sin(u),
+            (2, 3): c * s * np.cos(u),
+        }).comps
+        assert _same_bits(contact.derivative_at(t).comps, deriv)
+        ea, eb = contact.exact_data, flat.exact_data
+        for x, y in ((contact.omega_at(t).omega.comps, flat.omega_at(t).omega.comps),
+                     (contact.derivative_at(t).comps, flat.derivative_at(t).comps),
+                     (ea.alpha_at(t).comps, eb.alpha_at(t).comps),
+                     (ea.alpha_dot_at(t).comps, eb.alpha_dot_at(t).comps),
+                     (ea.h_at(t), eb.h_at(t)),
+                     (contact.omega_at(t).lee.one_form().comps,
+                      flat.omega_at(t).lee.one_form().comps)):
+            assert _same_bits(x, y), t
+        h = eb.h_at(t)
+        assert not (np.signbit(h) & (h == 0.0)).any()
+    assert contact.label == "contact_circle" and flat.label == "corollary_two"
+
+
+def test_lee_drift_samples_are_the_coframe_with_a_moving_coefficient():
+    g, c0, c1 = SMALL4, 1.0, 0.5
+    fam = lee_drift_family(g, c0=c0, c1=c1)
+    u = TWO_PI * g.coordinates()[0]
+    for t in (0.0, 0.5, 1.0):
+        sample = fam.omega_at(t)
+        assert _same_bits(sample.omega.comps, _coframe_closed_form(g, u, c0 + c1 * t))
+        assert _same_bits(sample.lee.harmonic, [0.0, 0.0, 0.0, c0 + c1 * t])
 
 
 def test_corollary_two_h_is_the_potential_rate():

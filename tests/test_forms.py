@@ -34,6 +34,7 @@ from lcsflow.forms import (
     wedge,
     zero_form,
 )
+from lcsflow.moser import StageData
 from lcsflow.twisted import lee_form
 
 TWO_PI = 2.0 * np.pi
@@ -406,7 +407,7 @@ def test_products_and_derivatives_store_real_contiguous_components():
 def test_spectral_operators_use_only_the_counted_fft_entry_points(monkeypatch):
     # FFT traffic stays countable when forms.sfft is swapped for a
     # namespace holding only fftn and ifftn; a transform taken from
-    # scipy.fft directly fails
+    # scipy.fft or numpy.fft directly fails
     rng = np.random.default_rng(10)
     g = GridSpec(3, 8)
     a = random_band_limited(g, 1, 3, rng)
@@ -431,6 +432,8 @@ def test_spectral_operators_use_only_the_counted_fft_entry_points(monkeypatch):
                                        ifftn=counted(original.ifftn))
     for name in ("fftn", "ifftn", "fft", "ifft"):
         monkeypatch.setattr(original, name, uncounted)
+    for name in ("fftn", "ifftn"):
+        monkeypatch.setattr(np.fft, name, uncounted)
     try:
         for op in (wedge, contract):
             del calls[:]
@@ -442,6 +445,9 @@ def test_spectral_operators_use_only_the_counted_fft_entry_points(monkeypatch):
         del calls[:]
         lee, _ = lee_form(w)            # theta = d log f: a potential solve
         assert not lee.is_constant and "ifftn" in calls
+        del calls[:]
+        StageData(0.0, a, b.comps[0], b.comps[0])   # the rate channel too
+        assert "fftn" in calls
     finally:
         forms.sfft = original
 

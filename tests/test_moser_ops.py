@@ -65,7 +65,7 @@ def test_vector_field_degenerate_rejection():
 def _shear_stage(g: GridSpec, a: float) -> StageData:
     x2 = g.coordinates()[1]
     x = form_from_components(g, 1, {(0,): a * np.sin(TWO_PI * x2) * np.ones(g.shape)})
-    return StageData(0.0, x, np.zeros(g.shape), np.zeros(g.shape), 1e-14)
+    return StageData(0.0, x, np.zeros(g.shape), np.zeros(g.shape))
 
 
 def test_integrator_is_exact_on_a_shear_flow():
@@ -93,7 +93,7 @@ def test_integrator_accumulates_the_rate_channel():
     # constant rate r: log factor is exactly r t (RK4 integrates it exactly)
     g = GridSpec(2, 8)
     x = zero_form(g, 1)
-    stage = StageData(0.0, x, 0.7 * np.ones(g.shape), np.zeros(g.shape), 1e-14)
+    stage = StageData(0.0, x, 0.7 * np.ones(g.shape), np.zeros(g.shape))
     flow = integrate_isotopy(g, lambda t: stage, steps=4, record_times=[0.0, 0.5, 1.0])
     assert np.max(np.abs(flow.at(0.5)[2] - 0.35)) < 1e-14
     assert np.max(np.abs(flow.at(1.0)[2] - 0.7)) < 1e-14
@@ -110,7 +110,7 @@ def test_integrator_sweeps_the_rate_integrals_by_simpson():
 
     def stage(t):
         return StageData(t, x, np.cos(TWO_PI * t) * phi,
-                         np.sin(TWO_PI * t) * phi, 1e-14)
+                         np.sin(TWO_PI * t) * phi)
 
     for steps in (4, 8, 16):
         flow = integrate_isotopy(g, stage, steps=steps,
@@ -209,7 +209,7 @@ def test_absorption_disabled_rejects_area_growth():
 def test_cfl_warning_on_coarse_stepping():
     g = GridSpec(2, 16)
     x = form_from_components(g, 1, {(0,): 3.0 * np.ones(g.shape)})
-    stage = StageData(0.0, x, np.zeros(g.shape), np.zeros(g.shape), 1e-14)
+    stage = StageData(0.0, x, np.zeros(g.shape), np.zeros(g.shape))
     with pytest.warns(StepCountTooSmall):
         integrate_isotopy(g, lambda t: stage, steps=2, record_times=[1.0])
 
@@ -219,7 +219,7 @@ def test_divergence_detection():
     g = GridSpec(2, 8)
     x1 = g.coordinates()[0]
     x = form_from_components(g, 1, {(0,): 1e80 * np.sin(TWO_PI * x1) * np.ones(g.shape)})
-    stage = StageData(0.0, x, np.zeros(g.shape), np.zeros(g.shape), 1e-14)
+    stage = StageData(0.0, x, np.zeros(g.shape), np.zeros(g.shape))
     with np.errstate(over="ignore", invalid="ignore"), warnings.catch_warnings():
         warnings.simplefilter("ignore")
         with pytest.raises(IsotopyDiverged):

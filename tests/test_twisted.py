@@ -178,22 +178,23 @@ def test_lee_extraction_rejects_non_lcs_at_every_resolution(N):
     g = GridSpec(4, N)
     w = basis_form(g, (0, 1)) + basis_form(g, (2, 3))
     w = w + random_band_limited(g, 2, 1, rng, 0.2)
-    with pytest.raises(NotLcs):
+    with pytest.raises(NotLcs, match=f"N = {N}"):
         lee_form(w)
 
 
 def test_lee_extraction_accepts_non_constant_symplectic_form():
     # omega = dx0^dx1 + dx2^dx3 + d eta is symplectic: theta is rounding
-    # noise, and its closedness residual is measured against max(|theta|, 1)
-    rng = np.random.default_rng(7)
+    # noise, and its closedness residual is measured against max(|theta|, 1);
+    # seeds 1 and 4 have small Pfaffian margins, which amplify that noise
     g = GridSpec(4, 16)
-    eta = random_band_limited(g, 1, 2, rng, 0.05)
-    w = basis_form(g, (0, 1)) + basis_form(g, (2, 3)) + ext_d(eta)
-    assert np.min(np.abs(pfaffian_values(w))) > 1e-4
-    assert np.ptp(w.comps[0]) > 0.1
-    lee, diag = lee_form(w)
-    assert lee.is_zero
-    assert diag["lcs_residual"] < 1e-9
+    for seed, margin in ((7, 1e-4), (1, 1e-5), (4, 1e-5)):
+        eta = random_band_limited(g, 1, 2, np.random.default_rng(seed), 0.05)
+        w = basis_form(g, (0, 1)) + basis_form(g, (2, 3)) + ext_d(eta)
+        assert np.min(np.abs(pfaffian_values(w))) > margin
+        assert np.ptp(w.comps[0]) > 0.1
+        lee, diag = lee_form(w)
+        assert lee.is_zero, seed
+        assert diag["lcs_residual"] < 1e-9
 
 
 def test_lee_form_on_t2_is_zero_by_convention():
