@@ -19,6 +19,9 @@ from .forms import DiffForm, GridSpec, form_from_components, zero_form
 from .twisted import LcsForm, LeeForm, validate_lcs
 
 TWO_PI = 2.0 * np.pi
+# lcs tolerance of a tabulated sample: cubic interpolation in t does not
+# keep d omega = theta ^ omega exactly, so it is looser than twisted.LCS_TOL
+TABULATED_LCS_TOL = 1e-5
 
 
 @dataclass
@@ -99,15 +102,13 @@ def _coframe_form(grid: GridSpec, u: np.ndarray, c: float,
     return form_from_components(grid, 2, comps)
 
 
-def _rotating_coframe_family(grid: GridSpec | None, s: float, c: float, a: float,
+def _rotating_coframe_family(grid: GridSpec, s: float, c: float, a: float,
                              n_times: int, label: str) -> FormFamily:
     """omega_t = d alpha_t - theta_t ^ alpha_t with alpha_t the coframe at
     u = 2 pi x1 + s t and theta_t = c dx4 + t a d(sin 2 pi x2).
 
     a = 0 skips every a-term: the Lee form is then the constant c dx4.
     """
-    if grid is None:
-        grid = GridSpec(4, 16)
     if c == 0.0:
         raise ValueError("c = 0 degenerates the family")
     x1, x2 = grid.coordinates()[:2]
@@ -150,7 +151,7 @@ def _rotating_coframe_family(grid: GridSpec | None, s: float, c: float, a: float
 
 
 def contact_circle_family(
-    grid: GridSpec | None = None,
+    grid: GridSpec,
     s: float = np.pi / 4.0,
     c: float = 1.0,
     n_times: int = 11,
@@ -166,7 +167,7 @@ def contact_circle_family(
 
 
 def corollary_two_family(
-    grid: GridSpec | None = None,
+    grid: GridSpec,
     s: float = np.pi / 4.0,
     c: float = 1.0,
     a: float = 0.3,
@@ -182,7 +183,7 @@ def corollary_two_family(
 
 
 def area_interpolation_family(
-    grid: GridSpec | None = None,
+    grid: GridSpec,
     eps: float = 0.1,
     sigma: float = 0.0,
     kappa: float | None = None,
@@ -195,8 +196,6 @@ def area_interpolation_family(
     the t-derivative mean-free; sigma != 0 additionally scales total area
     and is only certifiable through the spatially constant gauge family.
     """
-    if grid is None:
-        grid = GridSpec(2, 32)
     x1, x2 = grid.coordinates()
     bump = np.sin(TWO_PI * x1) * np.sin(TWO_PI * x2)
     if kappa is None:
@@ -222,7 +221,7 @@ def area_interpolation_family(
 
 
 def gcs_rescale_family(
-    grid: GridSpec | None = None,
+    grid: GridSpec,
     amp: float = 0.25,
     n_times: int = 11,
 ) -> FormFamily:
@@ -232,8 +231,6 @@ def gcs_rescale_family(
     exact form d(t amp sin 2 pi x1), so gauge normalization recovers the
     constant symplectic form at every t.
     """
-    if grid is None:
-        grid = GridSpec(2, 32)
     x1 = grid.coordinates()[0]
     g_shape = amp * np.sin(TWO_PI * x1) * np.ones(grid.shape)
 
@@ -250,7 +247,7 @@ def gcs_rescale_family(
 
 
 def lee_drift_family(
-    grid: GridSpec | None = None,
+    grid: GridSpec,
     c0: float = 1.0,
     c1: float = 0.5,
     n_times: int = 11,
@@ -260,8 +257,6 @@ def lee_drift_family(
     Valid lcs at every t, but the Lee class moves, so no conformal
     isotopy can connect the samples; used as the rejection fixture.
     """
-    if grid is None:
-        grid = GridSpec(4, 16)
     if c0 <= 0.0 or c0 + c1 <= 0.0:
         raise ValueError("Lee coefficient must stay nonzero on [0, 1]")
     x1 = grid.coordinates()[0]
@@ -282,15 +277,15 @@ def lee_drift_family(
                       label="lee_drift")
 
 
-def constant_family(lcs: LcsForm, n_times: int = 11) -> FormFamily:
-    """The trivial family omega_t = omega_0 (zero derivative)."""
+def constant_family(lcs: LcsForm) -> FormFamily:
+    """The trivial family omega_t = omega_0 (zero derivative), 11 samples."""
     grid = lcs.grid
     theta_h = lcs.lee.harmonic.copy() if lcs.lee.is_constant else None
     return FormFamily(
         grid,
         lambda t: lcs,
         lambda t: zero_form(grid, 2),
-        np.linspace(0, 1, n_times),
+        np.linspace(0, 1, 11),
         theta_h=theta_h,
         label="constant",
     )
@@ -319,18 +314,14 @@ def tabulated_family(
     grid: GridSpec,
     times: np.ndarray,
     samples: list[DiffForm],
-    lee_tol: float = 1e-5,
-    nondeg_threshold: float = 1e-8,
-    label: str = "tabulated",
 ) -> FormFamily:
     """Family from 2-form snapshots on a uniform time grid.
 
     Values are interpolated in t with cubic Lagrange windows and the time
     derivative uses 4th-order finite differences on the table (one-sided
-    at the ends), so both carry O(dt^4) truncation error.  lee_tol is the
-    lcs-residual tolerance used when validating interpolated samples --
-    interpolation does not preserve the lcs identity exactly, so it is
-    looser than the generator default.
+    at the ends), so both carry O(dt^4) truncation error.  Interpolated
+    samples are validated against TABULATED_LCS_TOL and the default
+    nondegeneracy threshold.
     """
     times = np.asarray(times, dtype=float)
     if len(times) != len(samples):
@@ -354,10 +345,10 @@ def tabulated_family(
     def omega_at(t: float) -> LcsForm:
         idx, w = _lagrange_window(times, t)
         form = DiffForm(grid, 2, np.tensordot(w, comps[idx], axes=1))
-        return validate_lcs(form, nondeg_threshold=nondeg_threshold, lcs_tol=lee_tol)
+        return validate_lcs(form, lcs_tol=TABULATED_LCS_TOL)
 
     def derivative_at(t: float) -> DiffForm:
         idx, w = _lagrange_window(times, t)
         return DiffForm(grid, 2, np.tensordot(w, deriv_table[idx], axes=1))
 
-    return FormFamily(grid, omega_at, derivative_at, times, label=label)
+    return FormFamily(grid, omega_at, derivative_at, times, label="tabulated")

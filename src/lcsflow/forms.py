@@ -527,12 +527,17 @@ class ModeInterpolator:
     modes below rel_tol * max|coeff| in every channel are dropped, which is
     what the flow integrator uses on analytically decaying spectra.
 
-    Each kept mode m whose negation -m is also kept is folded with it into
-    one term with coefficient c_m + conj(c_-m).  That is an exact identity
-    for the real part, so no Hermitian symmetry is assumed.  The zero mode,
-    modes with a -N/2 (Nyquist) component and modes whose partner was
-    dropped stay unpaired.  ``modes`` is the (F, n) integer array of these
-    folded representatives, about half the kept modes.
+    The Nyquist bucket is split the way upsample_values splits it: a -N/2
+    component m_j stands for half the mode at -N/2 and half at +N/2, so it
+    contributes the real factor cos(pi N x_j) in place of e^{-pi i N x_j}.
+
+    Each kept mode m whose negation -m (mod N) is also kept is folded with
+    it into one term with coefficient c_m + conj(c_-m).  That is an exact
+    identity for the real part, so no Hermitian symmetry is assumed.  Modes
+    whose components are all 0 or -N/2 are their own partners, and modes
+    whose partner was dropped stay unpaired.  ``modes`` is the (F, n)
+    integer array of these folded representatives, about half the kept
+    modes.
 
     A call builds, per axis, the powers e^{2 pi i k x_j} for |k| up to the
     largest kept |m_j| from one complex exponential per point, multiplies
@@ -564,8 +569,7 @@ class ModeInterpolator:
         idx = np.array(np.unravel_index(active, grid.shape))
         freqs = np.fft.fftfreq(grid.N, 1.0 / grid.N).astype(int)[idx]
         neg = np.ravel_multi_index(tuple(-idx % grid.N), grid.shape)
-        # a -N/2 component negates to +N/2, which no bucket holds: unpaired
-        paired = keep[neg] & (neg != active) & ~(2 * freqs == -grid.N).any(axis=0)
+        paired = keep[neg] & (neg != active)
         # each pair is represented by its member with the lower flat index
         rep = ~(paired & (neg < active))
         coeffs = flat[:, active[rep]] / grid.num_nodes
@@ -589,6 +593,9 @@ class ModeInterpolator:
             table[k] = 1.0
             table[k + 1:] = np.cumprod(np.broadcast_to(base, (k, base.size)), axis=0)
             table[:k] = table[:k:-1].conj()
+            if 2 * k == self.grid.N:
+                # the split Nyquist bucket: (e^{pi i N x} + e^{-pi i N x}) / 2
+                table[0] = table[2 * k].real
             ph *= table[rows]
         return ph
 
@@ -606,15 +613,15 @@ class ModeInterpolator:
         return out
 
 
-def eval_at(a: DiffForm, points: np.ndarray, rel_tol: float = 0.0) -> np.ndarray:
+def eval_at(a: DiffForm, points: np.ndarray) -> np.ndarray:
     """Trig-interpolate every component of a at the given points.
 
     points: (P, n) array of torus coordinates (any reals, wrapped mod 1).
-    Returns an (ncomp, P) array ordered like a.index_set_list; exact for the
-    default rel_tol = 0.
+    Returns an (ncomp, P) array ordered like a.index_set_list.  Every mode
+    is kept, so this is exact trigonometric interpolation, and it agrees
+    with upsample_values on the de-aliasing nodes.
     """
-    interp = ModeInterpolator(a.grid, a.spectra(), rel_tol=rel_tol)
-    return interp(points)
+    return ModeInterpolator(a.grid, a.spectra())(points)
 
 
 # -- external form literals ----------------------------------------------

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import warnings
 from collections import OrderedDict
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Callable, Iterable
 
 import numpy as np
@@ -46,6 +46,8 @@ from .forms import (
     scalar_form,
 )
 from .twisted import (
+    LCS_TOL,
+    NONDEG_THRESHOLD,
     DegenerateForm,
     LcsForm,
     LeeForm,
@@ -93,6 +95,7 @@ FD_STEP = 1e-3          # t-step of the finite differences in t
 BACKSUB_TOL = 1e-11     # back-substitution gate of moser_vector_field
 RESIDUAL_FLOOR = 1e-9   # exactness residuals are relative to at least this * ||omega||
 STAGE_LRU = 8           # uncached stage times StageCache keeps
+COMPARE_FLOOR = 1e-6    # conformal_compare skips components below this * max |b|
 
 
 @dataclass
@@ -102,8 +105,8 @@ class PipelineOptions:
     steps: int = 200
     checkpoints: int = 11
     seed_stride: int = 1
-    nondeg_margin: float = 1e-8
-    lcs_tol: float = 1e-8
+    nondeg_margin: float = NONDEG_THRESHOLD
+    lcs_tol: float = LCS_TOL
     tol_consistency: float = 1e-3
     tol_factor: float = 1e-3
     tol_eq1: float = 1e-6
@@ -325,7 +328,7 @@ def _matrix_of(comps: np.ndarray, n: int) -> np.ndarray:
 def moser_vector_field(
     L: LcsForm | DiffForm,
     alpha: DiffForm,
-    nondeg_margin: float = 1e-8,
+    nondeg_margin: float = NONDEG_THRESHOLD,
 ) -> DiffForm:
     """Solve i_X omega = -alpha pointwise; X returned as a degree-1 form.
 
@@ -362,7 +365,7 @@ class StageData:
     are grid fields (lee_rate excludes the h-term of the exact path).
     """
 
-    def __init__(self, t: float, x_form: DiffForm, rate_values: np.ndarray,
+    def __init__(self, x_form: DiffForm, rate_values: np.ndarray,
                  lee_rate_values: np.ndarray, solve_residual: float = 0.0):
         grid = x_form.grid
         n = grid.n
@@ -374,7 +377,6 @@ class StageData:
                 grads[i * n + j] = xhat[i] * grid.derivative_multiplier(j)
         channels.append(grads)
         channels.append(scalar_form(grid, rate_values).spectra())
-        self.t = t
         self.n = n
         self.x_form = x_form
         self.rate_values = rate_values
@@ -442,7 +444,7 @@ def theorem_stage_builder(
                                           absorb)
         x = moser_vector_field(L, sol.primitive, opts.nondeg_margin)
         rate = np.tensordot(theta_h, x.comps, axes=1)
-        return StageData(t, x, rate, rate, solve_residual=res)
+        return StageData(x, rate, rate, solve_residual=res)
 
     return build
 
@@ -471,7 +473,7 @@ def exact_stage_builder(
         x = moser_vector_field(L, _exact_beta(ed, t, h), opts.nondeg_margin)
         theta_vals = L.lee.one_form().comps
         lee_rate = np.einsum("i...,i...->...", theta_vals, x.comps)
-        return StageData(t, x, lee_rate + h, lee_rate)
+        return StageData(x, lee_rate + h, lee_rate)
 
     return build
 
@@ -487,17 +489,14 @@ class FlowState:
     and int_0^t rate at each recorded time.
     """
 
-    grid: GridSpec
-    seeds: np.ndarray
-    steps: int
     times: list[float]
     positions: list[np.ndarray]
     jacobians: list[np.ndarray]
     log_factor: list[np.ndarray]
     max_speed: float
     full_grid: bool
-    lee_integral: list[np.ndarray] = field(default_factory=list)
-    rate_integral: list[np.ndarray] = field(default_factory=list)
+    lee_integral: list[np.ndarray]
+    rate_integral: list[np.ndarray]
 
     def index(self, t: float) -> int:
         for i, ti in enumerate(self.times):
@@ -514,7 +513,7 @@ def integrate_isotopy(
     grid: GridSpec,
     fields: Callable[[float], StageData],
     steps: int,
-    record_times: list[float] | None = None,
+    record_times: list[float],
     seeds: np.ndarray | None = None,
 ) -> FlowState:
     """Classic RK4 on (x, J, L): dx = X, dJ = DX J, dL = rate, t in [0, 1].
@@ -524,7 +523,8 @@ def integrate_isotopy(
     rate_values and lee_rate_values are integrated in time alongside, by
     Simpson's rule on each step's own stages k/s, (2k+1)/2s, (k+1)/s.  Issues a
     StepCountTooSmall warning when max |X| dt exceeds half a grid cell;
-    raises IsotopyDiverged on non-finite state.
+    raises IsotopyDiverged on non-finite state.  The state is recorded at
+    record_times rounded to the step grid; seeds default to every grid node.
     """
     if steps < 1:
         raise ValueError("steps must be positive")
@@ -533,7 +533,7 @@ def integrate_isotopy(
     seeds = np.atleast_2d(np.asarray(seeds, dtype=float))
     full = bool(seeds.shape[0] == grid.num_nodes
                 and np.array_equal(seeds, grid.nodes()))
-    rec = sorted({round(float(t) * steps) for t in (record_times or [0.0, 1.0])})
+    rec = sorted({round(float(t) * steps) for t in record_times})
     rec_steps = [r for r in rec if 0 <= r <= steps]
 
     pos = seeds.copy()
@@ -602,8 +602,8 @@ def integrate_isotopy(
             record(k + 1)
             rec_steps = rec_steps[1:]
 
-    return FlowState(grid, seeds, steps, times, positions, jacobians,
-                     logs, max_speed, full, lee_ints, rate_ints)
+    return FlowState(times, positions, jacobians, logs, max_speed, full,
+                     lee_ints, rate_ints)
 
 
 # -- pullback and conformal comparison -----------------------------------
@@ -616,8 +616,7 @@ class SampledForm:
     grid: GridSpec
     degree: int
     comps: np.ndarray  # (ncomp, P)
-    points: np.ndarray
-    full_grid: bool = False
+    full_grid: bool
 
     def as_diff_form(self) -> DiffForm:
         if not self.full_grid:
@@ -630,23 +629,24 @@ def pullback_form(
     omega: LcsForm | DiffForm,
     flow: FlowState,
     t: float,
-    rel_tol: float = 0.0,
 ) -> SampledForm:
     """phi_t^* omega on the seed set: J^T Omega(phi_t(x)) J per point.
 
-    Only the strictly upper triangle of the congruence is stored, so the
-    result is antisymmetric by construction.
+    omega is read at phi_t(x) by the interpolator of the flow stages (modes
+    below INTERP_REL_TOL of the largest dropped).  Only the strictly upper
+    triangle of the congruence is stored, so the result is antisymmetric by
+    construction.
     """
     om = omega.omega if isinstance(omega, LcsForm) else omega
     grid = om.grid
     if om.degree != 2:
         raise ValueError("pullback_form expects a 2-form")
     pos, jac, _ = flow.at(t)
-    vals = ModeInterpolator(grid, om.spectra(), rel_tol)(pos)
+    vals = ModeInterpolator(grid, om.spectra(), INTERP_REL_TOL)(pos)
     mat = _matrix_of(vals, grid.n)
     back = np.einsum("pai,pab,pbj->pij", jac, mat, jac, optimize=True)
     comps = np.stack([back[:, i, j] for (i, j) in index_sets(grid.n, 2)])
-    return SampledForm(grid, 2, comps, flow.seeds, flow.full_grid)
+    return SampledForm(grid, 2, comps, flow.full_grid)
 
 
 def _comp_matrix(a) -> np.ndarray:
@@ -665,11 +665,11 @@ class ConformalComparison:
     positive: bool
 
 
-def conformal_compare(a, b, threshold_rel: float = 1e-6) -> ConformalComparison:
+def conformal_compare(a, b) -> ConformalComparison:
     """Extract the pointwise ratio a = factor * b and its spread.
 
     Componentwise ratios are averaged with weights |b_S|, using only
-    components with |b_S| >= threshold_rel * max |b|; the consistency
+    components with |b_S| >= COMPARE_FLOOR * max |b|; the consistency
     error is the largest pointwise ratio spread divided by the mean
     factor magnitude.  Raises NoValidComponents when some point has no
     usable reference component.
@@ -680,7 +680,7 @@ def conformal_compare(a, b, threshold_rel: float = 1e-6) -> ConformalComparison:
     bmax = float(np.max(np.abs(bv)))
     if bmax == 0.0:
         raise NoValidComponents("reference form vanishes")
-    mask = np.abs(bv) >= threshold_rel * bmax
+    mask = np.abs(bv) >= COMPARE_FLOOR * bmax
     if not mask.any(axis=0).all():
         bad = int(np.nonzero(~mask.any(axis=0))[0][0])
         raise NoValidComponents(
@@ -862,18 +862,9 @@ def _assemble_report(
 # -- pipelines ------------------------------------------------------------
 
 
-def _base_values(om: DiffForm, seeds: np.ndarray, full: bool) -> SampledForm:
-    grid = om.grid
-    if full:
-        comps = om.comps.reshape(om.comps.shape[0], -1)
-    else:
-        comps = ModeInterpolator(grid, om.spectra(), INTERP_REL_TOL)(seeds)
-    return SampledForm(grid, 2, comps, seeds, full)
-
-
 def _checkpoint_compare(
     om_t: DiffForm,
-    base: SampledForm,
+    base: np.ndarray,
     flow: FlowState,
     t: float,
     opts: PipelineOptions,
@@ -882,7 +873,7 @@ def _checkpoint_compare(
     det = np.linalg.det(jac)
     if float(det.min()) <= 0.0:
         raise IsotopyDiverged(f"orientation lost at t={t}: min det J = {det.min():.3e}")
-    pb = pullback_form(om_t, flow, t, rel_tol=INTERP_REL_TOL)
+    pb = pullback_form(om_t, flow, t)
     pfv = pfaffian_values(pb)
     if float(np.min(np.abs(pfv))) < opts.nondeg_margin:
         raise IsotopyDiverged(f"pullback degenerated at t={t}")
@@ -984,7 +975,9 @@ def _run_moser(
     flow = integrate_isotopy(Fp.grid, stages, opts.steps, record_times=times,
                              seeds=seeds)
     eq1 = verify_eq1(Fp, stages, flow)
-    base = _base_values(Fp.omega_at(0.0).omega, flow.seeds, flow.full_grid)
+    # the seeds are grid nodes, so omega_0 is read off its node values
+    om0 = Fp.omega_at(0.0).omega
+    base = om0.comps.reshape(len(om0.comps), -1)[:, ::opts.seed_stride]
 
     records = []
     positive = True

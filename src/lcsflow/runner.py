@@ -68,7 +68,7 @@ from .simplicial import (
     local_system,
     twisted_betti,
 )
-from .twisted import LeeForm, NotClosed, NotLcs, d_theta, d_theta_star, torus_twisted_betti
+from .twisted import LeeForm, NotLcs, d_theta, d_theta_star, torus_twisted_betti
 
 SCHEMA_VERSION = 1
 
@@ -89,7 +89,6 @@ _DOMAIN_ERRORS = (
     IsotopyDiverged,
     DegenerateForm,
     NoValidComponents,
-    NotClosed,
     NotLcs,
     CocycleViolation,
     SingularThresholdAmbiguous,
@@ -245,16 +244,14 @@ def validate_config(cfg: dict) -> dict:
         if path not in ("theorem", "exact_family"):
             raise ConfigError("path must be 'theorem' or 'exact_family'")
         out["path"] = path
-        out.setdefault("steps", 200)
-        out.setdefault("checkpoints", 11)
-        out.setdefault("seed_stride", 1)
-        out.setdefault("allow_scalar_absorption", True)
+        base = PipelineOptions()
+        for key in ("steps", "checkpoints", "seed_stride", "allow_scalar_absorption"):
+            out.setdefault(key, getattr(base, key))
         if int(out["steps"]) < 1 or int(out["checkpoints"]) < 2:
             raise ConfigError("steps must be >= 1 and checkpoints >= 2")
         given = dict(cfg.get("tolerances") or {})
         _check_keys(given, set(_MOSER_TOL_MAP), "tolerances")
         _positive_tols(given, "tolerances")
-        base = PipelineOptions()
         tols = {k: getattr(base, v) for k, v in _MOSER_TOL_MAP.items()}
         tols.update(given)
         out["tolerances"] = tols

@@ -269,10 +269,9 @@ class ComplexFixture:
     cocycles: list[dict[tuple[int, int], int]] = field(default_factory=list)
 
 
-def circle_complex(k: int = 6) -> ComplexFixture:
-    """Triangulated circle with k vertices; one winding cocycle."""
-    if k < 3:
-        raise ValueError("circle needs at least 3 vertices")
+def circle_complex() -> ComplexFixture:
+    """Triangulated circle with 6 vertices; one winding cocycle."""
+    k = 6
     edges = [(i, (i + 1) % k) for i in range(k)]
     cx = build_complex(edges)
     z = {tuple(sorted((k - 1, 0))): -1}  # edge (0, k-1) traversed 0 -> k-1 is -1 winding
@@ -322,10 +321,9 @@ def torus_grid_complex(k: int = 4) -> ComplexFixture:
     return ComplexFixture("torus", cx, [z_i, z_j])
 
 
-def cylinder_complex(k: int = 4) -> ComplexFixture:
-    """Triangulated S^1 x [0,1] with two k-vertex rings, chi = 0."""
-    if k < 3:
-        raise ValueError("cylinder needs k >= 3")
+def cylinder_complex() -> ComplexFixture:
+    """Triangulated S^1 x [0,1] with two 4-vertex rings, chi = 0."""
+    k = 4
     tris = []
     for i in range(k):
         a, b = i, (i + 1) % k
@@ -376,13 +374,14 @@ FIXTURE_BUILDERS = {
 }
 
 
-def random_local_system(
-    fixture: ComplexFixture, rng: np.random.Generator, max_num: int = 9
-) -> LocalSystem:
-    """Random gauge potential times random holonomy on the fixture cocycles."""
+def random_local_system(fixture: ComplexFixture, rng: np.random.Generator) -> LocalSystem:
+    """Random gauge potential times random holonomy on the fixture cocycles.
+
+    Potentials and holonomies are fractions p/q with p, q drawn from 1..9.
+    """
 
     def rand_frac():
-        return Fraction(int(rng.integers(1, max_num + 1)), int(rng.integers(1, max_num + 1)))
+        return Fraction(int(rng.integers(1, 10)), int(rng.integers(1, 10)))
 
     pot = {v: rand_frac() for v in fixture.complex.vertices}
     hols = [rand_frac() for _ in fixture.cocycles]

@@ -58,6 +58,8 @@ class NonPositiveFunction(ValueError):
 
 
 HARMONIC_SNAP = 1e-12  # |c_j| below this is treated as exactly zero
+NONDEG_THRESHOLD = 1e-8  # least pointwise |Pfaffian| of a nondegenerate 2-form
+LCS_TOL = 1e-8  # closedness gate ||d theta|| / max(||theta||, 1) of a Lee form
 
 
 # -- Lee forms ------------------------------------------------------------
@@ -174,7 +176,7 @@ def laplacian_theta(a: DiffForm, theta) -> DiffForm:
 # -- splitting closed 1-forms --------------------------------------------
 
 
-def split_harmonic_exact(theta: DiffForm, tol: float = 1e-8):
+def split_harmonic_exact(theta: DiffForm):
     """Split a closed 1-form as harmonic constants + d(potential).
 
     Returns (c, g, residual) where c is the length-n harmonic part (entries
@@ -182,15 +184,15 @@ def split_harmonic_exact(theta: DiffForm, tol: float = 1e-8):
     tests downstream), g the mean-zero potential, and residual the
     reconstruction defect ||theta - c - dg|| / max(||theta||, eps).
 
-    Raises NotClosed when ||d theta|| / ||theta|| exceeds tol.
+    Raises NotClosed when ||d theta|| / ||theta|| exceeds LCS_TOL.
     """
     if theta.degree != 1:
         raise DegreeError("split expects a 1-form")
     nrm = theta.norm()
     if nrm > 0:
         closed_defect = ext_d(theta).norm() / nrm
-        if closed_defect > tol:
-            raise NotClosed(f"d theta residual {closed_defect:.3e} > {tol:.1e}")
+        if closed_defect > LCS_TOL:
+            raise NotClosed(f"d theta residual {closed_defect:.3e} > {LCS_TOL:.1e}")
     c, g = _harmonic_and_potential(theta)
     recon = LeeForm(theta.grid, c, g).one_form()
     residual = (theta - recon).norm() / max(nrm, 1e-300)
@@ -252,7 +254,8 @@ def pfaffian_inverse(omega, nondeg_threshold: float):
     return inv, margin
 
 
-def lee_form(omega: DiffForm, nondeg_threshold: float = 1e-8, lcs_tol: float = 1e-8):
+def lee_form(omega: DiffForm, nondeg_threshold: float = NONDEG_THRESHOLD,
+             lcs_tol: float = LCS_TOL):
     """Extract the Lee form of a nondegenerate 2-form.
 
     On T^4, theta ^ . : 1-forms -> 3-forms is invertible where Pf != 0
@@ -304,24 +307,28 @@ class LcsForm:
 
 
 def validate_lcs(
-    omega: DiffForm, nondeg_threshold: float = 1e-8, lcs_tol: float = 1e-8
+    omega: DiffForm, nondeg_threshold: float = NONDEG_THRESHOLD,
+    lcs_tol: float = LCS_TOL,
 ) -> LcsForm:
     """Extract and check the Lee form; package the certified pair."""
     lee, _ = lee_form(omega, nondeg_threshold=nondeg_threshold, lcs_tol=lcs_tol)
     return LcsForm(omega, lee)
 
 
-def conformal_rescale(L: LcsForm, f_values, lcs_tol: float = 1e-8) -> LcsForm:
-    """Rescale omega -> f*omega (f > 0); Lee form becomes theta + d ln f."""
+def conformal_rescale(L: LcsForm, f_values) -> LcsForm:
+    """Rescale omega -> f*omega (f > 0); Lee form becomes theta + d ln f.
+
+    The result is validated with the default thresholds of validate_lcs.
+    """
     f = np.broadcast_to(np.asarray(f_values, dtype=float), L.grid.shape)
     fmin = float(np.min(f))
     if fmin <= 0.0:
         raise NonPositiveFunction(f"conformal factor min {fmin:.3e} <= 0")
     new_omega = wedge(scalar_form(L.grid, f), L.omega)
-    return validate_lcs(new_omega, lcs_tol=lcs_tol)
+    return validate_lcs(new_omega)
 
 
-def gauge_normalize(L: LcsForm, lcs_tol: float = 1e-8):
+def gauge_normalize(L: LcsForm):
     """Rescale by e^{-g} so the Lee form becomes its harmonic part.
 
     Returns (normalized LcsForm, f_values) with f = e^{-g}.  A form whose
@@ -330,8 +337,7 @@ def gauge_normalize(L: LcsForm, lcs_tol: float = 1e-8):
     if L.lee.is_constant:
         return L, np.ones(L.grid.shape)
     f = np.exp(-L.lee.potential)
-    out = conformal_rescale(L, f, lcs_tol=lcs_tol)
-    return out, f
+    return conformal_rescale(L, f), f
 
 
 # -- per-mode Hodge solver (constant Lee form) ---------------------------
@@ -354,7 +360,8 @@ def _require_constant(theta, grid: GridSpec) -> np.ndarray:
 
 
 class _ModeOps:
-    """Per-mode multipliers mu(m) = 2*pi*i*m - c, |mu|^2 and its inverse."""
+    """Per-mode multipliers mu(m) = 2*pi*i*m - c, the harmonic mask
+    |mu|^2 == 0 and 1 / |mu|^2 off it."""
 
     def __init__(self, grid: GridSpec, c: np.ndarray):
         # true modes here: the Nyquist bucket is a genuine nonzero mode for
@@ -364,7 +371,6 @@ class _ModeOps:
         mu2 = np.zeros(grid.shape)
         for m in self.mu:
             mu2 = mu2 + np.abs(np.broadcast_to(m, grid.shape)) ** 2
-        self.mu2 = mu2
         self.harmonic_mask = mu2 == 0.0
         inv = np.zeros(grid.shape)
         nz = ~self.harmonic_mask

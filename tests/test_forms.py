@@ -296,7 +296,8 @@ def _dense_mode_sum(grid, spectra, rel_tol, points):
     """Reference interpolator: one exponential per (point, kept mode).
 
     Re sum_m c_m e^{2 pi i m.x} over every kept mode, with no folding,
-    per-axis tables or chunking.
+    per-axis tables or chunking; a -N/2 component m_j is the split Nyquist
+    bucket and contributes cos(pi N x_j) in place of e^{-pi i N x_j}.
     """
     flat = np.asarray(spectra, dtype=complex).reshape(spectra.shape[0], -1)
     if rel_tol > 0.0:
@@ -307,8 +308,11 @@ def _dense_mode_sum(grid, spectra, rel_tol, points):
     modes_1d = np.fft.fftfreq(grid.N, 1.0 / grid.N).astype(int)
     unraveled = np.unravel_index(active, grid.shape)
     modes = np.stack([modes_1d[u] for u in unraveled], axis=-1).astype(float)
+    nyquist = modes == -grid.N // 2
+    phases = np.exp(2j * np.pi * (points @ np.where(nyquist, 0.0, modes).T))
+    cosines = np.where(nyquist[None], np.cos(np.pi * grid.N * points[:, None, :]), 1.0)
     coeffs = flat[:, active] / grid.num_nodes
-    return (coeffs @ np.exp(2j * np.pi * (points @ modes.T)).T).real
+    return (coeffs @ (phases * cosines.prod(axis=-1)).T).real
 
 
 def _random_spectrum(grid, nf, kind, rng):
@@ -358,12 +362,25 @@ def test_mode_interpolator_matches_dense_sum(n, kind, rel_tol, npts, chunk, seed
 
 def test_mode_interpolator_folds_conjugate_pairs():
     # Hermitian spectrum with every mode kept: all pairs fold except the
-    # zero mode and the modes with a Nyquist component
+    # 2^n modes whose components are all 0 or -N/2, each its own partner
     g = GridSpec(2, 8)
     spec = np.fft.fftn(np.random.default_rng(3).standard_normal(g.shape))
     interp = ModeInterpolator(g, spec)
-    unpaired = 1 + (g.num_nodes - 7 * 7)
+    unpaired = 2**g.n
     assert interp.modes.shape == ((g.num_nodes - unpaired) // 2 + unpaired, 2)
+
+
+def test_eval_at_splits_the_nyquist_bucket_like_upsample():
+    # a white-noise field fills the Nyquist buckets; both exact interpolants
+    # must agree off the grid, not only on the coarse nodes
+    g = GridSpec(2, 8)
+    vals = np.random.default_rng(4).standard_normal(g.shape)
+    fine = upsample_values(vals, g)
+    M = g.fine_N
+    nodes = np.stack([c.ravel() for c in np.meshgrid(
+        np.arange(M) / M, np.arange(M) / M, indexing="ij")], axis=-1)
+    got = eval_at(scalar_form(g, vals), nodes)[0]
+    assert np.abs(got - fine.ravel()).max() <= 1e-13
 
 
 def test_eval_at_multicomponent():
@@ -446,7 +463,7 @@ def test_spectral_operators_use_only_the_counted_fft_entry_points(monkeypatch):
         lee, _ = lee_form(w)            # theta = d log f: a potential solve
         assert not lee.is_constant and "ifftn" in calls
         del calls[:]
-        StageData(0.0, a, b.comps[0], b.comps[0])   # the rate channel too
+        StageData(a, b.comps[0], b.comps[0])   # the rate channel too
         assert "fftn" in calls
     finally:
         forms.sfft = original

@@ -1,9 +1,19 @@
-"""Source hygiene: no dead top-level definitions, no unused imports.
+"""Source hygiene: no dead top-level definitions, no unused imports, no
+default that every caller leaves alone.
 
-Both checks read the code with ``ast``.  A name counts as used when it
+The checks read the code with ``ast``.  A name counts as used when it
 appears as an identifier (a name, an attribute or an imported name) or
 as a string constant anywhere outside its own definition, so names that
 are looked up by string (``getattr``, ``__all__``) count as well.
+
+A defaulted parameter counts as passed when some call of a function with
+that name, anywhere in src, tests, demos or perfbench, passes it by
+position or keyword, or passes ``*`` / ``**`` arguments.  Calls match by
+name only: ``f(..)`` and ``obj.f(..)`` both call every package ``f``, a
+class name calls its ``__init__`` and ``C(..)(..)`` calls ``C.__call__``.
+A tuple that holds a function name next to a set of strings (the
+runner's generator table, whose config keys reach the builder through
+``**``) passes those strings as keywords to that function.
 """
 
 import ast
@@ -77,9 +87,81 @@ def unused_imports() -> list[str]:
     return found
 
 
+def _callee(func) -> str | None:
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    if isinstance(func, ast.Call):
+        inner = _callee(func.func)
+        return inner and inner + ".__call__"
+    return None
+
+
+def passed_arguments() -> dict[str, set]:
+    """Callee name -> positions, keywords, "*" and "**" some call passes."""
+    passed: dict[str, set] = {}
+    for _, tree in _sources(USER_DIRS):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = _callee(node.func)
+                if name is None:
+                    continue
+                got = passed.setdefault(name, set())
+                for i, arg in enumerate(node.args):
+                    got.add("*" if isinstance(arg, ast.Starred) else i)
+                got |= {kw.arg or "**" for kw in node.keywords}
+            elif isinstance(node, ast.Tuple):
+                keys = {c.value for e in node.elts if isinstance(e, ast.Set)
+                        for c in e.elts if isinstance(c, ast.Constant)}
+                for e in node.elts:
+                    if isinstance(e, ast.Name):
+                        passed.setdefault(e.id, set()).update(keys)
+    return passed
+
+
+def _functions(body, cls=None):
+    """(callee name, def, leading parameters a call does not pass)."""
+    for node in body:
+        if isinstance(node, ast.ClassDef):
+            yield from _functions(node.body, node.name)
+        elif isinstance(node, ast.FunctionDef):
+            name = node.name
+            if cls and name == "__init__":
+                name = cls
+            elif cls and name == "__call__":
+                name = cls + ".__call__"
+            static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                         for d in node.decorator_list)
+            yield name, node, int(bool(cls) and not static)
+            yield from _functions(node.body)
+
+
+def unpassed_defaults() -> list[str]:
+    """Defaulted parameters of package functions that no call passes."""
+    passed = passed_arguments()
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for name, fn, skip in _functions(ast.parse(path.read_text()).body):
+            got = passed.get(name, set())
+            positional = (fn.args.posonlyargs + fn.args.args)[skip:]
+            first = len(positional) - len(fn.args.defaults)
+            for i, arg in enumerate(positional[first:], first):
+                if not got & {i, arg.arg, "*", "**"}:
+                    found.append(f"{path.name}:{name}({arg.arg})")
+            for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+                if default is not None and not got & {arg.arg, "**"}:
+                    found.append(f"{path.name}:{name}({arg.arg})")
+    return found
+
+
 def test_every_package_definition_is_named_somewhere():
     assert dead_definitions() == []
 
 
 def test_no_unused_imports():
     assert unused_imports() == []
+
+
+def test_every_default_is_overridden_by_some_call():
+    assert unpassed_defaults() == []

@@ -65,7 +65,7 @@ def test_vector_field_degenerate_rejection():
 def _shear_stage(g: GridSpec, a: float) -> StageData:
     x2 = g.coordinates()[1]
     x = form_from_components(g, 1, {(0,): a * np.sin(TWO_PI * x2) * np.ones(g.shape)})
-    return StageData(0.0, x, np.zeros(g.shape), np.zeros(g.shape))
+    return StageData(x, np.zeros(g.shape), np.zeros(g.shape))
 
 
 def test_integrator_is_exact_on_a_shear_flow():
@@ -93,7 +93,7 @@ def test_integrator_accumulates_the_rate_channel():
     # constant rate r: log factor is exactly r t (RK4 integrates it exactly)
     g = GridSpec(2, 8)
     x = zero_form(g, 1)
-    stage = StageData(0.0, x, 0.7 * np.ones(g.shape), np.zeros(g.shape))
+    stage = StageData(x, 0.7 * np.ones(g.shape), np.zeros(g.shape))
     flow = integrate_isotopy(g, lambda t: stage, steps=4, record_times=[0.0, 0.5, 1.0])
     assert np.max(np.abs(flow.at(0.5)[2] - 0.35)) < 1e-14
     assert np.max(np.abs(flow.at(1.0)[2] - 0.7)) < 1e-14
@@ -109,7 +109,7 @@ def test_integrator_sweeps_the_rate_integrals_by_simpson():
     x = zero_form(g, 1)
 
     def stage(t):
-        return StageData(t, x, np.cos(TWO_PI * t) * phi,
+        return StageData(x, np.cos(TWO_PI * t) * phi,
                          np.sin(TWO_PI * t) * phi)
 
     for steps in (4, 8, 16):
@@ -167,7 +167,7 @@ def test_conformal_compare_guards():
     b = np.ones((2, 5))
     b[:, 3] = 1e-9
     with pytest.raises(NoValidComponents):
-        conformal_compare(np.ones((2, 5)), b, threshold_rel=1e-6)
+        conformal_compare(np.ones((2, 5)), b)
     with pytest.raises(ValueError):
         conformal_compare(np.ones((2, 4)), np.ones((3, 4)))
 
@@ -176,7 +176,7 @@ def test_conformal_compare_threshold_masks_noisy_components():
     # second component of the reference is tiny noise; only the first counts
     b = np.vstack([np.full(6, 2.0), np.full(6, 1e-10)])
     a = np.vstack([np.full(6, 5.0), np.full(6, 123.0)])
-    cmp = conformal_compare(a, b, threshold_rel=1e-6)
+    cmp = conformal_compare(a, b)
     assert np.max(np.abs(cmp.factor - 2.5)) < 1e-12
     assert cmp.consistency_error < 1e-12
 
@@ -209,7 +209,7 @@ def test_absorption_disabled_rejects_area_growth():
 def test_cfl_warning_on_coarse_stepping():
     g = GridSpec(2, 16)
     x = form_from_components(g, 1, {(0,): 3.0 * np.ones(g.shape)})
-    stage = StageData(0.0, x, np.zeros(g.shape), np.zeros(g.shape))
+    stage = StageData(x, np.zeros(g.shape), np.zeros(g.shape))
     with pytest.warns(StepCountTooSmall):
         integrate_isotopy(g, lambda t: stage, steps=2, record_times=[1.0])
 
@@ -219,7 +219,7 @@ def test_divergence_detection():
     g = GridSpec(2, 8)
     x1 = g.coordinates()[0]
     x = form_from_components(g, 1, {(0,): 1e80 * np.sin(TWO_PI * x1) * np.ones(g.shape)})
-    stage = StageData(0.0, x, np.zeros(g.shape), np.zeros(g.shape))
+    stage = StageData(x, np.zeros(g.shape), np.zeros(g.shape))
     with np.errstate(over="ignore", invalid="ignore"), warnings.catch_warnings():
         warnings.simplefilter("ignore")
         with pytest.raises(IsotopyDiverged):
