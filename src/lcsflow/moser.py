@@ -13,8 +13,10 @@ report for two primitive providers, each behind a public entry point:
   run_theorem_pipeline -- primitive found by per-mode Hodge solves;
   run_exact_family     -- a supplied primitive alpha_t with
                           d/dt theta_t = d h_t bypasses the Hodge solve.
-The time integrals the residuals need are swept by the RK4 integrator
-on its own stages; the absorption gauge c(t) has a closed form.
+Each RK4 stage time is built once; a theorem-path stage is one Hodge solve
+gated on its harmonic obstruction.  RK4 sweeps the residuals' time integrals
+on its own stages; the absorption gauge, decided at the checkpoints, has a
+closed form.
 
 Errors never silently degrade into numbers: a drifting Lee class, a
 surviving harmonic obstruction, a degenerate form, or a collapsing
@@ -27,9 +29,8 @@ constant rescale only, not the full gauge orbit).
 from __future__ import annotations
 
 import warnings
-from collections import OrderedDict
 from dataclasses import asdict, dataclass
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -64,8 +65,8 @@ class LeeClassDrift(ValueError):
 
 
 class NotExact(ValueError):
-    """Harmonic obstruction survives scalar absorption: not certified in
-    the canonical gauge."""
+    """A stage's harmonic obstruction survives scalar absorption: not
+    certified in the canonical gauge."""
 
 
 class NotExactFamily(ValueError):
@@ -94,7 +95,7 @@ INTERP_REL_TOL = 1e-14  # interpolation drops modes below this times the largest
 FD_STEP = 1e-3          # t-step of the finite differences in t
 BACKSUB_TOL = 1e-11     # back-substitution gate of moser_vector_field
 RESIDUAL_FLOOR = 1e-9   # exactness residuals are relative to at least this * ||omega||
-STAGE_LRU = 8           # uncached stage times StageCache keeps
+RATE_FLOOR = 1e-13      # absorption rates at or below this count as zero
 COMPARE_FLOOR = 1e-6    # conformal_compare skips components below this * max |b|
 
 
@@ -141,7 +142,6 @@ def normalize_family(F: FormFamily, opts: PipelineOptions | None = None) -> Form
     opts = opts or PipelineOptions()
     grid = F.grid
     sample_lees = []
-    need_gauge = False
     for t in F.times:
         L = F.omega_at(float(t))
         V = validate_lcs(L.omega, nondeg_threshold=opts.nondeg_margin,
@@ -156,8 +156,6 @@ def normalize_family(F: FormFamily, opts: PipelineOptions | None = None) -> Form
                     f"deviation {dev:.3e}"
                 )
         sample_lees.append(claimed)
-        if not claimed.is_constant:
-            need_gauge = True
 
     c0 = sample_lees[0].harmonic.copy()
     scale = max(1.0, float(np.max(np.abs(c0))))
@@ -170,7 +168,7 @@ def normalize_family(F: FormFamily, opts: PipelineOptions | None = None) -> Form
                 "can connect the family"
             )
 
-    if not need_gauge:
+    if all(lee.is_constant for lee in sample_lees):
         return FormFamily(grid, F.omega_at, F.derivative_at, F.times,
                           exact_data=F.exact_data, theta_h=c0,
                           label=F.label + "|normalized")
@@ -207,48 +205,44 @@ def _absorption_rate(dom: DiffForm, om: DiffForm) -> float:
     return float(hd @ ho) / denom
 
 
-def _hodge_primitive(om: DiffForm, dom: DiffForm, theta_h: np.ndarray,
-                     absorb: bool):
-    """Solve d_theta beta = d omega/dt - a omega by per-mode Hodge solves.
-
-    Returns (a, solve result, residual, obstruction), the last two
-    relative to max(||target||, RESIDUAL_FLOOR * ||omega||).
-    """
-    a = _absorption_rate(dom, om) if absorb else 0.0
-    target = dom + om * (-a) if a != 0.0 else dom
-    sol = solve_primitive(target, theta_h)
-    den = max(target.norm(), RESIDUAL_FLOOR * om.norm())
-    return a, sol, sol.residual * target.norm() / den, sol.harmonic_part_norm / den
+def _gauge_log(h0: np.ndarray, om: DiffForm) -> float:
+    """c with e^c H(om) = h0 = H(omega_0)."""
+    return float(np.log((h0 @ h0) / (_harmonic_parts(om) @ h0)))
 
 
 @dataclass
 class ExactnessCertificate:
-    """Per-checkpoint twisted-exactness data for a normalized family.
+    """Checkpoint stages of a normalized family, each twisted-exact.
 
-    residuals/obstructions are relative to max(||target||,
-    RESIDUAL_FLOOR * ||omega||).  Absorption certifies H(d omega/dt) =
-    a(t) H(omega_t), so the constant gauge f -> e^{c(t)} f with
-    dc/dt = -a(t) has the closed form c(t) = log(|H(omega_0)|^2 /
-    H(omega_t).H(omega_0)), evaluated on the certified family.
+    family is the normalized family; certified is the family the stages
+    solve on, the absorbed one when absorption is used.  residuals /
+    obstructions are read off the stages.  Absorption certifies
+    H(d omega/dt) = a(t) H(omega_t), so the constant gauge f -> e^{c(t)} f
+    with dc/dt = -a(t) has the closed form c(t) = log(|H(omega_0)|^2 /
+    H(omega_t).H(omega_0)), evaluated on the normalized family.
     """
 
-    residuals: list[float]
-    obstructions: list[float]
-    used_absorption: bool
     family: FormFamily
+    certified: FormFamily
+    stages: dict[float, StageData]
     harmonic0: np.ndarray | None
 
-    def c_of(self, om: DiffForm) -> float:
-        """c with e^c H(om) = H(omega_0), om a sample of the family."""
-        if not self.used_absorption:
-            return 0.0
-        h0 = self.harmonic0
-        return float(np.log((h0 @ h0) / (_harmonic_parts(om) @ h0)))
+    @property
+    def used_absorption(self) -> bool:
+        return self.harmonic0 is not None
+
+    @property
+    def residuals(self) -> list[float]:
+        return [s.solve_residual for s in self.stages.values()]
+
+    @property
+    def obstructions(self) -> list[float]:
+        return [s.obstruction for s in self.stages.values()]
 
     def c_at(self, t: float) -> float:
         if not self.used_absorption:
             return 0.0
-        return self.c_of(self.family.omega_at(t).omega)
+        return _gauge_log(self.harmonic0, self.family.omega_at(t).omega)
 
 
 def exactness_certificate(
@@ -256,58 +250,45 @@ def exactness_certificate(
 ) -> ExactnessCertificate:
     """Certify that the family derivative is d_theta-exact at every checkpoint.
 
-    For theta_h = 0 a harmonic obstruction proportional to the harmonic
-    part of omega is absorbed into the residual constant gauge e^{c(t)}
-    with dc/dt = -a(t) (if allow_scalar_absorption); any obstruction
-    surviving absorption raises NotExact.
+    For theta_h = 0 (and allow_scalar_absorption) a nonzero absorption
+    rate at some checkpoint puts the family in the constant gauge e^{c(t)}
+    with dc/dt = -a(t), which takes the harmonic part proportional to
+    omega out of the derivative.  The checkpoint stages of the resulting
+    family are then built by theorem_stage_builder, which raises NotExact
+    on any surviving obstruction.
     """
     opts = opts or PipelineOptions()
     if F.theta_h is None:
         raise ValueError("family is not normalized: run normalize_family first")
-    theta_h = F.theta_h
-    absorb = opts.allow_scalar_absorption and not theta_h.any()
-    residuals, obstructions, rates = [], [], []
-    for t in opts.checkpoint_times():
-        om = F.omega_at(float(t)).omega
-        a, _, res, obs = _hodge_primitive(om, F.derivative_at(float(t)), theta_h,
-                                          absorb)
-        if obs > opts.tol_exactness:
-            hint = ("scalar absorption disabled" if not opts.allow_scalar_absorption
-                    and not theta_h.any() else "obstruction not proportional to "
-                    "the harmonic part of omega")
-            raise NotExact(
-                f"harmonic obstruction {obs:.3e} at t={t} exceeds "
-                f"{opts.tol_exactness:.1e} ({hint}); family not certified in "
-                "the canonical gauge"
-            )
-        residuals.append(res)
-        obstructions.append(obs)
-        rates.append(a)
-
-    used = bool(absorb and any(abs(a) > 1e-13 for a in rates))
-    return ExactnessCertificate(
-        residuals=residuals, obstructions=obstructions, used_absorption=used,
-        family=F,
-        harmonic0=_harmonic_parts(F.omega_at(0.0).omega) if used else None,
-    )
+    times = opts.checkpoint_times()
+    h0 = None
+    if opts.allow_scalar_absorption and not F.theta_h.any():
+        rates = [_absorption_rate(F.derivative_at(t), F.omega_at(t).omega)
+                 for t in times]
+        if any(abs(a) > RATE_FLOOR for a in rates):
+            h0 = _harmonic_parts(F.omega_at(0.0).omega)
+    Fa = absorbed_family(F, h0)
+    build = theorem_stage_builder(Fa, opts)
+    return ExactnessCertificate(F, Fa, {t: build(t) for t in times}, h0)
 
 
-def absorbed_family(F: FormFamily, cert: ExactnessCertificate) -> FormFamily:
-    """Apply the certificate's constant gauge e^{c(t)} to the family."""
-    if not cert.used_absorption:
+def absorbed_family(F: FormFamily, h0: np.ndarray | None) -> FormFamily:
+    """The family in the constant gauge e^{c(t)}, e^c H(omega_t) = h0 (none
+    if h0 is None); its derivative drops a(t) omega_t before the rescale."""
+    if h0 is None:
         return F
     grid = F.grid
 
     def omega_a_at(t: float) -> LcsForm:
         L = F.omega_at(t)
-        s = np.exp(cert.c_of(L.omega))
+        s = np.exp(_gauge_log(h0, L.omega))
         return LcsForm(DiffForm(grid, 2, L.omega.comps * s), L.lee)
 
     def derivative_a_at(t: float) -> DiffForm:
         om = F.omega_at(t).omega
         dom = F.derivative_at(t)
         a = _absorption_rate(dom, om)
-        return (dom + om * (-a)) * float(np.exp(cert.c_of(om)))
+        return (dom + om * (-a)) * float(np.exp(_gauge_log(h0, om)))
 
     return FormFamily(grid, omega_a_at, derivative_a_at, F.times,
                       theta_h=F.theta_h, label=F.label + "|absorbed")
@@ -363,10 +344,13 @@ class StageData:
     Point evaluation shares a single trigonometric interpolator holding
     n + n^2 + 1 channels (X, grad X, rate); rate_values / lee_rate_values
     are grid fields (lee_rate excludes the h-term of the exact path).
+    solve_residual / obstruction are the Hodge solve's relative residual
+    and harmonic obstruction (zero on the exact path, which solves nothing).
     """
 
     def __init__(self, x_form: DiffForm, rate_values: np.ndarray,
-                 lee_rate_values: np.ndarray, solve_residual: float = 0.0):
+                 lee_rate_values: np.ndarray, solve_residual: float = 0.0,
+                 obstruction: float = 0.0):
         grid = x_form.grid
         n = grid.n
         xhat = x_form.spectra()
@@ -382,6 +366,7 @@ class StageData:
         self.rate_values = rate_values
         self.lee_rate_values = lee_rate_values
         self.solve_residual = solve_residual
+        self.obstruction = obstruction
         self.max_speed = float(x_form.max_abs())
         self._interp = ModeInterpolator(grid, np.concatenate(channels), INTERP_REL_TOL)
 
@@ -395,58 +380,70 @@ class StageData:
 
 
 class StageCache:
-    """Stages by time: the ``keep`` times for good, others in a small LRU.
+    """Stages by time: a kept stage if there is one, else a fresh build.
 
-    RK4 revisits each step boundary once; the kept times (the checkpoints)
-    are read again by verify_eq1 after the sweep, so each is built once.
+    The providers build the checkpoint stages before integration and hand
+    them in as kept; integrate_isotopy asks for every other stage time
+    once, so nothing else is stored.  verify_eq1 reads the kept stages.
     """
 
     def __init__(self, builder: Callable[[float], StageData],
-                 keep: Iterable[float] = ()):
+                 kept: dict[float, StageData]):
         self._builder = builder
-        self._keep = {self._key(t) for t in keep}
-        self._kept: dict[float, StageData] = {}
-        self._cache: OrderedDict[float, StageData] = OrderedDict()
-        self.max_solve_residual = 0.0
-
-    @staticmethod
-    def _key(t: float) -> float:
-        return round(float(t), 12)
+        self._kept = kept
+        self.max_solve_residual = max(
+            (st.solve_residual for st in kept.values()), default=0.0)
 
     def __call__(self, t: float) -> StageData:
-        key = self._key(t)
-        if key in self._kept:
-            return self._kept[key]
-        if key in self._cache:
-            self._cache.move_to_end(key)
-            return self._cache[key]
-        data = self._builder(key)
+        if t in self._kept:
+            return self._kept[t]
+        data = self._builder(t)
         self.max_solve_residual = max(self.max_solve_residual, data.solve_residual)
-        if key in self._keep:
-            self._kept[key] = data
-        else:
-            self._cache[key] = data
-            if len(self._cache) > STAGE_LRU:
-                self._cache.popitem(last=False)
         return data
 
 
 def theorem_stage_builder(
     F: FormFamily, opts: PipelineOptions
 ) -> Callable[[float], StageData]:
-    """Stages for the Hodge-solve path on a normalized (absorbed) family."""
+    """Stages for the Hodge-solve path: d_theta beta = d omega/dt on F.
+
+    F is a normalized family, already absorbed when absorption is used.
+    Residual and obstruction are relative to max(||d omega/dt||,
+    RESIDUAL_FLOOR * ||omega||); an obstruction above tol_exactness raises
+    NotExact before the vector field is built.
+    """
     theta_h = F.theta_h
-    absorb = opts.allow_scalar_absorption and not theta_h.any()
 
     def build(t: float) -> StageData:
         L = F.omega_at(t)
-        _, sol, res, _ = _hodge_primitive(L.omega, F.derivative_at(t), theta_h,
-                                          absorb)
+        om, dom = L.omega, F.derivative_at(t)
+        sol = solve_primitive(dom, theta_h)
+        den = max(dom.norm(), RESIDUAL_FLOOR * om.norm())
+        obstruction = sol.harmonic_part_norm / den
+        if obstruction > opts.tol_exactness:
+            raise NotExact(
+                f"harmonic obstruction {obstruction:.3e} at t={t} exceeds "
+                f"{opts.tol_exactness:.1e} ({_obstruction_hint(om, dom, theta_h, opts)}); "
+                "family not certified in the canonical gauge")
         x = moser_vector_field(L, sol.primitive, opts.nondeg_margin)
         rate = np.tensordot(theta_h, x.comps, axes=1)
-        return StageData(x, rate, rate, solve_residual=res)
+        return StageData(x, rate, rate, solve_residual=sol.residual * dom.norm() / den,
+                         obstruction=obstruction)
 
     return build
+
+
+def _obstruction_hint(om: DiffForm, dom: DiffForm, theta_h: np.ndarray,
+                      opts: PipelineOptions) -> str:
+    """Why scalar absorption did not remove a harmonic obstruction."""
+    a = 0.0 if theta_h.any() else _absorption_rate(dom, om)
+    if abs(a) <= RATE_FLOOR:
+        return "obstruction not proportional to the harmonic part of omega"
+    if not opts.allow_scalar_absorption:
+        return "scalar absorption disabled"
+    # an absorbed family has no absorption rate left at any t
+    return (f"absorption rate {a:.3e} here, but it vanished at every "
+            "checkpoint, so no scalar absorption was applied")
 
 
 def _exact_beta(ed: ExactData, t: float, h: np.ndarray) -> DiffForm:
@@ -519,12 +516,14 @@ def integrate_isotopy(
     """Classic RK4 on (x, J, L): dx = X, dJ = DX J, dL = rate, t in [0, 1].
 
     Spatial evaluation is exact trigonometric interpolation, so the
-    global error is O(steps^-4) for smooth stage data.  The grid fields
-    rate_values and lee_rate_values are integrated in time alongside, by
-    Simpson's rule on each step's own stages k/s, (2k+1)/2s, (k+1)/s.  Issues a
-    StepCountTooSmall warning when max |X| dt exceeds half a grid cell;
-    raises IsotopyDiverged on non-finite state.  The state is recorded at
-    record_times rounded to the step grid; seeds default to every grid node.
+    global error is O(steps^-4) for smooth stage data.  fields is asked
+    once for each of the 2 steps + 1 stage times: a step's end stage starts
+    the next step.  The grid fields rate_values and lee_rate_values are
+    integrated in time alongside, by Simpson's rule on each step's own
+    stages k/s, (2k+1)/2s, (k+1)/s.  Issues a StepCountTooSmall warning
+    when max |X| dt exceeds half a grid cell; raises IsotopyDiverged on
+    non-finite state.  The state is recorded at record_times rounded to the
+    step grid; seeds default to every grid node.
     """
     if steps < 1:
         raise ValueError("steps must be positive")
@@ -533,8 +532,7 @@ def integrate_isotopy(
     seeds = np.atleast_2d(np.asarray(seeds, dtype=float))
     full = bool(seeds.shape[0] == grid.num_nodes
                 and np.array_equal(seeds, grid.nodes()))
-    rec = sorted({round(float(t) * steps) for t in record_times})
-    rec_steps = [r for r in rec if 0 <= r <= steps]
+    rec_steps = {round(float(t) * steps) for t in record_times}
 
     pos = seeds.copy()
     jac = np.broadcast_to(np.eye(grid.n), (len(seeds), grid.n, grid.n)).copy()
@@ -553,15 +551,15 @@ def integrate_isotopy(
         lee_ints.append(lee_int)
         rate_ints.append(rate_int)
 
-    if rec_steps and rec_steps[0] == 0:
+    if 0 in rec_steps:
         record(0)
-        rec_steps = rec_steps[1:]
 
     max_speed = 0.0
     warned = False
     cfl_limit = 0.5 / grid.N
+    s3 = fields(0.0)
     for k in range(steps):
-        s1 = fields(k / steps)
+        s1 = s3
         s2 = fields((2 * k + 1) / (2.0 * steps))
         s3 = fields((k + 1) / steps)
 
@@ -598,9 +596,8 @@ def integrate_isotopy(
                                           + s3.lee_rate_values)
         rate_int = rate_int + (dt / 6.0) * (s1.rate_values + 4.0 * s2.rate_values
                                             + s3.rate_values)
-        if rec_steps and rec_steps[0] == k + 1:
+        if k + 1 in rec_steps:
             record(k + 1)
-            rec_steps = rec_steps[1:]
 
     return FlowState(times, positions, jacobians, logs, max_speed, full,
                      lee_ints, rate_ints)
@@ -715,7 +712,6 @@ def _gauged_residual(theta: DiffForm, g: np.ndarray, a: np.ndarray,
 
 @dataclass
 class Eq1Record:
-    t: float
     eq1_residual: float
     flow_identity_residual: float
     necessity_residual: float
@@ -757,7 +753,7 @@ def verify_eq1(
         flow_res = flow_mis.norm() / den
         nec = _gauged_residual(L.lee.one_form(), u,
                                theta_x * om.comps + dom.comps, ixw.comps) / den
-        out.append(Eq1Record(t, eq1, flow_res, nec))
+        out.append(Eq1Record(eq1, flow_res, nec))
     return out
 
 
@@ -874,28 +870,25 @@ def _checkpoint_compare(
     if float(det.min()) <= 0.0:
         raise IsotopyDiverged(f"orientation lost at t={t}: min det J = {det.min():.3e}")
     pb = pullback_form(om_t, flow, t)
-    pfv = pfaffian_values(pb)
-    if float(np.min(np.abs(pfv))) < opts.nondeg_margin:
+    if float(np.min(np.abs(pfaffian_values(pb)))) < opts.nondeg_margin:
         raise IsotopyDiverged(f"pullback degenerated at t={t}")
-    cc = conformal_compare(pb, base)
-    predicted = np.exp(logf)
-    return cc, predicted
+    return conformal_compare(pb, base), np.exp(logf)
 
 
 @dataclass
 class _Provider:
     """What a primitive provider hands the driver, before any integration.
 
-    family is the family the flow runs on; exactness / obstructions are
-    per checkpoint; cor2, when given, is the extra per-checkpoint gate
-    cor2(t, omega_t, flow).
+    family is the family the flow runs on; stages are its checkpoint
+    stages, keyed by checkpoint time; exactness is per checkpoint; cor2,
+    when given, is the extra per-checkpoint gate cor2(t, omega_t, flow).
     """
 
     path: str
     family: FormFamily
     builder: Callable[[float], StageData]
+    stages: dict[float, StageData]
     exactness: list[float]
-    obstructions: list[float]
     absorption_used: bool = False
     absorption_log_final: float = 0.0
     cor2: Callable[[float, LcsForm, FlowState], float] | None = None
@@ -904,24 +897,20 @@ class _Provider:
 def _theorem_provider(F: FormFamily, opts: PipelineOptions,
                       times: list[float]) -> _Provider:
     """Hodge primitives on the normalized, scalar-absorbed family."""
-    Fn = normalize_family(F, opts)
-    cert = exactness_certificate(Fn, opts)
-    Fa = absorbed_family(Fn, cert)
+    cert = exactness_certificate(normalize_family(F, opts), opts)
+    Fa = cert.certified
     for t in times:
         validate_lcs(Fa.omega_at(t).omega, nondeg_threshold=opts.nondeg_margin,
                      lcs_tol=opts.lcs_tol)
-    return _Provider("theorem", Fa, theorem_stage_builder(Fa, opts),
-                     cert.residuals, cert.obstructions,
-                     cert.used_absorption, cert.c_at(1.0))
+    return _Provider("theorem", Fa, theorem_stage_builder(Fa, opts), cert.stages,
+                     cert.residuals, cert.used_absorption, cert.c_at(1.0))
 
 
 def _exact_provider(F: FormFamily, opts: PipelineOptions,
                     times: list[float]) -> _Provider:
     """A supplied primitive: checks its preconditions, then the cor2 gate."""
-    ed = F.exact_data
-    if ed is None:
-        raise ValueError("family has no exact primitive data")
-    grid = F.grid
+    build = exact_stage_builder(F, opts)
+    ed, grid = F.exact_data, F.grid
     exact_res = []
     for t in times:
         L = F.omega_at(t)
@@ -956,8 +945,8 @@ def _exact_provider(F: FormFamily, opts: PipelineOptions,
         b = -_exact_beta(ed, t, h).comps
         return _gauged_residual(L.lee.one_form(), g, a, b) / den
 
-    return _Provider("exact_family", F, exact_stage_builder(F, opts),
-                     exact_res, [0.0] * len(times), cor2=cor2)
+    return _Provider("exact_family", F, build, {t: build(t) for t in times},
+                     exact_res, cor2=cor2)
 
 
 def _run_moser(
@@ -970,7 +959,7 @@ def _run_moser(
     times = opts.checkpoint_times()
     pv = provide(F, opts, times)
     Fp = pv.family
-    stages = StageCache(pv.builder, keep=times)
+    stages = StageCache(pv.builder, pv.stages)
     seeds = Fp.grid.nodes()[:: opts.seed_stride]
     flow = integrate_isotopy(Fp.grid, stages, opts.steps, record_times=times,
                              seeds=seeds)
@@ -988,7 +977,7 @@ def _run_moser(
         records.append(CheckpointRecord(
             t=t,
             exactness_residual=pv.exactness[i],
-            harmonic_obstruction=pv.obstructions[i],
+            harmonic_obstruction=pv.stages[t].obstruction,
             conformal_consistency_error=cc.consistency_error,
             factor_error=float(np.max(np.abs(cc.factor - predicted) / predicted)),
             eq1_residual=eq1[i].eq1_residual,

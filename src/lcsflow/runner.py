@@ -163,7 +163,7 @@ def _grid_from(cfg: dict, default: tuple[int, int]) -> GridSpec:
 
 def _positive_tols(d: dict, where: str):
     for k, v in d.items():
-        if not (isinstance(v, (int, float)) and v > 0):
+        if isinstance(v, bool) or not (isinstance(v, (int, float)) and v > 0):
             raise ConfigError(f"tolerance {where}.{k} must be positive, got {v!r}")
 
 
@@ -247,8 +247,9 @@ def validate_config(cfg: dict) -> dict:
         base = PipelineOptions()
         for key in ("steps", "checkpoints", "seed_stride", "allow_scalar_absorption"):
             out.setdefault(key, getattr(base, key))
-        if int(out["steps"]) < 1 or int(out["checkpoints"]) < 2:
-            raise ConfigError("steps must be >= 1 and checkpoints >= 2")
+        for key, least in (("steps", 1), ("checkpoints", 2), ("seed_stride", 1)):
+            if type(out[key]) is not int or out[key] < least:  # bools too
+                raise ConfigError(f"{key} must be an integer >= {least}, got {out[key]!r}")
         given = dict(cfg.get("tolerances") or {})
         _check_keys(given, set(_MOSER_TOL_MAP), "tolerances")
         _positive_tols(given, "tolerances")
@@ -372,9 +373,9 @@ def _scenario_moser(cfg: dict) -> tuple[dict, bool]:
     family = _build_family(cfg)
     tols = cfg["tolerances"]
     opts = PipelineOptions(
-        steps=int(cfg["steps"]),
-        checkpoints=int(cfg["checkpoints"]),
-        seed_stride=int(cfg["seed_stride"]),
+        steps=cfg["steps"],
+        checkpoints=cfg["checkpoints"],
+        seed_stride=cfg["seed_stride"],
         allow_scalar_absorption=bool(cfg["allow_scalar_absorption"]),
         **{_MOSER_TOL_MAP[k]: float(v) for k, v in tols.items()},
     )
@@ -456,6 +457,19 @@ def _summary_lines(report: dict) -> list[str]:
     return lines
 
 
+def _with_overrides(cfg, steps: int | None, N: int | None):
+    """The raw config with --steps / --grid applied, for validate_config."""
+    if not isinstance(cfg, dict):
+        return cfg
+    cfg, grid = dict(cfg), cfg.get("grid") or {}
+    if steps is not None and cfg.get("scenario") == "moser":
+        cfg["steps"] = steps
+    if (N is not None and isinstance(grid, dict) and cfg.get("generator") != "tabulated"
+            and cfg.get("scenario") in ("identities", "cohomology_torus", "moser")):
+        cfg["grid"] = {**grid, "N": N}
+    return cfg
+
+
 def run(config, out_dir: str = ".", overrides: dict | None = None,
         quiet: bool = False) -> int:
     """Validate, dispatch, write reports; return the process exit code."""
@@ -464,14 +478,9 @@ def run(config, out_dir: str = ".", overrides: dict | None = None,
             config = json.loads(Path(config).read_text())
         except (OSError, json.JSONDecodeError) as e:
             raise ConfigError(f"cannot read config: {e}") from e
-    cfg = validate_config(config)
-    for key, value in (overrides or {}).items():
-        if value is None:
-            continue
-        if key == "steps" and cfg["scenario"] == "moser":
-            cfg["steps"] = int(value)
-        elif key == "grid" and "grid" in cfg:
-            cfg["grid"] = {"n": cfg["grid"]["n"], "N": int(value)}
+    overrides = overrides or {}
+    cfg = validate_config(_with_overrides(config, overrides.get("steps"),
+                                          overrides.get("grid")))
     report: dict = {"schema_version": SCHEMA_VERSION, "config": _jsonable(cfg)}
     t0 = time.perf_counter()
     code = 0

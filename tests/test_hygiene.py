@@ -1,10 +1,11 @@
-"""Source hygiene: no dead top-level definitions, no unused imports, no
-default that every caller leaves alone.
+"""Source hygiene: no dead top-level definitions or constants, no unused
+imports, no default that every caller leaves alone.
 
 The checks read the code with ``ast``.  A name counts as used when it
-appears as an identifier (a name, an attribute or an imported name) or
-as a string constant anywhere outside its own definition, so names that
-are looked up by string (``getattr``, ``__all__``) count as well.
+is read as an identifier (a loaded name, an attribute or an imported
+name) or appears as a string constant anywhere outside its own
+definition, so names that are looked up by string (``getattr``,
+``__all__``) count as well; assigning a name does not use it.
 
 A defaulted parameter counts as passed when some call of a function with
 that name, anywhere in src, tests, demos or perfbench, passes it by
@@ -35,7 +36,7 @@ def _mentions(tree) -> set[str]:
     """Identifiers and string constants a module mentions."""
     out = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             out.add(node.id)
         elif isinstance(node, ast.Attribute):
             out.add(node.attr)
@@ -46,8 +47,18 @@ def _mentions(tree) -> set[str]:
     return out
 
 
+def _top_level_names(node) -> list[str]:
+    """Names a top-level statement defines: a def, a class or a constant."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = (node.targets if isinstance(node, ast.Assign)
+               else [node.target] if isinstance(node, ast.AnnAssign) else [])
+    return [t.id for t in targets if isinstance(t, ast.Name)
+            and not t.id.startswith("__")]
+
+
 def dead_definitions() -> list[str]:
-    """Top-level defs and classes of the package that nothing names."""
+    """Top-level defs, classes and constants of the package nothing reads."""
     used = set()
     for _, tree in _sources(USER_DIRS):
         used |= _mentions(tree)
@@ -55,9 +66,8 @@ def dead_definitions() -> list[str]:
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text())
         for node in tree.body:
-            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    and node.name not in used):
-                dead.append(f"{path.name}:{node.name}")
+            dead += [f"{path.name}:{name}" for name in _top_level_names(node)
+                     if name not in used]
     return dead
 
 

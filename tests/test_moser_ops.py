@@ -125,6 +125,21 @@ def test_integrator_sweeps_the_rate_integrals_by_simpson():
             assert np.max(np.abs(lee_int - lee_exact)) <= t * bound + 1e-15
 
 
+def test_integrator_asks_for_each_stage_time_once():
+    # RK4 stage times k / (2 steps): a step's end stage starts the next step
+    g = GridSpec(2, 8)
+    stage = _shear_stage(g, 0.1)
+    asked = []
+
+    def fields(t):
+        asked.append(t)
+        return stage
+
+    steps = 6
+    integrate_isotopy(g, fields, steps=steps, record_times=[1.0])
+    assert sorted(asked) == [k / (2 * steps) for k in range(2 * steps + 1)]
+
+
 def test_pullback_at_time_zero_is_the_identity():
     g = GridSpec(2, 16)
     fam = area_interpolation_family(g, eps=0.3)

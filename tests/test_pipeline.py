@@ -13,7 +13,7 @@ from lcsflow.families import (
     lee_drift_family,
 )
 from lcsflow import moser
-from lcsflow.forms import GridSpec
+from lcsflow.forms import GridSpec, form_from_components
 from lcsflow.moser import (
     InconsistentLeeDerivative,
     LeeClassDrift,
@@ -23,6 +23,7 @@ from lcsflow.moser import (
     run_exact_family,
     run_theorem_pipeline,
 )
+from lcsflow.twisted import LcsForm, LeeForm
 
 T2 = GridSpec(2, 32)
 T4 = GridSpec(4, 8)
@@ -156,10 +157,13 @@ def test_exact_path_builds_stages_only_at_rk4_stage_times(monkeypatch):
 
 
 def test_theorem_path_builds_each_stage_time_once(monkeypatch):
-    # 2 steps + 1 = 11 stage times overflow the 8-stage LRU; the checkpoint
-    # stages that verify_eq1 reads after the sweep are kept, not rebuilt
+    # the certificate builds the checkpoint stages, the sweep builds the
+    # rest, verify_eq1 reads the checkpoint stages again: 2 steps + 1 = 11
+    # stage times, each built and Hodge-solved once
     built = []
     make = moser.theorem_stage_builder
+    solves = []
+    solve = moser.solve_primitive
 
     def recording(F, opts):
         build = make(F, opts)
@@ -169,12 +173,60 @@ def test_theorem_path_builds_each_stage_time_once(monkeypatch):
             return build(t)
         return traced
 
+    def counting_solve(target, theta):
+        solves.append(target)
+        return solve(target, theta)
+
     monkeypatch.setattr(moser, "theorem_stage_builder", recording)
+    monkeypatch.setattr(moser, "solve_primitive", counting_solve)
     steps = 5
     rep = run_theorem_pipeline(contact_circle_family(T4), PipelineOptions(
         steps=steps, checkpoints=6, seed_stride=8))
     assert rep.success
     assert len(built) == len(set(built)) == 2 * steps + 1
+    assert len(solves) == 2 * steps + 1
+
+
+def _sinusoidal_area_family(grid):
+    """T^2 area family whose total area moves at a rate ~ sin 2 pi t.
+
+    omega_t = (1 + amp (1 - cos 2 pi t)) (1 + t eps bump) dx1 ^ dx2 with a
+    mean-free bump: the absorption rate is 0 at t = 0, 1/2 and 1 only.
+    """
+    amp, eps = 0.05, 0.1
+    x1, x2 = grid.coordinates()
+    bump = np.sin(2.0 * np.pi * x1) * np.sin(2.0 * np.pi * x2)
+    bump = bump - np.mean(bump)
+    lee = LeeForm.zero(grid)
+
+    def area(t):
+        return 1.0 + amp * (1.0 - np.cos(2.0 * np.pi * t))
+
+    def omega_at(t):
+        vals = area(t) * (1.0 + t * eps * bump)
+        return LcsForm(form_from_components(grid, 2, {(0, 1): vals}), lee)
+
+    def derivative_at(t):
+        rate = amp * 2.0 * np.pi * np.sin(2.0 * np.pi * t)
+        vals = rate * (1.0 + t * eps * bump) + area(t) * eps * bump
+        return form_from_components(grid, 2, {(0, 1): vals})
+
+    return FormFamily(grid, omega_at, derivative_at, np.linspace(0.0, 1.0, 3),
+                      theta_h=np.zeros(2), label="sinusoidal_area")
+
+
+@pytest.mark.parametrize("absorb, hint", [
+    (True, "vanished at every checkpoint"),
+    (False, "scalar absorption disabled"),
+])
+def test_obstruction_between_checkpoints_raises_not_exact(absorb, hint):
+    # every checkpoint is exact and absorbs nothing, the first mid-step
+    # stage is not: the gate sits at every stage time
+    fam = _sinusoidal_area_family(GridSpec(2, 16))
+    opts = PipelineOptions(steps=8, checkpoints=3,
+                           allow_scalar_absorption=absorb)
+    with pytest.raises(NotExact, match=r"at t=0\.0625 .*" + hint):
+        run_theorem_pipeline(fam, opts)
 
 
 def test_corrupted_primitive_is_rejected():

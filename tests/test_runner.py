@@ -47,6 +47,14 @@ BAD_CONFIGS = [
      "tolerances": {"factor": 0.0}},
     {"scenario": "moser", "generator": "tabulated"},
     {"scenario": "identities", "output": {"yaml": "nope"}},
+    {"scenario": "moser", "generator": "area_interpolation", "seed_stride": 0},
+    {"scenario": "moser", "generator": "area_interpolation", "seed_stride": -2},
+    {"scenario": "moser", "generator": "area_interpolation", "steps": 2.9},
+    {"scenario": "moser", "generator": "area_interpolation", "steps": True},
+    {"scenario": "moser", "generator": "area_interpolation", "checkpoints": 3.0},
+    {"scenario": "moser", "generator": "area_interpolation",
+     "tolerances": {"eq1": True}},
+    {"scenario": "identities", "tolerances": {"chain_map": True}},
 ]
 
 
@@ -226,6 +234,17 @@ def test_run_overrides_steps(tmp_path):
     rep = _read_json(tmp_path / "report.json")
     assert rep["config"]["steps"] == 8
     assert rep["result"]["steps"] == 8
+
+
+def test_cli_steps_override_is_validated(tmp_path, capsys):
+    path = tmp_path / "area.json"
+    path.write_text(json.dumps({"scenario": "moser",
+                                "generator": "area_interpolation"}))
+    code = main(["run", "--config", str(path), "--out", str(tmp_path / "out"),
+                 "--steps", "0", "--quiet"])
+    assert code == 2
+    assert "steps must be an integer >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_reports_are_deterministic(tmp_path):
