@@ -88,6 +88,24 @@ def _nullity_float(lk, t0: float) -> int:
     return int(np.count_nonzero(rel < SVD_NULL_THRESHOLD))
 
 
+def mapping_torus_input(matrix, t0) -> tuple[list[list[int]], Fraction | float]:
+    """Check the arguments of mapping_torus_betti; ValueError if unusable.
+
+    Returns the matrix as integer rows and t0 as a Fraction (exact input)
+    or a float; both pass through this check unchanged.
+    """
+    m = [[int(x) for x in row] for row in matrix]
+    n = len(m)
+    if any(len(row) != n for row in m):
+        raise ValueError("matrix must be square")
+    if abs(integer_determinant(m)) != 1:
+        raise ValueError("matrix is not invertible over the integers")
+    t0_val = float(t0) if isinstance(t0, float) else fraction_from_string(t0)
+    if t0_val <= 0:
+        raise ValueError(f"t0 must be positive, got {t0_val}")
+    return m, t0_val
+
+
 def mapping_torus_betti(matrix, t0) -> TwistedBettiResult:
     """Twisted Betti numbers of the mapping torus of an integer matrix.
 
@@ -96,18 +114,9 @@ def mapping_torus_betti(matrix, t0) -> TwistedBettiResult:
     exactly, floats via thresholded SVD (SingularThresholdAmbiguous when
     a singular value is too close to the cutoff to call).
     """
-    m = [[int(x) for x in row] for row in matrix]
+    m, t0_val = mapping_torus_input(matrix, t0)
     n = len(m)
-    if any(len(row) != n for row in m):
-        raise ValueError("matrix must be square")
-    if abs(integer_determinant(m)) != 1:
-        raise ValueError("matrix is not invertible over the integers")
-
-    exact = not isinstance(t0, float)
-    t0_val = fraction_from_string(t0) if exact else float(t0)
-    if t0_val <= 0:
-        raise ValueError(f"t0 must be positive, got {t0_val}")
-
+    exact = not isinstance(t0_val, float)
     at = [list(col) for col in zip(*m)]
     nullities = []
     for k in range(n + 1):

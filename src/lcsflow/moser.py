@@ -491,7 +491,6 @@ class FlowState:
     jacobians: list[np.ndarray]
     log_factor: list[np.ndarray]
     max_speed: float
-    full_grid: bool
     lee_integral: list[np.ndarray]
     rate_integral: list[np.ndarray]
 
@@ -530,8 +529,6 @@ def integrate_isotopy(
     if seeds is None:
         seeds = grid.nodes()
     seeds = np.atleast_2d(np.asarray(seeds, dtype=float))
-    full = bool(seeds.shape[0] == grid.num_nodes
-                and np.array_equal(seeds, grid.nodes()))
     rec_steps = {round(float(t) * steps) for t in record_times}
 
     pos = seeds.copy()
@@ -599,7 +596,7 @@ def integrate_isotopy(
         if k + 1 in rec_steps:
             record(k + 1)
 
-    return FlowState(times, positions, jacobians, logs, max_speed, full,
+    return FlowState(times, positions, jacobians, logs, max_speed,
                      lee_ints, rate_ints)
 
 
@@ -613,13 +610,6 @@ class SampledForm:
     grid: GridSpec
     degree: int
     comps: np.ndarray  # (ncomp, P)
-    full_grid: bool
-
-    def as_diff_form(self) -> DiffForm:
-        if not self.full_grid:
-            raise ValueError("sample points are not the full grid")
-        shape = (self.comps.shape[0],) + self.grid.shape
-        return DiffForm(self.grid, self.degree, self.comps.reshape(shape).copy())
 
 
 def pullback_form(
@@ -643,7 +633,7 @@ def pullback_form(
     mat = _matrix_of(vals, grid.n)
     back = np.einsum("pai,pab,pbj->pij", jac, mat, jac, optimize=True)
     comps = np.stack([back[:, i, j] for (i, j) in index_sets(grid.n, 2)])
-    return SampledForm(grid, 2, comps, flow.full_grid)
+    return SampledForm(grid, 2, comps)
 
 
 def _comp_matrix(a) -> np.ndarray:

@@ -18,8 +18,10 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
@@ -47,6 +49,7 @@ from .mapping_torus import (
     SingularThresholdAmbiguous,
     example_inequality_check,
     mapping_torus_betti,
+    mapping_torus_input,
 )
 from .moser import (
     DegenerateForm,
@@ -72,26 +75,14 @@ from .twisted import LeeForm, NotLcs, d_theta, d_theta_star, torus_twisted_betti
 
 SCHEMA_VERSION = 1
 
-CSV_COLUMNS = [
-    "t",
-    "exactness_residual",
-    "harmonic_obstruction",
-    "conformal_consistency_error",
-    "factor_error",
-    "eq1_residual",
-]
+CSV_COLUMNS = ["t", "exactness_residual", "harmonic_obstruction",
+               "conformal_consistency_error", "factor_error", "eq1_residual"]
 
+# failures of the mathematics, not of the config: exit 1 with a report
 _DOMAIN_ERRORS = (
-    LeeClassDrift,
-    NotExact,
-    NotExactFamily,
-    InconsistentLeeDerivative,
-    IsotopyDiverged,
-    DegenerateForm,
-    NoValidComponents,
-    NotLcs,
-    CocycleViolation,
-    SingularThresholdAmbiguous,
+    LeeClassDrift, NotExact, NotExactFamily, InconsistentLeeDerivative,
+    IsotopyDiverged, DegenerateForm, NoValidComponents, NotLcs,
+    CocycleViolation, SingularThresholdAmbiguous,
 )
 
 
@@ -117,22 +108,15 @@ _SCENARIO_KEYS = {
               "samples_file"},
 }
 
+# config tolerance name -> PipelineOptions field
 _MOSER_TOL_MAP = {
-    "consistency": "tol_consistency",
-    "factor": "tol_factor",
-    "eq1": "tol_eq1",
-    "exactness": "tol_exactness",
-    "lee_match": "tol_lee_match",
-    "cor2": "tol_cor2",
-    "nondeg_margin": "nondeg_margin",
-    "lcs": "lcs_tol",
+    "consistency": "tol_consistency", "factor": "tol_factor", "eq1": "tol_eq1",
+    "exactness": "tol_exactness", "lee_match": "tol_lee_match",
+    "cor2": "tol_cor2", "nondeg_margin": "nondeg_margin", "lcs": "lcs_tol",
 }
 
-_IDENTITY_TOL_DEFAULTS = {
-    "d_theta_squared": 1e-9,
-    "chain_map": 1e-9,
-    "adjointness": 1e-10,
-}
+_IDENTITY_TOL_DEFAULTS = {"d_theta_squared": 1e-9, "chain_map": 1e-9,
+                          "adjointness": 1e-10}
 
 _GENERATORS = {
     "contact_circle": (contact_circle_family, {"s", "c", "n_times"}, (4, 16)),
@@ -150,121 +134,162 @@ def _check_keys(d: dict, allowed: set, where: str):
         raise ConfigError(f"unknown field(s) in {where}: {', '.join(unknown)}")
 
 
-def _grid_from(cfg: dict, default: tuple[int, int]) -> GridSpec:
-    g = cfg.get("grid") or {}
-    if not isinstance(g, dict):
-        raise ConfigError("grid must be an object like {\"n\": 4, \"N\": 16}")
-    _check_keys(g, {"n", "N"}, "grid")
+@contextmanager
+def _library_checks():
+    """Argument errors the library raises while it builds its input become
+    ConfigError (exit 2); domain errors pass through (exit 1)."""
     try:
-        return GridSpec(int(g.get("n", default[0])), int(g.get("N", default[1])))
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"bad grid: {e}") from e
+        yield
+    except (ConfigError, *_DOMAIN_ERRORS):
+        raise
+    except (ValueError, ZeroDivisionError) as e:
+        raise ConfigError(str(e)) from e
 
 
-def _positive_tols(d: dict, where: str):
-    for k, v in d.items():
-        if isinstance(v, bool) or not (isinstance(v, (int, float)) and v > 0):
-            raise ConfigError(f"tolerance {where}.{k} must be positive, got {v!r}")
+def _need(ok: bool, where: str, want: str, v):
+    if not ok:
+        raise ConfigError(f"{where} must be {want}, got {v!r}")
+    return v
+
+
+def _integer(v, least: int, where: str) -> int:
+    return _need(type(v) is int and v >= least, where,  # bools fail
+                 f"an integer >= {least}", v)
+
+
+def _number(v, where: str, positive: bool = False):
+    ok = (isinstance(v, (int, float)) and not isinstance(v, bool)
+          and math.isfinite(v) and (v > 0 or not positive))
+    return _need(ok, where, "a positive number" if positive else "a finite number", v)
+
+
+def _string(v, where: str, choices=None) -> str:
+    return _need(isinstance(v, str) and (choices is None or v in choices), where,
+                 "a string" if choices is None else f"one of {sorted(choices)}", v)
+
+
+def _list(v, where: str, item=None) -> list:
+    """v, which must be a list; item(x, where) checks each entry when given."""
+    _need(isinstance(v, list), where, "a list", v)
+    for i, x in enumerate(v if item else ()):
+        item(x, f"{where}[{i}]")
+    return v
+
+
+def _ints(v, where: str) -> list:
+    ok = isinstance(v, list) and all(type(x) is int for x in v)
+    return _need(ok, where, "a list of integers", v)
+
+
+def _object(cfg: dict, key: str, allowed: set) -> dict:
+    """A copy of the object cfg[key]: {} when absent or null."""
+    d = {} if cfg.get(key) is None else cfg[key]
+    _need(isinstance(d, dict), key, "an object", d)
+    _check_keys(d, allowed, key)
+    return dict(d)
+
+
+def _grid(cfg: dict, default: tuple) -> dict:
+    """GridSpec keywords from cfg["grid"] and the default (n, N)."""
+    g = _object(cfg, "grid", {"n", "N"})
+    grid = {k: _integer(g.get(k, d), 1, f"grid.{k}") for k, d in zip("nN", default)}
+    with _library_checks():
+        GridSpec(**grid)
+    return grid
+
+
+def _tolerances(cfg: dict, defaults: dict) -> dict:
+    given = _object(cfg, "tolerances", set(defaults))
+    for k, v in given.items():
+        _number(v, f"tolerances.{k}", positive=True)
+    return {**defaults, **given}
+
+
+def _weight(spec, where: str):
+    _need(isinstance(spec, dict) and set(spec) == {"edge", "w"}, where,
+          'an object {"edge": [a, b], "w": "p/q"}', spec)
+    _ints(spec["edge"], f"{where}.edge")
+    _need(type(spec["w"]) in (int, str), f"{where}.w",
+          "an integer or a 'p/q' string", spec["w"])
 
 
 def validate_config(cfg: dict) -> dict:
-    """Strictly validate a raw config and fill in defaults (echoed later)."""
-    if not isinstance(cfg, dict):
-        raise ConfigError("config root must be a JSON object")
-    scenario = cfg.get("scenario")
-    if scenario not in _SCENARIO_KEYS:
-        raise ConfigError(
-            f"scenario must be one of {sorted(_SCENARIO_KEYS)}, got {scenario!r}"
-        )
+    """Check every field of a raw config and fill in its defaults.
+
+    The result is the config the scenarios run and the report echoes;
+    anything malformed raises ConfigError.
+    """
+    _need(isinstance(cfg, dict), "config root", "a JSON object", cfg)
+    scenario = _string(cfg.get("scenario"), "scenario", _SCENARIO_KEYS)
     _check_keys(cfg, _COMMON_KEYS | _SCENARIO_KEYS[scenario], "config")
     out = dict(cfg)
-    out.setdefault("seed", 0)
-    output = dict(cfg.get("output") or {})
-    _check_keys(output, {"json", "csv"}, "output")
-    output.setdefault("json", "report.json")
-    output.setdefault("csv", "checkpoints.csv")
-    out["output"] = output
+    for key in ("comment", "expected_verdict"):
+        _string(cfg.get(key, ""), key)
+    out["seed"] = _integer(cfg.get("seed", 0), 0, "seed")
+    output = _object(cfg, "output", {"json", "csv"})
+    out["output"] = {k: _string(output.get(k, d), f"output.{k}") for k, d in
+                     (("json", "report.json"), ("csv", "checkpoints.csv"))}
 
     if scenario == "identities":
-        sweep = dict(cfg.get("sweep") or {})
-        _check_keys(sweep, {"count", "bandwidth", "amplitude"}, "sweep")
-        sweep.setdefault("count", 20)
-        sweep.setdefault("bandwidth", 2)
-        sweep.setdefault("amplitude", 1.0)
-        if int(sweep["count"]) < 1:
-            raise ConfigError("sweep.count must be >= 1")
-        out["sweep"] = sweep
-        tols = dict(_IDENTITY_TOL_DEFAULTS)
-        given = dict(cfg.get("tolerances") or {})
-        _check_keys(given, set(tols), "tolerances")
-        tols.update(given)
-        _positive_tols(tols, "tolerances")
-        out["tolerances"] = tols
-        out["grid"] = {"n": _grid_from(cfg, (4, 16)).n,
-                       "N": _grid_from(cfg, (4, 16)).N}
+        grid = out["grid"] = _grid(cfg, (4, 16))
+        sweep = _object(cfg, "sweep", {"count", "bandwidth", "amplitude"})
+        out["sweep"] = {
+            "count": _integer(sweep.get("count", 20), 1, "sweep.count"),
+            "bandwidth": _integer(sweep.get("bandwidth", 2), 0, "sweep.bandwidth"),
+            "amplitude": _number(sweep.get("amplitude", 1.0), "sweep.amplitude"),
+        }
+        half = grid["N"] // 2
+        _need(out["sweep"]["bandwidth"] < half, "sweep.bandwidth",
+              f"below N/2 = {half}", out["sweep"]["bandwidth"])
+        out["tolerances"] = _tolerances(cfg, _IDENTITY_TOL_DEFAULTS)
     elif scenario == "cohomology_torus":
-        grid = _grid_from(cfg, (4, 16))
-        theta = cfg.get("theta", [0.0] * grid.n)
-        if len(theta) != grid.n:
-            raise ConfigError(f"theta must have length n = {grid.n}")
-        out["grid"] = {"n": grid.n, "N": grid.N}
+        grid = out["grid"] = _grid(cfg, (4, 16))
+        theta = _list(cfg.get("theta", [0.0] * grid["n"]), "theta", _number)
+        _need(len(theta) == grid["n"], "theta", f"a list of length n = {grid['n']}", theta)
         out["theta"] = [float(v) for v in theta]
     elif scenario == "cohomology_simplicial":
         if ("fixture" in cfg) == ("complex" in cfg):
             raise ConfigError("give exactly one of 'fixture' or 'complex'")
-        if "fixture" in cfg and cfg["fixture"] not in FIXTURE_BUILDERS:
-            raise ConfigError(
-                f"fixture must be one of {sorted(FIXTURE_BUILDERS)}"
-            )
-        if "complex" in cfg:
-            body = cfg["complex"]
-            if not isinstance(body, dict) or "top_simplices" not in body:
-                raise ConfigError("complex must contain 'top_simplices'")
-            _check_keys(body, {"top_simplices", "weights"}, "complex")
-    elif scenario == "cohomology_mapping_torus":
-        if "matrix" not in cfg:
-            raise ConfigError("cohomology_mapping_torus needs 'matrix'")
-        out.setdefault("t0", 1)
-    elif scenario == "moser":
-        gen = cfg.get("generator")
-        if gen not in set(_GENERATORS) | {"tabulated"}:
-            raise ConfigError(
-                f"generator must be one of "
-                f"{sorted(set(_GENERATORS) | {'tabulated'})}, got {gen!r}"
-            )
-        params = dict(cfg.get("params") or {})
-        if gen == "tabulated":
-            if "samples_file" not in cfg:
-                raise ConfigError("tabulated generator needs 'samples_file'")
-            _check_keys(params, set(), "params")
+        if "fixture" in cfg:
+            _string(cfg["fixture"], "fixture", FIXTURE_BUILDERS)
+            _list(cfg.get("weights") or [], "weights", _weight)
         else:
-            _check_keys(params, _GENERATORS[gen][1], "params")
-        out["params"] = params
-        path = cfg.get("path", "theorem")
-        if path not in ("theorem", "exact_family"):
-            raise ConfigError("path must be 'theorem' or 'exact_family'")
-        out["path"] = path
+            _need("weights" not in cfg, "weights", "inside 'complex'", cfg.get("weights"))
+            body = _object(cfg, "complex", {"top_simplices", "weights"})
+            _list(body.get("top_simplices"), "complex.top_simplices", _ints)
+            _list(body.get("weights") or [], "complex.weights", _weight)
+    elif scenario == "cohomology_mapping_torus":
+        _list(cfg.get("matrix"), "matrix", _ints)
+        if not isinstance(out.setdefault("t0", 1), str):
+            _number(out["t0"], "t0")
+    elif scenario == "moser":
+        gen = _string(cfg.get("generator"), "generator", {*_GENERATORS, "tabulated"})
+        unread = {"grid"} if gen == "tabulated" else {"samples_file"}
+        _check_keys(cfg, _COMMON_KEYS | _SCENARIO_KEYS[scenario] - unread, f"a {gen} config")
+        if gen == "tabulated":
+            _string(cfg.get("samples_file"), "samples_file")
+            out["params"] = _object(cfg, "params", set())
+        else:
+            _, keys, default_grid = _GENERATORS[gen]
+            out["params"] = _object(cfg, "params", keys)
+            for k, v in out["params"].items():
+                if k == "n_times":
+                    _integer(v, 1, "params.n_times")
+                else:
+                    _number(v, f"params.{k}")
+            grid = out["grid"] = _grid(cfg, default_grid)
+            _need(grid["n"] == default_grid[0], "grid.n",
+                  f"{default_grid[0]} for generator {gen}", grid["n"])
+        out["path"] = _string(cfg.get("path", "theorem"), "path",
+                              ("theorem", "exact_family"))
         base = PipelineOptions()
-        for key in ("steps", "checkpoints", "seed_stride", "allow_scalar_absorption"):
-            out.setdefault(key, getattr(base, key))
         for key, least in (("steps", 1), ("checkpoints", 2), ("seed_stride", 1)):
-            if type(out[key]) is not int or out[key] < least:  # bools too
-                raise ConfigError(f"{key} must be an integer >= {least}, got {out[key]!r}")
-        given = dict(cfg.get("tolerances") or {})
-        _check_keys(given, set(_MOSER_TOL_MAP), "tolerances")
-        _positive_tols(given, "tolerances")
-        tols = {k: getattr(base, v) for k, v in _MOSER_TOL_MAP.items()}
-        tols.update(given)
-        out["tolerances"] = tols
-        if gen in _GENERATORS:
-            default_grid = _GENERATORS[gen][2]
-            grid = _grid_from(cfg, default_grid)
-            if grid.n != default_grid[0]:
-                raise ConfigError(
-                    f"generator {gen} lives on T^{default_grid[0]}, "
-                    f"got n = {grid.n}"
-                )
-            out["grid"] = {"n": grid.n, "N": grid.N}
+            out[key] = _integer(cfg.get(key, getattr(base, key)), least, key)
+        absorb = cfg.get("allow_scalar_absorption", base.allow_scalar_absorption)
+        out["allow_scalar_absorption"] = _need(
+            type(absorb) is bool, "allow_scalar_absorption", "true or false", absorb)
+        out["tolerances"] = _tolerances(
+            cfg, {k: getattr(base, v) for k, v in _MOSER_TOL_MAP.items()})
     return out
 
 
@@ -272,11 +297,10 @@ def validate_config(cfg: dict) -> dict:
 
 
 def _scenario_identities(cfg: dict) -> tuple[dict, bool]:
-    grid = _grid_from(cfg, (4, 16))
+    grid = GridSpec(**cfg["grid"])
     rng = np.random.default_rng(cfg["seed"])
     sweep = cfg["sweep"]
-    count, bw = int(sweep["count"]), int(sweep["bandwidth"])
-    amp = float(sweep["amplitude"])
+    count, bw, amp = sweep["count"], sweep["bandwidth"], sweep["amplitude"]
     tols = cfg["tolerances"]
     max_dsq = max_chain = max_adj = 0.0
     for _ in range(count):
@@ -314,9 +338,8 @@ def _scenario_identities(cfg: dict) -> tuple[dict, bool]:
 
 
 def _scenario_cohomology_torus(cfg: dict) -> tuple[dict, bool]:
-    grid = _grid_from(cfg, (4, 16))
-    theta = np.array(cfg["theta"], dtype=float)
-    dims = torus_twisted_betti(theta, grid)
+    theta = np.array(cfg["theta"])
+    dims = torus_twisted_betti(theta, GridSpec(**cfg["grid"]))
     alt = sum((-1) ** k * d for k, d in enumerate(dims))
     result = {"dims": list(dims), "alternating_sum": alt,
               "theta": list(theta)}
@@ -324,15 +347,13 @@ def _scenario_cohomology_torus(cfg: dict) -> tuple[dict, bool]:
 
 
 def _scenario_cohomology_simplicial(cfg: dict) -> tuple[dict, bool]:
-    if "fixture" in cfg:
-        fx = FIXTURE_BUILDERS[cfg["fixture"]]()
-        comp = fx.complex
-        weight_specs = cfg.get("weights") or []
-    else:
-        body = cfg["complex"]
-        comp = build_complex([tuple(s) for s in body["top_simplices"]])
-        weight_specs = body.get("weights") or []
-    system = local_system(comp, weight_specs)
+    with _library_checks():
+        if "fixture" in cfg:
+            comp, specs = FIXTURE_BUILDERS[cfg["fixture"]]().complex, cfg.get("weights")
+        else:
+            body = cfg["complex"]
+            comp, specs = build_complex(body["top_simplices"]), body.get("weights")
+        system = local_system(comp, specs or [])
     result = twisted_betti(system)
     verdict = euler_check(result)
     out = result.as_dict()
@@ -341,8 +362,9 @@ def _scenario_cohomology_simplicial(cfg: dict) -> tuple[dict, bool]:
 
 
 def _scenario_cohomology_mapping_torus(cfg: dict) -> tuple[dict, bool]:
-    matrix = cfg["matrix"]
-    result = mapping_torus_betti(matrix, cfg["t0"])
+    with _library_checks():
+        matrix, t0 = mapping_torus_input(cfg["matrix"], cfg["t0"])
+    result = mapping_torus_betti(matrix, t0)
     out = result.as_dict()
     ok = out["euler_alternating_sum"] == 0
     if len(result.dims) == 5:
@@ -353,32 +375,26 @@ def _scenario_cohomology_mapping_torus(cfg: dict) -> tuple[dict, bool]:
 
 
 def _build_family(cfg: dict) -> FormFamily:
-    gen = cfg["generator"]
-    if gen == "tabulated":
-        blob = json.loads(Path(cfg["samples_file"]).read_text())
-        _check_keys(blob, {"grid", "times", "samples", "comment"},
-                    "samples file")
-        g = blob["grid"]
-        grid = GridSpec(int(g["n"]), int(g["N"]))
-        times = [float(t) for t in blob["times"]]
-        samples = [form_from_literal(grid, 2, lit) for lit in blob["samples"]]
-        return tabulated_family(grid, times, samples)
-    builder, _, default_grid = _GENERATORS[gen]
-    kwargs = dict(cfg["params"])
-    grid = _grid_from(cfg, default_grid)
-    return builder(grid=grid, **kwargs)
+    if cfg["generator"] != "tabulated":
+        builder = _GENERATORS[cfg["generator"]][0]
+        return builder(grid=GridSpec(**cfg["grid"]), **cfg["params"])
+    blob = _read_json(cfg["samples_file"], "samples_file")
+    _need(isinstance(blob, dict), "samples file root", "a JSON object", blob)
+    _check_keys(blob, {"grid", "times", "samples", "comment"}, "samples file")
+    grid = GridSpec(**_grid(blob, (None, None)))
+    times = _list(blob.get("times"), "times", _number)
+    samples = [form_from_literal(grid, 2, lit)
+               for lit in _list(blob.get("samples"), "samples")]
+    return tabulated_family(grid, times, samples)
 
 
 def _scenario_moser(cfg: dict) -> tuple[dict, bool]:
-    family = _build_family(cfg)
-    tols = cfg["tolerances"]
+    with _library_checks():
+        family = _build_family(cfg)
     opts = PipelineOptions(
-        steps=cfg["steps"],
-        checkpoints=cfg["checkpoints"],
-        seed_stride=cfg["seed_stride"],
-        allow_scalar_absorption=bool(cfg["allow_scalar_absorption"]),
-        **{_MOSER_TOL_MAP[k]: float(v) for k, v in tols.items()},
-    )
+        **{k: cfg[k] for k in ("steps", "checkpoints", "seed_stride",
+                               "allow_scalar_absorption")},
+        **{_MOSER_TOL_MAP[k]: v for k, v in cfg["tolerances"].items()})
     if cfg["path"] == "exact_family":
         report = run_exact_family(family, opts)
     else:
@@ -407,13 +423,7 @@ def _jsonable(x):
         return f"{x.numerator}/{x.denominator}"
     if isinstance(x, np.ndarray):
         return [_jsonable(v) for v in x.tolist()]
-    if isinstance(x, (np.integer,)):
-        return int(x)
-    if isinstance(x, (np.floating,)):
-        return float(x)
-    if isinstance(x, (np.bool_,)):
-        return bool(x)
-    return x
+    return x.item() if isinstance(x, np.generic) else x
 
 
 def _write_report(report: dict, cfg: dict, out_dir: str):
@@ -457,6 +467,13 @@ def _summary_lines(report: dict) -> list[str]:
     return lines
 
 
+def _read_json(path, what: str):
+    try:
+        return json.loads(Path(path).read_text())
+    except (OSError, json.JSONDecodeError) as e:
+        raise ConfigError(f"cannot read {what}: {e}") from e
+
+
 def _with_overrides(cfg, steps: int | None, N: int | None):
     """The raw config with --steps / --grid applied, for validate_config."""
     if not isinstance(cfg, dict):
@@ -474,33 +491,25 @@ def run(config, out_dir: str = ".", overrides: dict | None = None,
         quiet: bool = False) -> int:
     """Validate, dispatch, write reports; return the process exit code."""
     if not isinstance(config, dict):
-        try:
-            config = json.loads(Path(config).read_text())
-        except (OSError, json.JSONDecodeError) as e:
-            raise ConfigError(f"cannot read config: {e}") from e
+        config = _read_json(config, "config")
     overrides = overrides or {}
     cfg = validate_config(_with_overrides(config, overrides.get("steps"),
                                           overrides.get("grid")))
     report: dict = {"schema_version": SCHEMA_VERSION, "config": _jsonable(cfg)}
     t0 = time.perf_counter()
-    code = 0
     try:
-        result, ok = _SCENARIOS[cfg["scenario"]](cfg)
-        report["result"] = result
-        report["verdict"] = "pass" if ok else "fail"
-        code = 0 if ok else 1
+        report["result"], ok = _SCENARIOS[cfg["scenario"]](cfg)
     except _DOMAIN_ERRORS as e:
-        report["result"] = None
+        report["result"], ok = None, False
         report["error"] = {"type": type(e).__name__, "message": str(e)}
-        report["verdict"] = "fail"
-        code = 1
+    report["verdict"] = "pass" if ok else "fail"
     report["timings"] = {"seconds": time.perf_counter() - t0}
     path = _write_report(report, cfg, out_dir)
     if not quiet:
         for line in _summary_lines(report):
             print(line)
         print(f"report: {path}")
-    return code
+    return 0 if ok else 1
 
 
 # -- fixture catalog ------------------------------------------------------
@@ -508,15 +517,9 @@ def run(config, out_dir: str = ".", overrides: dict | None = None,
 
 def _torus_weight_specs() -> list[dict]:
     """Edge weights on the 4x4 torus grid realizing holonomy 2 around one loop."""
-    fx = FIXTURE_BUILDERS["torus"]()
-    cocycle = fx.cocycles[0]
-    specs = []
-    for (a, b) in sorted(fx.complex.simplices[1]):
-        z = cocycle.get((a, b), 0)
-        if z:
-            specs.append({"edge": [a, b], "w": f"{2 ** z}" if z > 0
-                          else f"1/{2 ** (-z)}"})
-    return specs
+    cocycle = FIXTURE_BUILDERS["torus"]().cocycles[0]
+    return [{"edge": list(e), "w": str(Fraction(2) ** z)}
+            for e, z in sorted(cocycle.items())]
 
 
 def _fixture_catalog() -> dict[str, dict]:
@@ -584,9 +587,7 @@ def emit_fixture(name: str, out_dir: str = ".") -> Path:
     """Write one of the built-in ready-to-run configs; returns its path."""
     catalog = _fixture_catalog()
     if name not in catalog:
-        raise UnknownFixture(
-            f"unknown fixture {name!r}; available: {sorted(catalog)}"
-        )
+        raise UnknownFixture(f"unknown fixture {name!r}; available: {sorted(catalog)}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"{name}.json"
@@ -604,9 +605,7 @@ def fixture_names() -> list[str]:
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="lcsflow-run",
-        description="run lcsflow scenario configs and emit fixture configs",
-    )
+        prog="lcsflow-run", description="run lcsflow scenario configs and emit fixture configs")
     sub = parser.add_subparsers(dest="command", required=True)
     p_run = sub.add_parser("run", help="run a scenario config")
     p_run.add_argument("--config", required=True, help="path to a JSON config")

@@ -289,6 +289,15 @@ def sphere_complex() -> ComplexFixture:
     return ComplexFixture("sphere", build_complex(faces))
 
 
+def _winding(raw: int, k: int) -> int:
+    """Turns around a k-cycle made by an edge whose index step is raw.
+
+    The geometric step of a cycle edge is raw reduced into {-1, 0, 1};
+    what is left is a whole number of turns.
+    """
+    return (raw - ((raw + 1) % k - 1)) // k
+
+
 def torus_grid_complex(k: int = 4) -> ComplexFixture:
     """k x k grid triangulation of T^2 (16 vertices for k = 4), chi = 0."""
     if k < 3:
@@ -306,15 +315,9 @@ def torus_grid_complex(k: int = 4) -> ComplexFixture:
             tris.append((a, d, c))
     cx = build_complex(tris)
 
-    def coords(v):
-        return divmod(v, k)
-
     def winding(edge, axis):
         a, b = edge
-        pa, pb = coords(a), coords(b)
-        raw = pb[axis] - pa[axis]
-        disp = (raw + 1) % k - 1  # geometric step in {-1, 0, 1}
-        return (raw - disp) // k
+        return _winding(divmod(b, k)[axis] - divmod(a, k)[axis], k)
 
     z_i = {e: winding(e, 0) for e in cx.simplices[1] if winding(e, 0)}
     z_j = {e: winding(e, 1) for e in cx.simplices[1] if winding(e, 1)}
@@ -334,10 +337,7 @@ def cylinder_complex() -> ComplexFixture:
 
     def winding(edge):
         a, b = edge
-        ia, ib = a % k, b % k
-        raw = ib - ia
-        disp = (raw + 1) % k - 1
-        return (raw - disp) // k
+        return _winding(b % k - a % k, k)
 
     z = {e: winding(e) for e in cx.simplices[1] if winding(e)}
     return ComplexFixture("cylinder", cx, [z])

@@ -147,8 +147,7 @@ def test_pullback_at_time_zero_is_the_identity():
     stage = _shear_stage(g, 0.1)
     flow = integrate_isotopy(g, lambda t: stage, steps=8, record_times=[0.0])
     pb = pullback_form(om, flow, 0.0)
-    assert pb.full_grid
-    assert (pb.as_diff_form() - om).norm() < 1e-12
+    assert np.max(np.abs(pb.comps - om.comps.reshape(len(om.comps), -1))) < 1e-12
 
 
 def test_pullback_shear_changes_nothing_on_translation_invariant_form():
@@ -158,7 +157,7 @@ def test_pullback_shear_changes_nothing_on_translation_invariant_form():
     stage = _shear_stage(g, 0.15)
     flow = integrate_isotopy(g, lambda t: stage, steps=5, record_times=[0.0, 1.0])
     pb = pullback_form(om, flow, 1.0)
-    assert (pb.as_diff_form() - om).norm() < 1e-12
+    assert np.max(np.abs(pb.comps - om.comps.reshape(len(om.comps), -1))) < 1e-12
 
 
 def test_conformal_compare_recovers_exact_factor():

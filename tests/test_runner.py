@@ -1,9 +1,17 @@
 """Config validation, scenario dispatch, report files, exit codes."""
 
+import copy
 import csv
 import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lcsflow.runner import (
     CSV_COLUMNS,
@@ -55,6 +63,22 @@ BAD_CONFIGS = [
     {"scenario": "moser", "generator": "area_interpolation",
      "tolerances": {"eq1": True}},
     {"scenario": "identities", "tolerances": {"chain_map": True}},
+    # each field is typed once: no silent coercion, no unhashable lookup
+    {"scenario": "moser", "generator": "area_interpolation",
+     "allow_scalar_absorption": "no"},
+    {"scenario": "moser", "generator": "area_interpolation",
+     "grid": {"n": 2, "N": 16.7}},
+    {"scenario": "identities", "sweep": {"count": 2.5}},
+    {"scenario": ["moser"]},
+    {"scenario": "moser", "generator": ["x"]},
+    {"scenario": "cohomology_simplicial", "fixture": ["torus"]},
+    {"scenario": "cohomology_torus", "theta": 5},
+    {"scenario": "cohomology_torus", "grid": {"n": 2, "N": 8}, "theta": ["a", "b"]},
+    {"scenario": "identities", "grid": {"n": 4, "N": 8}, "sweep": {"bandwidth": 9}},
+    {"scenario": "identities", "output": "x"},
+    {"scenario": "moser", "generator": "area_interpolation", "params": [1]},
+    {"scenario": "identities", "tolerances": [1]},
+    {"scenario": "identities", "seed": "x"},
 ]
 
 
@@ -62,6 +86,111 @@ BAD_CONFIGS = [
 def test_invalid_configs_rejected(cfg):
     with pytest.raises(ConfigError):
         validate_config(cfg)
+
+
+# well-typed values that the library refuses when it builds its input
+LIBRARY_REJECTED = [
+    {"scenario": "moser", "generator": "area_interpolation",
+     "params": {"eps": 5.0}},
+    {"scenario": "cohomology_mapping_torus", "matrix": [[1, 2], [3]]},
+    {"scenario": "cohomology_mapping_torus", "matrix": [[2, 0], [0, 1]]},
+    {"scenario": "cohomology_mapping_torus", "matrix": [[2, 1], [1, 1]], "t0": -1},
+    {"scenario": "cohomology_simplicial", "fixture": "disk",
+     "weights": [{"edge": [0, 5], "w": "2"}]},
+    {"scenario": "cohomology_simplicial", "complex": {"top_simplices": [[0, 0]]}},
+]
+
+
+@pytest.mark.parametrize("cfg", LIBRARY_REJECTED)
+def test_library_rejected_values_are_config_errors(cfg, tmp_path):
+    validate_config(cfg)
+    with pytest.raises(ConfigError):
+        run(cfg, out_dir=str(tmp_path), quiet=True)
+    assert not (tmp_path / "report.json").exists()
+
+
+# one valid config per scenario (and per simplicial / moser input form),
+# holding the fields its scenario reads
+VALID_CONFIGS = {
+    "identities": {
+        "scenario": "identities", "grid": {"n": 4, "N": 8}, "seed": 3,
+        "sweep": {"count": 2, "bandwidth": 1, "amplitude": 0.5},
+        "tolerances": {"chain_map": 1e-2, "adjointness": 1e-10},
+        "comment": "c", "expected_verdict": "pass",
+        "output": {"json": "r.json", "csv": "r.csv"}},
+    "torus": {"scenario": "cohomology_torus", "grid": {"n": 2, "N": 8},
+              "theta": [0.0, 0.7]},
+    "simplicial_fixture": {"scenario": "cohomology_simplicial", "fixture": "torus",
+                           "weights": [{"edge": [0, 1], "w": "2"}]},
+    "simplicial_inline": {
+        "scenario": "cohomology_simplicial",
+        "complex": {"top_simplices": [[0, 1], [1, 2], [0, 2]],
+                    "weights": [{"edge": [0, 2], "w": 3}]}},
+    "mapping_torus": {"scenario": "cohomology_mapping_torus",
+                      "matrix": [[2, 1], [1, 1]], "t0": "1/2"},
+    "moser": {
+        "scenario": "moser", "generator": "area_interpolation",
+        "params": {"eps": 0.2, "sigma": 0.1, "kappa": 0.0, "n_times": 5},
+        "grid": {"n": 2, "N": 16}, "steps": 10, "checkpoints": 3,
+        "seed_stride": 2, "path": "theorem", "allow_scalar_absorption": False,
+        "tolerances": {"eq1": 1e-6, "lcs": 1e-8}},
+    "moser_tabulated": {"scenario": "moser", "generator": "tabulated",
+                        "samples_file": "samples.json", "params": {}},
+}
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=6), inner, max_size=3)),
+    max_leaves=6,
+)
+
+
+def _field_paths(x, prefix=()):
+    """Every dict key and list index inside x, as a path from the root."""
+    items = (x.items() if isinstance(x, dict)
+             else enumerate(x) if isinstance(x, list) else ())
+    for k, v in items:
+        yield prefix + (k,)
+        yield from _field_paths(v, prefix + (k,))
+
+
+def _draw_broken(data, base, skip=()):
+    """A copy of base with one field (not under skip) set to any JSON value."""
+    paths = [p for p in _field_paths(base) if p[0] not in skip]
+    path = data.draw(st.sampled_from(paths))
+    cfg = copy.deepcopy(base)
+    node = cfg
+    for k in path[:-1]:
+        node = node[k]
+    node[path[-1]] = data.draw(JSON_VALUES)
+    return cfg
+
+
+@pytest.mark.parametrize("name", sorted(VALID_CONFIGS))
+@settings(max_examples=300)
+@given(data=st.data())
+def test_validate_config_types_every_field(name, data):
+    base = VALID_CONFIGS[name]
+    validate_config(copy.deepcopy(base))
+    try:
+        validate_config(_draw_broken(data, base))
+    except ConfigError:
+        pass
+
+
+@pytest.mark.parametrize("name", ["torus", "simplicial_fixture",
+                                  "simplicial_inline", "mapping_torus"])
+@settings(max_examples=150)
+@given(data=st.data())
+def test_accepted_cohomology_configs_run_or_exit_2(name, data):
+    """What validate_config lets through, the scenario can read."""
+    cfg = _draw_broken(data, VALID_CONFIGS[name], skip=("output",))
+    with tempfile.TemporaryDirectory() as out:
+        try:
+            assert run(cfg, out_dir=out, quiet=True) in (0, 1)
+        except ConfigError:
+            assert not os.listdir(out)
 
 
 def test_moser_defaults_filled_in():
@@ -244,6 +373,23 @@ def test_cli_steps_override_is_validated(tmp_path, capsys):
                  "--steps", "0", "--quiet"])
     assert code == 2
     assert "steps must be an integer >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_command_line_rejects_a_malformed_config_without_a_traceback(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"scenario": ["moser"]}))
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "lcsflow.runner", "run", "--config", str(path),
+         "--out", str(tmp_path / "out")],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("config error:")
+    assert "Traceback" not in proc.stderr
     assert not (tmp_path / "out").exists()
 
 
