@@ -38,19 +38,15 @@ from .twisted import (
     DegenerateForm,
     LcsForm,
     LeeForm,
-    NotClosed,
     NotLcs,
     codifferential,
-    conformal_rescale,
     d_theta,
     d_theta_star,
-    gauge_normalize,
     hodge_decompose,
     laplacian_theta,
     lee_form,
     pfaffian_values,
     solve_primitive,
-    split_harmonic_exact,
     torus_twisted_betti,
     validate_lcs,
 )
@@ -118,11 +114,10 @@ __all__ = [
     "form_from_literal", "hodge_star", "l2_inner", "random_band_limited",
     "scalar_form", "wedge", "zero_form",
     # twisted calculus
-    "DegenerateForm", "LcsForm", "LeeForm", "NotClosed", "NotLcs",
-    "codifferential", "conformal_rescale", "d_theta", "d_theta_star",
-    "gauge_normalize", "hodge_decompose", "laplacian_theta", "lee_form",
-    "pfaffian_values", "solve_primitive", "split_harmonic_exact",
-    "torus_twisted_betti", "validate_lcs",
+    "DegenerateForm", "LcsForm", "LeeForm", "NotLcs", "codifferential",
+    "d_theta", "d_theta_star", "hodge_decompose", "laplacian_theta",
+    "lee_form", "pfaffian_values", "solve_primitive", "torus_twisted_betti",
+    "validate_lcs",
     # families
     "ExactData", "FormFamily", "area_interpolation_family",
     "contact_circle_family", "constant_family", "corollary_two_family",

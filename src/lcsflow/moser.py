@@ -16,7 +16,10 @@ report for two primitive providers, each behind a public entry point:
 Each RK4 stage time is built once; a theorem-path stage is one Hodge solve
 gated on its harmonic obstruction.  RK4 sweeps the residuals' time integrals
 on its own stages; the absorption gauge, decided at the checkpoints, has a
-closed form.
+closed form.  The residuals of a rescaled family e^g omega (necessity, and
+cor2 on the exact path) are the eq1 and flow-identity misfits weighted
+pointwise by e^g: the twisted differential is gauge covariant,
+d_{theta + dg}(e^g b) = e^g d_theta b.
 
 Errors never silently degrade into numbers: a drifting Lee class, a
 surviving harmonic obstruction, a degenerate form, or a collapsing
@@ -34,7 +37,7 @@ from typing import Callable
 
 import numpy as np
 
-from .families import ExactData, FormFamily, fd_derivative
+from .families import FormFamily, fd_derivative
 from .forms import (
     DiffForm,
     GridSpec,
@@ -446,28 +449,21 @@ def _obstruction_hint(om: DiffForm, dom: DiffForm, theta_h: np.ndarray,
             "checkpoint, so no scalar absorption was applied")
 
 
-def _exact_beta(ed: ExactData, t: float, h: np.ndarray) -> DiffForm:
-    """beta_t = d alpha_t/dt - h_t alpha_t, the right side of the exact path."""
-    al = ed.alpha_at(t)
-    if ed.alpha_dot_at is not None:
-        al_dot = ed.alpha_dot_at(t)
-    else:
-        al_dot = fd_derivative(ed.alpha_at, t, FD_STEP)
-    return DiffForm(al.grid, 1, al_dot.comps - h[None] * al.comps)
-
-
 def exact_stage_builder(
     F: FormFamily, opts: PipelineOptions
 ) -> Callable[[float], StageData]:
-    """Stages for the supplied-primitive path: i_X omega = -(alpha' - h alpha)."""
+    """Stages for the supplied-primitive path: i_X omega = -beta, beta =
+    d alpha/dt - h alpha."""
     ed = F.exact_data
     if ed is None:
         raise ValueError("family has no exact primitive data")
 
     def build(t: float) -> StageData:
-        L = F.omega_at(t)
-        h = ed.h_at(t)
-        x = moser_vector_field(L, _exact_beta(ed, t, h), opts.nondeg_margin)
+        L, h, al = F.omega_at(t), ed.h_at(t), ed.alpha_at(t)
+        al_dot = (ed.alpha_dot_at(t) if ed.alpha_dot_at is not None
+                  else fd_derivative(ed.alpha_at, t, FD_STEP))
+        beta = DiffForm(F.grid, 1, al_dot.comps - h * al.comps)
+        x = moser_vector_field(L, beta, opts.nondeg_margin)
         theta_vals = L.lee.one_form().comps
         lee_rate = np.einsum("i...,i...->...", theta_vals, x.comps)
         return StageData(x, lee_rate + h, lee_rate)
@@ -494,15 +490,11 @@ class FlowState:
     lee_integral: list[np.ndarray]
     rate_integral: list[np.ndarray]
 
-    def index(self, t: float) -> int:
+    def at(self, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         for i, ti in enumerate(self.times):
             if abs(ti - t) <= 1e-12:
-                return i
+                return self.positions[i], self.jacobians[i], self.log_factor[i]
         raise KeyError(f"time {t} was not recorded")
-
-    def at(self, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        i = self.index(t)
-        return self.positions[i], self.jacobians[i], self.log_factor[i]
 
 
 def integrate_isotopy(
@@ -689,22 +681,12 @@ def conformal_compare(a, b) -> ConformalComparison:
 # -- residual diagnostics -------------------------------------------------
 
 
-def _gauged_residual(theta: DiffForm, g: np.ndarray, a: np.ndarray,
-                     b: np.ndarray) -> float:
-    """|| e^g a + d_{theta + dg}(e^g b) || for component arrays a (2-form)
-    and b (1-form): the time-derivative identity of a gauged family e^g omega.
-    """
-    grid = theta.grid
-    f = np.exp(g)[None]
-    rhs = d_theta(DiffForm(grid, 1, f * b), theta + ext_d(scalar_form(grid, g)))
-    return DiffForm(grid, 2, f * a + rhs.comps).norm()
-
-
 @dataclass
 class Eq1Record:
     eq1_residual: float
     flow_identity_residual: float
     necessity_residual: float
+    cor2_identity_residual: float
 
 
 def verify_eq1(
@@ -714,36 +696,34 @@ def verify_eq1(
 ) -> list[Eq1Record]:
     """Spectral residuals of the infinitesimal stability identities.
 
-    Evaluated at the times the flow recorded:
-    eq1_residual:  || d/dt omega + d_theta(i_X omega) + theta(X) omega ||
-    flow_identity: the same minus (rate) * omega, where rate is theta(X)
-                   plus the h-term on the exact path -- this is the
-                   quantity whose vanishing makes d/dt (phi^* omega) =
-                   phi^*(rate * omega) hold, and the success verdict
-                   gates on it.
-    necessity:     || d/dt(f omega) + d_{theta + d ln f}(f i_X omega) ||
-                   with f = exp(int_0^t theta(X) ds) from the flow's
-                   lee_integral, the bookkeeping of the necessity direction.
-    All residuals are relative to max(||d omega/dt||, ||omega||).
+    At each time the flow recorded, with mis = d/dt omega + d_theta(i_X omega)
+    + theta(X) omega and flow_mis = mis - rate * omega (rate is theta(X) plus
+    the h-term of the exact path; flow_mis = 0 makes d/dt (phi^* omega) =
+    phi^*(rate * omega) hold, and the success verdict gates on it):
+    eq1 = ||mis||, flow_identity = ||flow_mis|| and necessity = ||e^u mis||,
+    u = int_0^t theta(X) (the flow's lee_integral), relative to
+    max(||d omega/dt||, ||omega||); cor2 = ||e^g flow_mis||, g = -int_0^t h,
+    relative to max(||e^g (d omega/dt - h omega)||, ||e^g omega||).  The last
+    two are the identities of the rescaled families e^u omega and e^g omega:
+    d_{theta + dg}(e^g b) = e^g d_theta b makes their weight pointwise.
     """
     grid = F.grid
+
+    def norm(comps: np.ndarray) -> float:
+        return DiffForm(grid, 2, comps).norm()
+
     out: list[Eq1Record] = []
-    for t, u in zip(flow.times, flow.lee_integral):
-        L = F.omega_at(t)
-        om, dom = L.omega, F.derivative_at(t)
-        st = fields(t)
-        ixw = contract(st.x_form, om)
-        theta_x = st.lee_rate_values[None]
-        mis = DiffForm(grid, 2,
-                       dom.comps + d_theta(ixw, L.lee).comps + theta_x * om.comps)
-        den = max(dom.norm(), om.norm())
-        eq1 = mis.norm() / den
-        flow_mis = DiffForm(grid, 2,
-                            mis.comps - st.rate_values[None] * om.comps)
-        flow_res = flow_mis.norm() / den
-        nec = _gauged_residual(L.lee.one_form(), u,
-                               theta_x * om.comps + dom.comps, ixw.comps) / den
-        out.append(Eq1Record(eq1, flow_res, nec))
+    for t, u, r in zip(flow.times, flow.lee_integral, flow.rate_integral):
+        L, st = F.omega_at(t), fields(t)
+        om, dom = L.omega.comps, F.derivative_at(t).comps
+        theta_x, h = st.lee_rate_values, st.rate_values - st.lee_rate_values
+        mis = dom + d_theta(contract(st.x_form, L.omega), L.lee).comps + theta_x * om
+        flow_mis = mis - st.rate_values * om
+        eu, eg = np.exp(u), np.exp(u - r)
+        den = max(norm(dom), norm(om))
+        out.append(Eq1Record(
+            norm(mis) / den, norm(flow_mis) / den, norm(eu * mis) / den,
+            norm(eg * flow_mis) / max(norm(eg * (dom - h * om)), norm(eg * om))))
     return out
 
 
@@ -870,8 +850,8 @@ class _Provider:
     """What a primitive provider hands the driver, before any integration.
 
     family is the family the flow runs on; stages are its checkpoint
-    stages, keyed by checkpoint time; exactness is per checkpoint; cor2,
-    when given, is the extra per-checkpoint gate cor2(t, omega_t, flow).
+    stages, keyed by checkpoint time; exactness is per checkpoint.  The
+    exact path also gates on the cor2 residual of verify_eq1.
     """
 
     path: str
@@ -881,7 +861,6 @@ class _Provider:
     exactness: list[float]
     absorption_used: bool = False
     absorption_log_final: float = 0.0
-    cor2: Callable[[float, LcsForm, FlowState], float] | None = None
 
 
 def _theorem_provider(F: FormFamily, opts: PipelineOptions,
@@ -898,7 +877,7 @@ def _theorem_provider(F: FormFamily, opts: PipelineOptions,
 
 def _exact_provider(F: FormFamily, opts: PipelineOptions,
                     times: list[float]) -> _Provider:
-    """A supplied primitive: checks its preconditions, then the cor2 gate."""
+    """A supplied primitive, after checking its preconditions."""
     build = exact_stage_builder(F, opts)
     ed, grid = F.exact_data, F.grid
     exact_res = []
@@ -922,21 +901,8 @@ def _exact_provider(F: FormFamily, opts: PipelineOptions,
                 f"d theta/dt differs from d h by {dev:.3e} at t={t}"
             )
 
-    def cor2(t: float, L: LcsForm, flow: FlowState) -> float:
-        """Corollary-style primitive identity for f = e^g, g = -int h."""
-        i = flow.index(t)
-        g = flow.lee_integral[i] - flow.rate_integral[i]
-        h = ed.h_at(t)
-        f = np.exp(g)[None]
-        a = F.derivative_at(t).comps - h[None] * L.omega.comps
-        den = max(DiffForm(grid, 2, f * a).norm(),
-                  DiffForm(grid, 2, f * L.omega.comps).norm())
-        # i_X omega = -beta
-        b = -_exact_beta(ed, t, h).comps
-        return _gauged_residual(L.lee.one_form(), g, a, b) / den
-
     return _Provider("exact_family", F, build, {t: build(t) for t in times},
-                     exact_res, cor2=cor2)
+                     exact_res)
 
 
 def _run_moser(
@@ -958,11 +924,11 @@ def _run_moser(
     om0 = Fp.omega_at(0.0).omega
     base = om0.comps.reshape(len(om0.comps), -1)[:, ::opts.seed_stride]
 
+    exact_path = pv.path == "exact_family"
     records = []
     positive = True
     for i, t in enumerate(times):
-        L = Fp.omega_at(t)
-        cc, predicted = _checkpoint_compare(L.omega, base, flow, t, opts)
+        cc, predicted = _checkpoint_compare(Fp.omega_at(t).omega, base, flow, t, opts)
         positive = positive and cc.positive
         records.append(CheckpointRecord(
             t=t,
@@ -975,7 +941,7 @@ def _run_moser(
             necessity_residual=eq1[i].necessity_residual,
             factor_min=float(cc.factor.min()),
             factor_max=float(cc.factor.max()),
-            cor2_identity_residual=pv.cor2(t, L, flow) if pv.cor2 else None,
+            cor2_identity_residual=eq1[i].cor2_identity_residual if exact_path else None,
         ))
     return _assemble_report(pv, F.label, opts, records, positive,
                             flow.max_speed, stages.max_solve_residual)

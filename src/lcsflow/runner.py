@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 import time
 from contextlib import contextmanager
@@ -158,14 +157,21 @@ def _integer(v, least: int, where: str) -> int:
 
 
 def _number(v, where: str, positive: bool = False):
+    # not a bool, nan, inf or an int too large for a float
     ok = (isinstance(v, (int, float)) and not isinstance(v, bool)
-          and math.isfinite(v) and (v > 0 or not positive))
+          and abs(v) <= sys.float_info.max and (v > 0 or not positive))
     return _need(ok, where, "a positive number" if positive else "a finite number", v)
 
 
 def _string(v, where: str, choices=None) -> str:
     return _need(isinstance(v, str) and (choices is None or v in choices), where,
                  "a string" if choices is None else f"one of {sorted(choices)}", v)
+
+
+def _file_name(v, where: str) -> str:
+    """v, which must name a file in the output directory itself."""
+    ok = isinstance(v, str) and v not in ("", ".", "..") and not set(v) & set("/\\\0")
+    return _need(ok, where, "a plain file name", v)
 
 
 def _list(v, where: str, item=None) -> list:
@@ -227,8 +233,10 @@ def validate_config(cfg: dict) -> dict:
         _string(cfg.get(key, ""), key)
     out["seed"] = _integer(cfg.get("seed", 0), 0, "seed")
     output = _object(cfg, "output", {"json", "csv"})
-    out["output"] = {k: _string(output.get(k, d), f"output.{k}") for k, d in
+    out["output"] = {k: _file_name(output.get(k, d), f"output.{k}") for k, d in
                      (("json", "report.json"), ("csv", "checkpoints.csv"))}
+    _need(out["output"]["csv"] != out["output"]["json"], "output.csv",
+          "a name other than output.json", out["output"]["csv"])
 
     if scenario == "identities":
         grid = out["grid"] = _grid(cfg, (4, 16))

@@ -45,16 +45,8 @@ class NotLcs(ValueError):
     """The pointwise Lee form is not closed."""
 
 
-class NotClosed(ValueError):
-    """A 1-form expected to be closed is not."""
-
-
 class NonConstantLee(ValueError):
     """Operation requires a constant (harmonic) Lee form."""
-
-
-class NonPositiveFunction(ValueError):
-    """Conformal factor must be strictly positive."""
 
 
 HARMONIC_SNAP = 1e-12  # |c_j| below this is treated as exactly zero
@@ -176,29 +168,6 @@ def laplacian_theta(a: DiffForm, theta) -> DiffForm:
 # -- splitting closed 1-forms --------------------------------------------
 
 
-def split_harmonic_exact(theta: DiffForm):
-    """Split a closed 1-form as harmonic constants + d(potential).
-
-    Returns (c, g, residual) where c is the length-n harmonic part (entries
-    |c_j| <= 1e-12 snapped to exact 0.0 so they are usable as exact-zero
-    tests downstream), g the mean-zero potential, and residual the
-    reconstruction defect ||theta - c - dg|| / max(||theta||, eps).
-
-    Raises NotClosed when ||d theta|| / ||theta|| exceeds LCS_TOL.
-    """
-    if theta.degree != 1:
-        raise DegreeError("split expects a 1-form")
-    nrm = theta.norm()
-    if nrm > 0:
-        closed_defect = ext_d(theta).norm() / nrm
-        if closed_defect > LCS_TOL:
-            raise NotClosed(f"d theta residual {closed_defect:.3e} > {LCS_TOL:.1e}")
-    c, g = _harmonic_and_potential(theta)
-    recon = LeeForm(theta.grid, c, g).one_form()
-    residual = (theta - recon).norm() / max(nrm, 1e-300)
-    return c, g, residual
-
-
 def _harmonic_and_potential(theta: DiffForm):
     """Mean of each component (snapped) and the mean-zero g solving d*dg = d*theta."""
     grid = theta.grid
@@ -315,31 +284,6 @@ def validate_lcs(
     return LcsForm(omega, lee)
 
 
-def conformal_rescale(L: LcsForm, f_values) -> LcsForm:
-    """Rescale omega -> f*omega (f > 0); Lee form becomes theta + d ln f.
-
-    The result is validated with the default thresholds of validate_lcs.
-    """
-    f = np.broadcast_to(np.asarray(f_values, dtype=float), L.grid.shape)
-    fmin = float(np.min(f))
-    if fmin <= 0.0:
-        raise NonPositiveFunction(f"conformal factor min {fmin:.3e} <= 0")
-    new_omega = wedge(scalar_form(L.grid, f), L.omega)
-    return validate_lcs(new_omega)
-
-
-def gauge_normalize(L: LcsForm):
-    """Rescale by e^{-g} so the Lee form becomes its harmonic part.
-
-    Returns (normalized LcsForm, f_values) with f = e^{-g}.  A form whose
-    Lee form is already constant is returned unchanged with f identically 1.
-    """
-    if L.lee.is_constant:
-        return L, np.ones(L.grid.shape)
-    f = np.exp(-L.lee.potential)
-    return conformal_rescale(L, f), f
-
-
 # -- per-mode Hodge solver (constant Lee form) ---------------------------
 
 
@@ -348,7 +292,7 @@ def _require_constant(theta, grid: GridSpec) -> np.ndarray:
         if not theta.is_constant:
             raise NonConstantLee(
                 "per-mode Hodge operations need a constant Lee form; "
-                "gauge_normalize first"
+                "normalize_family first"
             )
         c = theta.harmonic.astype(float).copy()
     else:

@@ -122,8 +122,9 @@ def test_drifting_exact_lee_family():
     opts = PipelineOptions(steps=12, checkpoints=3, seed_stride=8)
     rep = run_exact_family(fam, opts)
     assert rep.success
-    assert rep.max_cor2 < 1e-8
-    assert rep.max_necessity < 1e-8
+    # gauge-weighted misfits: rounding level, not the truncation of e^g
+    assert rep.max_cor2 < 1e-13
+    assert rep.max_necessity < 1e-13
     # theta(X) + h = 0 pointwise: factor prediction stays 1
     for r in rep.records:
         assert abs(r.factor_min - 1.0) < 1e-6

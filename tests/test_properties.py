@@ -15,6 +15,9 @@ are rounding-level:
   X, which commutes with the band truncation.
 - The Hodge splitting and the primitive solver are per-mode and need a
   constant theta.
+- Gauge covariance d_{theta + dg}(e^g b) = e^g d_theta b multiplies by e^g,
+  which is not band-limited: it runs on T^4 at N = 16 with a band-1 g small
+  enough that the truncation of e^g stays below the tolerance.
 
 The de-aliased product itself is checked on stacks of full-spectrum fields,
 Nyquist buckets included, against a 2N-grid product written out here.
@@ -35,10 +38,12 @@ from lcsflow.forms import (
     GridSpec,
     contract,
     downsample_values,
+    ext_d,
     form_from_components,
     index_sets,
     l2_inner,
     random_band_limited,
+    scalar_form,
     upsample_values,
     wedge,
 )
@@ -88,6 +93,21 @@ def test_d_theta_squares_to_zero(n, k, band, kind, seed):
     theta = _theta(g, kind, rng)
     a = random_band_limited(g, k, BANDS[band], rng)
     assert d_theta(d_theta(a, theta), theta).norm() < TOL
+
+
+@given(k=st.integers(0, 2), amp=st.floats(0.0, 0.05), seed=seeds)
+def test_d_theta_is_gauge_covariant(k, amp, seed):
+    # e^g is not band-limited: with ||g|| <= 0.05 the truncation error of
+    # e^g b stays below 1e-11 relative, with ||g|| = 0.15 it reaches 1e-8
+    rng = np.random.default_rng(seed)
+    g = GridSpec(4, 16)
+    theta = _theta(g, "closed", rng)
+    b = random_band_limited(g, k, 1, rng)
+    pot = random_band_limited(g, 0, 1, rng, amp).comps[0]
+    f = np.exp(pot)[None]
+    lhs = d_theta(DiffForm(g, k, f * b.comps), theta + ext_d(scalar_form(g, pot)))
+    rhs = DiffForm(g, k + 1, f * d_theta(b, theta).comps)
+    assert (lhs - rhs).norm() < TOL * max(1.0, rhs.norm())
 
 
 @given(n=dims, k=st.integers(0, 3), band_a=bands, band_b=bands,
@@ -229,6 +249,8 @@ def test_lee_form_recovers_a_conformal_gauge(c, negative, s, amp, seed):
     pot = random_band_limited(g, 0, 1, np.random.default_rng(seed), amp).comps[0]
     lee, _ = lee_form(DiffForm(g, 2, omega0.comps * np.exp(pot)[None]))
     np.testing.assert_allclose(lee.harmonic, [0.0, 0.0, 0.0, c], rtol=0, atol=1e-10)
+    # the zero harmonic coefficients are snapped to exact zeros
+    assert (lee.harmonic[:3] == 0.0).all()
     np.testing.assert_allclose(lee.potential, pot - pot.mean(), rtol=0, atol=1e-10)
 
 

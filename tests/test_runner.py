@@ -79,6 +79,20 @@ BAD_CONFIGS = [
     {"scenario": "moser", "generator": "area_interpolation", "params": [1]},
     {"scenario": "identities", "tolerances": [1]},
     {"scenario": "identities", "seed": "x"},
+    # output names are plain file names in the output directory
+    {"scenario": "identities", "output": {"json": ""}},
+    {"scenario": "identities", "output": {"json": "a/b.json"}},
+    {"scenario": "identities", "output": {"csv": "/tmp/c.csv"}},
+    {"scenario": "identities", "output": {"json": "a\\b.json"}},
+    {"scenario": "identities", "output": {"json": "."}},
+    {"scenario": "identities", "output": {"csv": ".."}},
+    {"scenario": "identities", "output": {"json": "r\u0000.json"}},
+    {"scenario": "moser", "generator": "area_interpolation",
+     "output": {"json": "r", "csv": "r"}},
+    {"scenario": "moser", "generator": "area_interpolation",
+     "output": {"json": "checkpoints.csv"}},
+    # an integer too large for a float
+    {"scenario": "identities", "sweep": {"amplitude": 10**400}},
 ]
 
 
@@ -119,7 +133,7 @@ VALID_CONFIGS = {
         "comment": "c", "expected_verdict": "pass",
         "output": {"json": "r.json", "csv": "r.csv"}},
     "torus": {"scenario": "cohomology_torus", "grid": {"n": 2, "N": 8},
-              "theta": [0.0, 0.7]},
+              "theta": [0.0, 0.7], "output": {"json": "t.json", "csv": "t.csv"}},
     "simplicial_fixture": {"scenario": "cohomology_simplicial", "fixture": "torus",
                            "weights": [{"edge": [0, 1], "w": "2"}]},
     "simplicial_inline": {
@@ -155,10 +169,9 @@ def _field_paths(x, prefix=()):
         yield from _field_paths(v, prefix + (k,))
 
 
-def _draw_broken(data, base, skip=()):
-    """A copy of base with one field (not under skip) set to any JSON value."""
-    paths = [p for p in _field_paths(base) if p[0] not in skip]
-    path = data.draw(st.sampled_from(paths))
+def _draw_broken(data, base):
+    """A copy of base with one field set to any JSON value."""
+    path = data.draw(st.sampled_from(list(_field_paths(base))))
     cfg = copy.deepcopy(base)
     node = cfg
     for k in path[:-1]:
@@ -185,7 +198,7 @@ def test_validate_config_types_every_field(name, data):
 @given(data=st.data())
 def test_accepted_cohomology_configs_run_or_exit_2(name, data):
     """What validate_config lets through, the scenario can read."""
-    cfg = _draw_broken(data, VALID_CONFIGS[name], skip=("output",))
+    cfg = _draw_broken(data, VALID_CONFIGS[name])
     with tempfile.TemporaryDirectory() as out:
         try:
             assert run(cfg, out_dir=out, quiet=True) in (0, 1)
@@ -453,6 +466,34 @@ def test_main_cli_surface(tmp_path, capsys):
     bad = tmp_path / "broken.json"
     bad.write_text("{not json")
     assert main(["run", "--config", str(bad), "--quiet"]) == 2
+
+
+MALFORMED_LITERALS = [
+    [{"component": [1, 2]}],
+    [{"component": [1, 2], "modes": [{"re": 1.0}]}],
+    [{"component": [1, 2], "modes": [{"k": [1.5, 0], "re": 1.0}]}],
+    [{"component": "12", "modes": []}],
+    [{"component": [1, 2], "modes": {"k": [1, 0]}}],
+    [{"component": [1, 2], "modes": [{"k": [1, 0], "re": "1"}]}],
+    [{"component": [1, 2], "modes": [{"k": [1, 0], "im": float("nan")}]}],
+    {"component": [1, 2], "modes": []},
+]
+
+
+@pytest.mark.parametrize("literal", MALFORMED_LITERALS)
+def test_malformed_samples_literal_exits_2(literal, tmp_path, capsys):
+    good = [{"component": [1, 2], "modes": [{"k": [0, 0], "re": 1.0}]}]
+    samples = tmp_path / "samples.json"
+    samples.write_text(json.dumps({"grid": {"n": 2, "N": 8},
+                                   "times": [0.0, 0.25, 0.5, 0.75, 1.0],
+                                   "samples": [literal] + [good] * 4}))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenario": "moser", "generator": "tabulated",
+                               "samples_file": str(samples)}))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out), "--quiet"]) == 2
+    assert capsys.readouterr().err.startswith("config error: literal")
+    assert not out.exists()
 
 
 def test_quiet_flag_suppresses_summary(tmp_path, capsys):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from lcsflow.families import constant_family
 from lcsflow.forms import (
     DiffForm,
     GridSpec,
@@ -13,20 +14,16 @@ from lcsflow.forms import (
     random_band_limited,
     scalar_form,
 )
+from lcsflow.moser import normalize_family
 from lcsflow.twisted import (
     DegenerateForm,
     LeeForm,
-    NonPositiveFunction,
-    NotClosed,
     NotLcs,
-    conformal_rescale,
     d_theta,
     d_theta_star,
-    gauge_normalize,
     laplacian_theta,
     lee_form,
     pfaffian_values,
-    split_harmonic_exact,
     torus_twisted_betti,
     validate_lcs,
 )
@@ -95,28 +92,6 @@ def test_laplacian_positive_semidefinite():
               + d_theta_star(a, theta).norm() ** 2)
     assert val == pytest.approx(expand, rel=1e-10)
     assert val >= 0.0
-
-
-def test_split_harmonic_exact_recovers_parts():
-    g = GridSpec(3, 16)
-    x2 = g.coordinates()[1]
-    pot = 0.3 * np.sin(TWO_PI * x2)
-    pot -= pot.mean()
-    theta = LeeForm(g, np.array([0.5, -1.0, 0.0]), pot).one_form()
-    c, pot_back, residual = split_harmonic_exact(theta)
-    np.testing.assert_allclose(c, [0.5, -1.0, 0.0], atol=1e-12)
-    np.testing.assert_allclose(pot_back, pot, atol=1e-12)
-    assert residual < 1e-12
-    # exact zeros in the harmonic part are snapped, not left as 1e-17 noise
-    assert c[2] == 0.0
-
-
-def test_split_harmonic_exact_rejects_non_closed():
-    g = GridSpec(2, 16)
-    x1, _ = g.coordinates()
-    bad = form_from_components(g, 1, {(1,): np.sin(TWO_PI * x1)})
-    with pytest.raises(NotClosed):
-        split_harmonic_exact(bad)
 
 
 def test_pfaffian_values_t4():
@@ -207,25 +182,21 @@ def test_lee_form_on_t2_is_zero_by_convention():
     assert lee.is_zero
 
 
-def test_validate_lcs_and_gauge_normalize_round_trip():
+def test_validate_lcs_and_normalize_family_round_trip():
+    # e^g omega0 has Lee form dx3 + dg; normalize_family rescales it by
+    # e^{-g} pointwise, back to omega0 (g has mean zero on the grid)
     g = GridSpec(4, 16)
     x2 = g.coordinates()[1]
     base = contact_like_form(g, s=0.0, c=1.0)
-    f = np.exp(0.25 * np.sin(TWO_PI * x2))
-    L0 = validate_lcs(base)
-    L1 = conformal_rescale(L0, f)
-    assert L1.lee.one_form().norm() > 0
-    back, f_norm = gauge_normalize(L1)
+    pot = 0.25 * np.sin(TWO_PI * x2)
+    L1 = validate_lcs(DiffForm(g, 2, base.comps * np.exp(pot)[None]))
+    assert not L1.lee.is_constant
+    np.testing.assert_allclose(L1.lee.potential, pot, atol=1e-7)
+    fam = normalize_family(constant_family(L1))
+    np.testing.assert_array_equal(fam.theta_h, [0.0, 0.0, 0.0, 1.0])
+    back = fam.omega_at(0.5)
     assert back.lee.is_constant
     np.testing.assert_allclose(back.omega.comps, base.comps, atol=1e-7)
-    np.testing.assert_allclose(f_norm * f, 1.0, atol=1e-7)
-
-
-def test_conformal_rescale_rejects_nonpositive():
-    g = GridSpec(4, 8)
-    L = validate_lcs(contact_like_form(g))
-    with pytest.raises(NonPositiveFunction):
-        conformal_rescale(L, -1.0)
 
 
 def test_torus_twisted_betti():
@@ -236,16 +207,3 @@ def test_torus_twisted_betti():
     assert torus_twisted_betti(np.zeros(2), g2) == (1, 2, 1)
     # 2 pi i m never cancels a real constant, so any nonzero theta kills H*
     assert torus_twisted_betti(np.array([1e-3, 0.0]), g2) == (0, 0, 0)
-
-
-def test_chain_map_under_conformal_change():
-    rng = np.random.default_rng(15)
-    g = GridSpec(4, 16)
-    a = random_band_limited(g, 1, 2, rng)
-    theta = LeeForm.constant(g, [0.4, 0.0, -1.0, 0.2]).one_form()
-    g0 = random_band_limited(g, 0, 1, rng, 0.05).comps[0]
-    f = np.exp(g0)
-    lhs = d_theta(DiffForm(g, 1, a.comps * f[None]),
-                  theta + ext_d(scalar_form(g, g0)))
-    rhs = DiffForm(g, 2, d_theta(a, theta).comps * f[None])
-    assert (lhs - rhs).norm() < 1e-9 * max(1.0, rhs.norm())
