@@ -19,6 +19,7 @@ from lcsflow.twisted import (
     DegenerateForm,
     LeeForm,
     NotLcs,
+    _harmonic_and_potential,
     d_theta,
     d_theta_star,
     laplacian_theta,
@@ -92,6 +93,23 @@ def test_laplacian_positive_semidefinite():
               + d_theta_star(a, theta).norm() ** 2)
     assert val == pytest.approx(expand, rel=1e-10)
     assert val >= 0.0
+
+
+def test_split_harmonic_exact_recovers_parts():
+    # the harmonic + exact split that lee_form applies to a closed theta
+    g = GridSpec(3, 16)
+    x2 = g.coordinates()[1]
+    pot = 0.3 * np.sin(TWO_PI * x2)
+    pot -= pot.mean()
+    theta = LeeForm(g, np.array([0.5, -1.0, 0.0]), pot).one_form()
+    c, pot_back = _harmonic_and_potential(theta)
+    np.testing.assert_allclose(c, [0.5, -1.0, 0.0], atol=1e-12)
+    np.testing.assert_allclose(pot_back, pot, atol=1e-12)
+    # the parts reassemble theta
+    back = LeeForm(g, c, pot_back).one_form()
+    assert (back - theta).norm() < 1e-12
+    # exact zeros in the harmonic part are snapped, not left as 1e-17 noise
+    assert c[2] == 0.0
 
 
 def test_pfaffian_values_t4():
