@@ -636,6 +636,13 @@ def _literal_field(d, key: str, ok, default=None):
     return v
 
 
+def _literal_keys(d, allowed: set) -> None:
+    """ValueError if the dict d has a key outside allowed."""
+    extra = set(d) - allowed if isinstance(d, dict) else set()
+    if extra:
+        raise ValueError(f"literal keys {sorted(extra)} unknown in {d!r}")
+
+
 def _is_ints(v) -> bool:
     return isinstance(v, list) and all(type(x) is int for x in v)  # bools fail
 
@@ -653,8 +660,8 @@ def form_from_literal(grid: GridSpec, degree: int, literal: list) -> DiffForm:
     "re": .., "im": ..}]}.  Each listed mode m contributes
     (re + i*im) e^{2 pi i m.x} plus the conjugate at -m; Hermitian symmetry is
     enforced, so listing both m and -m requires conjugate-consistent values.
-    A malformed literal (missing key, wrong type, non-integer axis or mode,
-    non-finite value) raises ValueError.
+    A malformed literal (missing or unknown key, wrong type, non-integer
+    axis or mode, non-finite value) raises ValueError.
     """
     if not isinstance(literal, list):
         raise ValueError(f"literal must be a list, got {literal!r}")
@@ -662,12 +669,14 @@ def form_from_literal(grid: GridSpec, degree: int, literal: list) -> DiffForm:
     spec = np.zeros((len(sets),) + grid.shape, dtype=complex)
     seen: dict = {}
     for entry in literal:
+        _literal_keys(entry, {"component", "modes"})
         comp = _literal_field(entry, "component", _is_ints)
         s = tuple(sorted(i - 1 for i in comp))
         if len(s) != degree or s not in sets:
             raise ValueError(f"bad component {comp} for degree {degree}")
         ci = sets.index(s)
         for mode in _literal_field(entry, "modes", lambda v: isinstance(v, list)):
+            _literal_keys(mode, {"k", "re", "im"})
             m = tuple(_literal_field(mode, "k", _is_ints))
             if len(m) != grid.n:
                 raise ValueError(f"mode {m} has wrong length for T^{grid.n}")

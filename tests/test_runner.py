@@ -477,6 +477,8 @@ MALFORMED_LITERALS = [
     [{"component": [1, 2], "modes": [{"k": [1, 0], "re": "1"}]}],
     [{"component": [1, 2], "modes": [{"k": [1, 0], "im": float("nan")}]}],
     {"component": [1, 2], "modes": []},
+    [{"component": [1, 2], "modes": [{"k": [1, 0], "Re": 1.0}]}],
+    [{"component": [1, 2], "mode": [], "modes": [{"k": [1, 0], "re": 1.0}]}],
 ]
 
 
