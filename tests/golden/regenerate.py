@@ -2,9 +2,11 @@
 
     PYTHONPATH=src python tests/golden/regenerate.py
 
-Runs the acceptance tests that build the reports with --update-golden, so
-each file's "report" is replaced and its hand-written "bounds" are kept.
-Review the diff field by field before committing it.
+Runs the acceptance tests that build the reports with --update-golden.
+Each file's "report" takes the keys, list lengths and types of the new
+report and only the floats that moved past their bound; every other float
+and the hand-written "bounds" are kept.  Review the diff field by field
+before committing it.
 """
 
 import sys

@@ -15,8 +15,10 @@ The comparison walks both trees together:
   sits in (every checkpoint's ``factor_min`` shares one bound).  Fields
   not named under "bounds" use DEFAULT_ATOL + DEFAULT_RTOL * |golden|.
 
-Regeneration rewrites only "report" and keeps the hand-written "bounds";
-see tests/golden/regenerate.py.
+Regeneration rewrites only "report" and keeps the hand-written "bounds".
+It takes the structure (keys, list lengths, types) from the new report but
+keeps every golden float that the comparison accepts, so a regeneration
+diff shows only what moved past its bound; see tests/golden/regenerate.py.
 """
 
 from __future__ import annotations
@@ -85,19 +87,33 @@ def compare(got, want, bounds: dict, key: str = "", where: str = "") -> list[str
     return []
 
 
+def merge(got, want, bounds: dict, key: str = ""):
+    """got, with each float that compare accepts against want kept at want."""
+    if isinstance(got, dict) and isinstance(want, dict):
+        return {k: merge(v, want[k], bounds, k) if k in want else v
+                for k, v in got.items()}
+    if isinstance(got, list) and isinstance(want, list) and len(got) == len(want):
+        return [merge(g, w, bounds, key) for g, w in zip(got, want)]
+    if isinstance(got, float) and isinstance(want, float) and not compare(
+            got, want, bounds, key):
+        return want
+    return got
+
+
 def check(name: str, data, update: bool = False):
-    """Assert that data matches tests/golden/<name>.json (or rewrite it)."""
+    """Assert that data matches tests/golden/<name>.json, or with update
+    write data there, merged into the golden report as merge does."""
     path = GOLDEN_DIR / f"{name}.json"
     got = plain(data)
-    bounds = {}
+    bounds, want = {}, None
     if path.exists():
-        bounds = json.loads(path.read_text())["bounds"]
+        blob = json.loads(path.read_text())
+        bounds, want = blob["bounds"], blob["report"]
     if update:
-        blob = {"bounds": bounds, "report": got}
+        blob = {"bounds": bounds, "report": merge(got, want, bounds)}
         path.write_text(json.dumps(blob, indent=1, sort_keys=True) + "\n")
         return
     assert path.exists(), f"no golden file {path.name}; run tests/golden/regenerate.py"
-    want = json.loads(path.read_text())["report"]
     problems = compare(got, want, bounds)
     assert not problems, "\n".join([f"{name} differs from its golden report:",
                                      *problems])
