@@ -218,8 +218,8 @@ class ExactnessCertificate:
     """Checkpoint stages of a normalized family, each twisted-exact.
 
     family is the normalized family; certified is the family the stages
-    solve on, the absorbed one when absorption is used.  residuals /
-    obstructions are read off the stages.  Absorption certifies
+    solve on, the absorbed one when absorption is used.  residuals are
+    read off the stages.  Absorption certifies
     H(d omega/dt) = a(t) H(omega_t), so the constant gauge f -> e^{c(t)} f
     with dc/dt = -a(t) has the closed form c(t) = log(|H(omega_0)|^2 /
     H(omega_t).H(omega_0)), evaluated on the normalized family.
@@ -237,10 +237,6 @@ class ExactnessCertificate:
     @property
     def residuals(self) -> list[float]:
         return [s.solve_residual for s in self.stages.values()]
-
-    @property
-    def obstructions(self) -> list[float]:
-        return [s.obstruction for s in self.stages.values()]
 
     def c_at(self, t: float) -> float:
         if not self.used_absorption:

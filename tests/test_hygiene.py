@@ -1,11 +1,14 @@
-"""Source hygiene: no dead top-level definitions or constants, no unused
-imports, no default that every caller leaves alone.
+"""Source hygiene: no dead top-level definitions, constants or methods, no
+unused imports, no default that every caller leaves alone.
 
 The checks read the code with ``ast``.  A name counts as used when it
 is read as an identifier (a loaded name, an attribute or an imported
 name) or appears as a string constant anywhere outside its own
 definition, so names that are looked up by string (``getattr``,
-``__all__``) count as well; assigning a name does not use it.
+``__all__``) count as well; assigning a name does not use it.  Methods and
+properties of package classes are held to the same rule, except dunder
+methods; dataclass fields are exempt, since reports serialize them through
+``asdict`` / ``vars``.
 
 A defaulted parameter counts as passed when some call of a function with
 that name, anywhere in src, tests, demos or perfbench, passes it by
@@ -58,7 +61,8 @@ def _top_level_names(node) -> list[str]:
 
 
 def dead_definitions() -> list[str]:
-    """Top-level defs, classes and constants of the package nothing reads."""
+    """Top-level defs, classes, constants and class members of the package
+    nothing reads."""
     used = set()
     for _, tree in _sources(USER_DIRS):
         used |= _mentions(tree)
@@ -68,6 +72,10 @@ def dead_definitions() -> list[str]:
         for node in tree.body:
             dead += [f"{path.name}:{name}" for name in _top_level_names(node)
                      if name not in used]
+            if isinstance(node, ast.ClassDef):
+                dead += [f"{path.name}:{node.name}.{fn.name}" for fn in node.body
+                         if isinstance(fn, ast.FunctionDef)
+                         and not fn.name.startswith("__") and fn.name not in used]
     return dead
 
 
