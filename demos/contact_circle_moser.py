@@ -22,11 +22,11 @@ rep = run_theorem_pipeline(fam, opts)
 print(f"\nverdict: {rep.verdict}")
 print(f"max flow speed {rep.max_speed:.6f}  (analytic value s/2pi = 0.125)")
 print(f"absorption used: {rep.absorption_used}")
-print("\n  t      exactness   consistency  factor err   eq1 resid")
+print("\n  t      exactness   consistency  factor err   flow identity")
 for r in rep.records:
     print(f"  {r.t:4.2f}   {r.exactness_residual:9.2e}  "
           f"{r.conformal_consistency_error:10.2e}  {r.factor_error:9.2e}  "
-          f"{r.eq1_residual:9.2e}")
+          f"{r.flow_identity_residual:9.2e}")
 print(f"\nfactor range across checkpoints: "
       f"[{min(r.factor_min for r in rep.records):.12f}, "
       f"{max(r.factor_max for r in rep.records):.12f}]")

@@ -30,10 +30,10 @@ fam2 = corollary_two_family(GridSpec(4, 16), a=0.3)
 rep2 = run_exact_family(fam2, opts)
 print("\ndrifting exact Lee part (a = 0.3):")
 print(f"  verdict {rep2.verdict}")
-print("  t      primitive id   necessity    factor err")
+print("  t      primitive id   flow identity   factor err")
 for r in rep2.records:
     print(f"  {r.t:4.2f}   {r.cor2_identity_residual:10.2e}  "
-          f"{r.necessity_residual:10.2e}  {r.factor_error:10.2e}")
+          f"{r.flow_identity_residual:13.2e}  {r.factor_error:10.2e}")
 
 # here theta_t(X_t) + h_t = 0 pointwise, so both families predict a
 # conformal factor identically 1 -- the samples really are isotopic,

@@ -16,10 +16,9 @@ report for two primitive providers, each behind a public entry point:
 Each RK4 stage time is built once; a theorem-path stage is one Hodge solve
 gated on its harmonic obstruction.  RK4 sweeps the residuals' time integrals
 on its own stages; the absorption gauge, decided at the checkpoints, has a
-closed form.  The residuals of a rescaled family e^g omega (necessity, and
-cor2 on the exact path) are the eq1 and flow-identity misfits weighted
-pointwise by e^g: the twisted differential is gauge covariant,
-d_{theta + dg}(e^g b) = e^g d_theta b.
+closed form.  The cor2 residual of the rescaled family e^g omega on the
+exact path is the flow-identity misfit weighted pointwise by e^g: the
+twisted differential is gauge covariant, d_{theta + dg}(e^g b) = e^g d_theta b.
 
 Errors never silently degrade into numbers: a drifting Lee class, a
 surviving harmonic obstruction, a degenerate form, or a collapsing
@@ -341,14 +340,15 @@ class StageData:
     """Velocity, velocity Jacobian and log-factor rate at one stage time.
 
     Point evaluation shares a single trigonometric interpolator holding
-    n + n^2 + 1 channels (X, grad X, rate); rate_values / lee_rate_values
-    are grid fields (lee_rate excludes the h-term of the exact path).
+    n + n^2 + 1 channels (X, grad X, rate); rate_values = theta(X) + h is a
+    grid field, and h_values is the h-term of the exact path (0 on the
+    theorem path).
     solve_residual / obstruction are the Hodge solve's relative residual
     and harmonic obstruction (zero on the exact path, which solves nothing).
     """
 
     def __init__(self, x_form: DiffForm, rate_values: np.ndarray,
-                 lee_rate_values: np.ndarray, solve_residual: float = 0.0,
+                 h_values: np.ndarray | float, solve_residual: float = 0.0,
                  obstruction: float = 0.0):
         grid = x_form.grid
         n = grid.n
@@ -362,8 +362,7 @@ class StageData:
         channels.append(scalar_form(grid, rate_values).spectra())
         self.n = n
         self.x_form = x_form
-        self.rate_values = rate_values
-        self.lee_rate_values = lee_rate_values
+        self.h_values = h_values
         self.solve_residual = solve_residual
         self.obstruction = obstruction
         self.max_speed = float(x_form.max_abs())
@@ -426,7 +425,7 @@ def theorem_stage_builder(
                 "family not certified in the canonical gauge")
         x = moser_vector_field(L, sol.primitive, opts.nondeg_margin)
         rate = np.tensordot(theta_h, x.comps, axes=1)
-        return StageData(x, rate, rate, solve_residual=sol.residual * dom.norm() / den,
+        return StageData(x, rate, 0.0, solve_residual=sol.residual * dom.norm() / den,
                          obstruction=obstruction)
 
     return build
@@ -460,9 +459,8 @@ def exact_stage_builder(
                   else fd_derivative(ed.alpha_at, t, FD_STEP))
         beta = DiffForm(F.grid, 1, al_dot.comps - h * al.comps)
         x = moser_vector_field(L, beta, opts.nondeg_margin)
-        theta_vals = L.lee.one_form().comps
-        lee_rate = np.einsum("i...,i...->...", theta_vals, x.comps)
-        return StageData(x, lee_rate + h, lee_rate)
+        theta_x = np.einsum("i...,i...->...", L.lee.one_form().comps, x.comps)
+        return StageData(x, theta_x + h, h)
 
     return build
 
@@ -474,8 +472,7 @@ def exact_stage_builder(
 class FlowState:
     """Snapshots of the isotopy: positions, Jacobians, conformal exponent.
 
-    lee_integral / rate_integral hold the grid fields int_0^t lee_rate
-    and int_0^t rate at each recorded time.
+    h_integral holds the grid field int_0^t h at each recorded time.
     """
 
     times: list[float]
@@ -483,8 +480,7 @@ class FlowState:
     jacobians: list[np.ndarray]
     log_factor: list[np.ndarray]
     max_speed: float
-    lee_integral: list[np.ndarray]
-    rate_integral: list[np.ndarray]
+    h_integral: list[np.ndarray]
 
     def at(self, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         for i, ti in enumerate(self.times):
@@ -505,9 +501,8 @@ def integrate_isotopy(
     Spatial evaluation is exact trigonometric interpolation, so the
     global error is O(steps^-4) for smooth stage data.  fields is asked
     once for each of the 2 steps + 1 stage times: a step's end stage starts
-    the next step.  The grid fields rate_values and lee_rate_values are
-    integrated in time alongside, by Simpson's rule on each step's own
-    stages k/s, (2k+1)/2s, (k+1)/s.  Issues a StepCountTooSmall warning
+    the next step.  The grid field h_values is integrated in time alongside,
+    by Simpson's rule on each step's own stages k/s, (2k+1)/2s, (k+1)/s.  Issues a StepCountTooSmall warning
     when max |X| dt exceeds half a grid cell; raises IsotopyDiverged on
     non-finite state.  The state is recorded at record_times rounded to the
     step grid; seeds default to every grid node.
@@ -522,19 +517,18 @@ def integrate_isotopy(
     pos = seeds.copy()
     jac = np.broadcast_to(np.eye(grid.n), (len(seeds), grid.n, grid.n)).copy()
     logf = np.zeros(len(seeds))
-    lee_int, rate_int = np.zeros(grid.shape), np.zeros(grid.shape)
+    h_int = np.zeros(grid.shape)
     dt = 1.0 / steps
 
     times: list[float] = []
-    positions, jacobians, logs, lee_ints, rate_ints = [], [], [], [], []
+    positions, jacobians, logs, h_ints = [], [], [], []
 
     def record(k: int):
         times.append(k / steps)
         positions.append(np.mod(pos, 1.0))
         jacobians.append(jac.copy())
         logs.append(logf.copy())
-        lee_ints.append(lee_int)
-        rate_ints.append(rate_int)
+        h_ints.append(h_int)
 
     if 0 in rec_steps:
         record(0)
@@ -577,15 +571,11 @@ def integrate_isotopy(
         for name, arr in (("positions", pos), ("Jacobians", jac), ("log factors", logf)):
             if not np.all(np.isfinite(arr)):
                 raise IsotopyDiverged(f"non-finite {name} after step {k + 1}")
-        lee_int = lee_int + (dt / 6.0) * (s1.lee_rate_values + 4.0 * s2.lee_rate_values
-                                          + s3.lee_rate_values)
-        rate_int = rate_int + (dt / 6.0) * (s1.rate_values + 4.0 * s2.rate_values
-                                            + s3.rate_values)
+        h_int = h_int + (dt / 6.0) * (s1.h_values + 4.0 * s2.h_values + s3.h_values)
         if k + 1 in rec_steps:
             record(k + 1)
 
-    return FlowState(times, positions, jacobians, logs, max_speed,
-                     lee_ints, rate_ints)
+    return FlowState(times, positions, jacobians, logs, max_speed, h_ints)
 
 
 # -- pullback and conformal comparison -----------------------------------
@@ -679,9 +669,7 @@ def conformal_compare(a, b) -> ConformalComparison:
 
 @dataclass
 class Eq1Record:
-    eq1_residual: float
     flow_identity_residual: float
-    necessity_residual: float
     cor2_identity_residual: float
 
 
@@ -692,16 +680,15 @@ def verify_eq1(
 ) -> list[Eq1Record]:
     """Spectral residuals of the infinitesimal stability identities.
 
-    At each time the flow recorded, with mis = d/dt omega + d_theta(i_X omega)
-    + theta(X) omega and flow_mis = mis - rate * omega (rate is theta(X) plus
-    the h-term of the exact path; flow_mis = 0 makes d/dt (phi^* omega) =
-    phi^*(rate * omega) hold, and the success verdict gates on it):
-    eq1 = ||mis||, flow_identity = ||flow_mis|| and necessity = ||e^u mis||,
-    u = int_0^t theta(X) (the flow's lee_integral), relative to
-    max(||d omega/dt||, ||omega||); cor2 = ||e^g flow_mis||, g = -int_0^t h,
-    relative to max(||e^g (d omega/dt - h omega)||, ||e^g omega||).  The last
-    two are the identities of the rescaled families e^u omega and e^g omega:
-    d_{theta + dg}(e^g b) = e^g d_theta b makes their weight pointwise.
+    At each time the flow recorded, flow_mis = d/dt omega + d_theta(i_X omega)
+    - h omega (h is the h-term of the exact path, 0 on the theorem path);
+    flow_mis = 0 makes d/dt (phi^* omega) = phi^*(rate * omega) hold, with
+    rate = theta(X) + h, and the success verdict gates on it.
+    flow_identity = ||flow_mis|| relative to max(||d omega/dt||, ||omega||);
+    cor2 = ||e^g flow_mis||, g = -int_0^t h (the flow's h_integral), relative
+    to max(||e^g (d omega/dt - h omega)||, ||e^g omega||), is the identity of
+    the rescaled family e^g omega: d_{theta + dg}(e^g b) = e^g d_theta b
+    makes its weight pointwise.
     """
     grid = F.grid
 
@@ -709,16 +696,13 @@ def verify_eq1(
         return DiffForm(grid, 2, comps).norm()
 
     out: list[Eq1Record] = []
-    for t, u, r in zip(flow.times, flow.lee_integral, flow.rate_integral):
+    for t, h_int in zip(flow.times, flow.h_integral):
         L, st = F.omega_at(t), fields(t)
-        om, dom = L.omega.comps, F.derivative_at(t).comps
-        theta_x, h = st.lee_rate_values, st.rate_values - st.lee_rate_values
-        mis = dom + d_theta(contract(st.x_form, L.omega), L.lee).comps + theta_x * om
-        flow_mis = mis - st.rate_values * om
-        eu, eg = np.exp(u), np.exp(u - r)
-        den = max(norm(dom), norm(om))
+        om, dom, h = L.omega.comps, F.derivative_at(t).comps, st.h_values
+        flow_mis = dom + d_theta(contract(st.x_form, L.omega), L.lee).comps - h * om
+        eg = np.exp(-h_int)
         out.append(Eq1Record(
-            norm(mis) / den, norm(flow_mis) / den, norm(eu * mis) / den,
+            norm(flow_mis) / max(norm(dom), norm(om)),
             norm(eg * flow_mis) / max(norm(eg * (dom - h * om)), norm(eg * om))))
     return out
 
@@ -733,9 +717,7 @@ class CheckpointRecord:
     harmonic_obstruction: float
     conformal_consistency_error: float
     factor_error: float
-    eq1_residual: float
     flow_identity_residual: float
-    necessity_residual: float
     factor_min: float
     factor_max: float
     cor2_identity_residual: float | None = None
@@ -760,9 +742,7 @@ class MoserReport:
     max_obstruction: float
     max_consistency: float
     max_factor_error: float
-    max_eq1: float
     max_flow_identity: float
-    max_necessity: float
     max_cor2: float | None
     factor_positive: bool
     absorption_used: bool
@@ -792,9 +772,7 @@ def _assemble_report(
     max_ob = max(r.harmonic_obstruction for r in records)
     max_cc = max(r.conformal_consistency_error for r in records)
     max_fe = max(r.factor_error for r in records)
-    max_e1 = max(r.eq1_residual for r in records)
     max_fl = max(r.flow_identity_residual for r in records)
-    max_ne = max(r.necessity_residual for r in records)
     cor2s = [r.cor2_identity_residual for r in records
              if r.cor2_identity_residual is not None]
     max_c2 = max(cor2s) if cor2s else None
@@ -811,8 +789,8 @@ def _assemble_report(
     return MoserReport(
         path=pv.path, label=label, grid=(grid.n, grid.N), steps=opts.steps,
         records=records, max_exactness=max_ex, max_obstruction=max_ob,
-        max_consistency=max_cc, max_factor_error=max_fe, max_eq1=max_e1,
-        max_flow_identity=max_fl, max_necessity=max_ne, max_cor2=max_c2,
+        max_consistency=max_cc, max_factor_error=max_fe,
+        max_flow_identity=max_fl, max_cor2=max_c2,
         factor_positive=factor_positive, absorption_used=pv.absorption_used,
         absorption_log_final=pv.absorption_log_final, max_speed=max_speed,
         stage_solve_residual_max=stage_res, success=ok,
@@ -932,9 +910,7 @@ def _run_moser(
             harmonic_obstruction=pv.stages[t].obstruction,
             conformal_consistency_error=cc.consistency_error,
             factor_error=float(np.max(np.abs(cc.factor - predicted) / predicted)),
-            eq1_residual=eq1[i].eq1_residual,
             flow_identity_residual=eq1[i].flow_identity_residual,
-            necessity_residual=eq1[i].necessity_residual,
             factor_min=float(cc.factor.min()),
             factor_max=float(cc.factor.max()),
             cor2_identity_residual=eq1[i].cor2_identity_residual if exact_path else None,

@@ -72,10 +72,10 @@ from .simplicial import (
 )
 from .twisted import LeeForm, NotLcs, d_theta, d_theta_star, torus_twisted_betti
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 CSV_COLUMNS = ["t", "exactness_residual", "harmonic_obstruction",
-               "conformal_consistency_error", "factor_error", "eq1_residual"]
+               "conformal_consistency_error", "factor_error", "flow_identity_residual"]
 
 # failures of the mathematics, not of the config: exit 1 with a report
 _DOMAIN_ERRORS = (
@@ -464,8 +464,8 @@ def _summary_lines(report: dict) -> list[str]:
             lines.append(f"  b2_at_least_two = {ec['b2_at_least_two']}")
     elif cfg["scenario"] == "moser" and res:
         lines.append(f"  verdict = {res.get('verdict')}")
-        for k in ("max_consistency", "max_factor_error", "max_eq1",
-                  "max_flow_identity", "max_cor2"):
+        for k in ("max_consistency", "max_factor_error", "max_flow_identity",
+                  "max_cor2"):
             if res.get(k) is not None:
                 lines.append(f"  {k} = {res[k]:.3e}")
     if "error" in report:

@@ -155,7 +155,7 @@ def test_criterion_04_moser_pipeline_contact(golden):
     fam = contact_circle_family(T4)
     rep = run_theorem_pipeline(fam, PipelineOptions(steps=200, checkpoints=11,
                                                     seed_stride=1))
-    per_checkpoint_eq1 = max(r.eq1_residual for r in rep.records)
+    per_checkpoint_flow = max(r.flow_identity_residual for r in rep.records)
 
     # step-halving study where the error is integrator-dominated
     conv_fam = area_interpolation_family(T2, eps=0.6)
@@ -170,12 +170,12 @@ def test_criterion_04_moser_pipeline_contact(golden):
           and rep.max_consistency <= 1e-3
           and rep.max_factor_error <= 1e-3
           and rep.factor_positive
-          and per_checkpoint_eq1 <= 1e-6
+          and per_checkpoint_flow <= 1e-6
           and fourth_order)
     _verdict(4, "moser pipeline", ok,
              f"consistency {rep.max_consistency:.2e} <= 1e-3, "
              f"factor {rep.max_factor_error:.2e} <= 1e-3, positive, "
-             f"eq1 {per_checkpoint_eq1:.2e} <= 1e-6, "
+             f"flow identity {per_checkpoint_flow:.2e} <= 1e-6, "
              f"step halving errors {errs[0]:.1e}/{errs[1]:.1e}/{errs[2]:.1e}")
     golden("criterion_04", {"contact_circle": rep.as_dict(),
                             "area_step_halving": [r.as_dict() for r in conv]})

@@ -65,7 +65,7 @@ def test_vector_field_degenerate_rejection():
 def _shear_stage(g: GridSpec, a: float) -> StageData:
     x2 = g.coordinates()[1]
     x = form_from_components(g, 1, {(0,): a * np.sin(TWO_PI * x2) * np.ones(g.shape)})
-    return StageData(x, np.zeros(g.shape), np.zeros(g.shape))
+    return StageData(x, np.zeros(g.shape), 0.0)
 
 
 def test_integrator_is_exact_on_a_shear_flow():
@@ -93,16 +93,16 @@ def test_integrator_accumulates_the_rate_channel():
     # constant rate r: log factor is exactly r t (RK4 integrates it exactly)
     g = GridSpec(2, 8)
     x = zero_form(g, 1)
-    stage = StageData(x, 0.7 * np.ones(g.shape), np.zeros(g.shape))
+    stage = StageData(x, 0.7 * np.ones(g.shape), 0.0)
     flow = integrate_isotopy(g, lambda t: stage, steps=4, record_times=[0.0, 0.5, 1.0])
     assert np.max(np.abs(flow.at(0.5)[2] - 0.35)) < 1e-14
     assert np.max(np.abs(flow.at(1.0)[2] - 0.7)) < 1e-14
 
 
 def test_integrator_sweeps_the_rate_integrals_by_simpson():
-    # rate = cos(2 pi t) phi, lee rate = sin(2 pi t) phi; Simpson on the
-    # RK4 stages (node spacing dt / 2) errs by at most
-    # t (dt / 2)^4 max |f^(4)| / 180, so the bound falls as steps^-4
+    # h = sin(2 pi t) phi; Simpson on the RK4 stages (node spacing dt / 2)
+    # errs by at most t (dt / 2)^4 max |f^(4)| / 180, so the bound falls
+    # as steps^-4
     g = GridSpec(2, 8)
     x1, x2 = g.coordinates()
     phi = 1.0 + 0.5 * np.sin(TWO_PI * x1) * np.cos(TWO_PI * x2)
@@ -117,12 +117,9 @@ def test_integrator_sweeps_the_rate_integrals_by_simpson():
                                  record_times=[0.0, 0.25, 0.5, 1.0])
         assert flow.times == [0.0, 0.25, 0.5, 1.0]
         bound = TWO_PI**4 * np.max(phi) / (180.0 * 16.0 * steps**4)
-        for t, rate_int, lee_int in zip(flow.times, flow.rate_integral,
-                                        flow.lee_integral):
-            rate_exact = np.sin(TWO_PI * t) / TWO_PI * phi
-            lee_exact = (1.0 - np.cos(TWO_PI * t)) / TWO_PI * phi
-            assert np.max(np.abs(rate_int - rate_exact)) <= t * bound + 1e-15
-            assert np.max(np.abs(lee_int - lee_exact)) <= t * bound + 1e-15
+        for t, h_int in zip(flow.times, flow.h_integral):
+            h_exact = (1.0 - np.cos(TWO_PI * t)) / TWO_PI * phi
+            assert np.max(np.abs(h_int - h_exact)) <= t * bound + 1e-15
 
 
 def test_integrator_asks_for_each_stage_time_once():
@@ -223,7 +220,7 @@ def test_absorption_disabled_rejects_area_growth():
 def test_cfl_warning_on_coarse_stepping():
     g = GridSpec(2, 16)
     x = form_from_components(g, 1, {(0,): 3.0 * np.ones(g.shape)})
-    stage = StageData(x, np.zeros(g.shape), np.zeros(g.shape))
+    stage = StageData(x, np.zeros(g.shape), 0.0)
     with pytest.warns(StepCountTooSmall):
         integrate_isotopy(g, lambda t: stage, steps=2, record_times=[1.0])
 
@@ -233,7 +230,7 @@ def test_divergence_detection():
     g = GridSpec(2, 8)
     x1 = g.coordinates()[0]
     x = form_from_components(g, 1, {(0,): 1e80 * np.sin(TWO_PI * x1) * np.ones(g.shape)})
-    stage = StageData(x, np.zeros(g.shape), np.zeros(g.shape))
+    stage = StageData(x, np.zeros(g.shape), 0.0)
     with np.errstate(over="ignore", invalid="ignore"), warnings.catch_warnings():
         warnings.simplefilter("ignore")
         with pytest.raises(IsotopyDiverged):

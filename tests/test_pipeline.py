@@ -38,7 +38,6 @@ def test_area_interpolation_is_certified():
     assert not rep.absorption_used
     assert rep.max_factor_error < 1e-6
     assert rep.max_flow_identity < 1e-10
-    assert rep.max_necessity < 1e-10
     # classical symplectic case: the factor is exactly 1
     for r in rep.records:
         assert abs(r.factor_min - 1.0) < 1e-5
@@ -124,7 +123,7 @@ def test_drifting_exact_lee_family():
     assert rep.success
     # gauge-weighted misfits: rounding level, not the truncation of e^g
     assert rep.max_cor2 < 1e-13
-    assert rep.max_necessity < 1e-13
+    assert rep.max_flow_identity < 1e-13
     # theta(X) + h = 0 pointwise: factor prediction stays 1
     for r in rep.records:
         assert abs(r.factor_min - 1.0) < 1e-6
@@ -133,9 +132,9 @@ def test_drifting_exact_lee_family():
 
 @pytest.mark.filterwarnings("ignore::lcsflow.moser.StepCountTooSmall")
 def test_exact_path_builds_stages_only_at_rk4_stage_times(monkeypatch):
-    # theta(X) is nonzero on this family, yet the integrals behind the
-    # necessity and cor2 residuals come from the RK4 sweep: every stage is
-    # built at some k / (2 steps)
+    # theta(X) is nonzero on this family, yet the h integral behind the
+    # cor2 residual comes from the RK4 sweep: every stage is built at some
+    # k / (2 steps)
     built = []
     make = moser.exact_stage_builder
 
