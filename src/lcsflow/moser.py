@@ -14,8 +14,8 @@ report for two primitive providers, each behind a public entry point:
   run_exact_family     -- a supplied primitive alpha_t with
                           d/dt theta_t = d h_t bypasses the Hodge solve.
 Each RK4 stage time is built once; a theorem-path stage is one Hodge solve
-gated on its harmonic obstruction.  RK4 sweeps the residuals' time integrals
-on its own stages; the absorption gauge, decided at the checkpoints, has a
+gated on its harmonic obstruction.  RK4 sweeps the time integral of h on
+its own stages; the absorption gauge, decided at the checkpoints, has a
 closed form.  The cor2 residual of the rescaled family e^g omega on the
 exact path is the flow-identity misfit weighted pointwise by e^g: the
 twisted differential is gauge covariant, d_{theta + dg}(e^g b) = e^g d_theta b.
@@ -502,9 +502,9 @@ def integrate_isotopy(
     global error is O(steps^-4) for smooth stage data.  fields is asked
     once for each of the 2 steps + 1 stage times: a step's end stage starts
     the next step.  The grid field h_values is integrated in time alongside,
-    by Simpson's rule on each step's own stages k/s, (2k+1)/2s, (k+1)/s.  Issues a StepCountTooSmall warning
-    when max |X| dt exceeds half a grid cell; raises IsotopyDiverged on
-    non-finite state.  The state is recorded at record_times rounded to the
+    by Simpson's rule on each step's own stages k/s, (2k+1)/2s, (k+1)/s.
+    Issues a StepCountTooSmall warning when max |X| dt exceeds half a grid
+    cell; raises IsotopyDiverged on non-finite state.  The state is recorded at record_times rounded to the
     step grid; seeds default to every grid node.
     """
     if steps < 1:
