@@ -10,8 +10,9 @@ The package has three layers:
   primitive-to-vector-field step, RK4 flow transport and conformal
   comparison of pullbacks (`moser`, `families`);
 * exact rational twisted cohomology of simplicial complexes and
-  torus-bundle (mapping torus) surrogates (`simplicial`, `mapping_torus`),
-  plus a small scenario runner with JSON configs (`runner`).
+  torus-bundle (mapping torus) surrogates (`simplicial`, `mapping_torus`)
+  on one exact elimination (`exactlinalg`), plus a small scenario runner
+  with JSON configs (`runner`).
 """
 
 __version__ = "0.1.0"
@@ -91,7 +92,6 @@ from .simplicial import (
     TwistedBettiResult,
     build_complex,
     coboundary_matrix,
-    euler_check,
     gauge_transform,
     local_system,
     twisted_betti,
@@ -133,7 +133,7 @@ __all__ = [
     # simplicial / mapping torus
     "CocycleViolation", "LocalSystem", "SimplicialComplex",
     "TwistedBettiResult", "build_complex", "coboundary_matrix",
-    "euler_check", "gauge_transform", "local_system", "twisted_betti",
+    "gauge_transform", "local_system", "twisted_betti",
     "SingularThresholdAmbiguous", "WrongDimension",
     "example_inequality_check", "exterior_power", "hyperbolic_example",
     "mapping_torus_betti", "toral_product_example",

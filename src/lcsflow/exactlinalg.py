@@ -1,9 +1,9 @@
 """Exact linear algebra over the rationals.
 
-Ranks are computed by Bareiss fraction-free elimination on integer
-matrices (rational input is cleared row by row), so every intermediate
-division is exact and the result is the true rank over Q, independent of
-any floating threshold.
+Rank and determinant come from one elimination, Bareiss fraction-free
+elimination on integer matrices (rational input is cleared row by row),
+so every intermediate division is exact and the result is the true rank
+over Q, independent of any floating threshold.
 """
 
 from __future__ import annotations
@@ -22,66 +22,50 @@ def _clear_rows(matrix) -> list[list[int]]:
     return rows
 
 
-def rational_rank(matrix) -> int:
-    """Rank over Q of a matrix of Fractions / ints (list of rows)."""
-    m = _clear_rows(matrix)
+def _bareiss(m: list[list[int]]) -> tuple[int, int, int]:
+    """Bareiss elimination of integer rows in place.
+
+    Returns (rank, swap_sign, last_pivot); for a square matrix of full
+    rank, swap_sign * last_pivot is its determinant.
+    """
     if not m or not m[0]:
-        return 0
+        return 0, 1, 1
     nrows, ncols = len(m), len(m[0])
     rank = 0
+    sign = 1
     prev = 1
-    row = 0
     for col in range(ncols):
         pivot = None
-        for r in range(row, nrows):
+        for r in range(rank, nrows):
             if m[r][col] != 0:
                 pivot = r
                 break
         if pivot is None:
             continue
-        if pivot != row:
-            m[row], m[pivot] = m[pivot], m[row]
-        for r in range(row + 1, nrows):
+        if pivot != rank:
+            m[rank], m[pivot] = m[pivot], m[rank]
+            sign = -sign
+        for r in range(rank + 1, nrows):
             for c in range(col + 1, ncols):
-                m[r][c] = (m[row][col] * m[r][c] - m[r][col] * m[row][c]) // prev
+                m[r][c] = (m[rank][col] * m[r][c] - m[r][col] * m[rank][c]) // prev
             m[r][col] = 0
-        prev = m[row][col]
+        prev = m[rank][col]
         rank += 1
-        row += 1
-        if row == nrows:
+        if rank == nrows:
             break
-    return rank
+    return rank, sign, prev
 
 
-def rational_nullity(matrix, ncols: int | None = None) -> int:
-    """dim ker over Q; ncols needed when the matrix has zero rows."""
-    if not matrix:
-        return ncols or 0
-    cols = ncols if ncols is not None else len(matrix[0])
-    return cols - rational_rank(matrix)
+def rational_rank(matrix) -> int:
+    """Rank over Q of a matrix of Fractions / ints (list of rows)."""
+    return _bareiss(_clear_rows(matrix))[0]
 
 
 def integer_determinant(matrix) -> int:
-    """Exact determinant of a square integer matrix (Bareiss)."""
+    """Exact determinant of a square integer matrix."""
     m = [[int(x) for x in row] for row in matrix]
-    n = len(m)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            swap = next((r for r in range(k + 1, n) if m[r][k] != 0), None)
-            if swap is None:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        for r in range(k + 1, n):
-            for c in range(k + 1, n):
-                m[r][c] = (m[k][k] * m[r][c] - m[r][k] * m[k][c]) // prev
-            m[r][k] = 0
-        prev = m[k][k]
-    return sign * m[-1][-1]
+    rank, sign, last_pivot = _bareiss(m)
+    return sign * last_pivot if rank == len(m) else 0
 
 
 def fraction_from_string(s) -> Fraction:

@@ -28,13 +28,13 @@ TABULATED_LCS_TOL = 1e-5
 class ExactData:
     """Twisted primitive data: omega_t = d alpha_t - theta_t ^ alpha_t.
 
-    h_at returns the scalar field with d/dt theta_t = d h_t; alpha_dot_at
-    falls back to finite differences of alpha_at when not supplied.
+    h_at returns the scalar field with d/dt theta_t = d h_t and
+    alpha_dot_at the form d/dt alpha_t.
     """
 
     alpha_at: Callable[[float], DiffForm]
     h_at: Callable[[float], np.ndarray]
-    alpha_dot_at: Callable[[float], DiffForm] | None = None
+    alpha_dot_at: Callable[[float], DiffForm]
 
 
 @dataclass

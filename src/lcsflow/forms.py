@@ -89,18 +89,8 @@ class GridSpec:
 
     def derivative_multiplier(self, j: int) -> np.ndarray:
         """Spectral d/dx_j multiplier 2*pi*i*m_j with the Nyquist bucket zeroed."""
-        m = np.fft.fftfreq(self.N, 1.0 / self.N).astype(int)
-        m[self.N // 2] = 0
-        shape = [1] * self.n
-        shape[j] = self.N
-        return (2j * np.pi * m).reshape(shape)
-
-    def true_multiplier(self, j: int) -> np.ndarray:
-        """2*pi*i*m_j keeping the Nyquist mode (per-mode algebra, not d)."""
-        m = np.fft.fftfreq(self.N, 1.0 / self.N).astype(int)
-        shape = [1] * self.n
-        shape[j] = self.N
-        return (2j * np.pi * m).reshape(shape)
+        m = self.mode_axis(j)
+        return 2j * np.pi * np.where(2 * np.abs(m) == self.N, 0, m)
 
 
 def index_sets(n: int, k: int) -> tuple[tuple[int, ...], ...]:
@@ -230,9 +220,6 @@ class DiffForm:
     @property
     def index_set_list(self) -> tuple[tuple[int, ...], ...]:
         return index_sets(self.grid.n, self.degree)
-
-    def component(self, s: tuple[int, ...]) -> np.ndarray:
-        return self.comps[self.index_set_list.index(tuple(s))]
 
     def spectra(self) -> np.ndarray:
         """FFT of every component (cached and read-only, like the components)."""

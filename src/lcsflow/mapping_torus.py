@@ -4,13 +4,14 @@ For the mapping torus of A acting on T^n, a rank-one local system is
 pinned by a positive weight t0 on the base circle, and degree-k twisted
 cohomology is built from the fixed spaces of t0 times the induced map on
 fiber cohomology: b_k = null(t0 L_k - I) + null(t0 L_{k-1} - I) with
-L_k the k-th exterior power of A^T.  Rational t0 is handled exactly;
-float t0 goes through an SVD with a fixed relative threshold that
-refuses to guess near the cut.
+L_k the k-th exterior power of A^T.  Rational t0 is handled exactly by
+the Bareiss elimination of `exactlinalg`; float t0 goes through an SVD
+with a fixed relative threshold that refuses to guess near the cut.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
@@ -19,7 +20,7 @@ import numpy as np
 from .exactlinalg import (
     fraction_from_string,
     integer_determinant,
-    rational_nullity,
+    rational_rank,
 )
 from .simplicial import TwistedBettiResult
 
@@ -68,7 +69,7 @@ def _nullity_rational(lk, t0: Fraction) -> int:
         [t0 * lk[i][j] - (1 if i == j else 0) for j in range(d)]
         for i in range(d)
     ]
-    return rational_nullity(mat)
+    return d - rational_rank(mat)
 
 
 def _nullity_float(lk, t0: float) -> int:
@@ -132,39 +133,20 @@ def mapping_torus_betti(matrix, t0) -> TwistedBettiResult:
     )
     return TwistedBettiResult(
         dims=dims,
-        euler_alternating_sum=sum((-1) ** k * b for k, b in enumerate(dims)),
         chi=0,
         trivial_system=(t0_val == 1),
     )
 
 
+@dataclass
 class ExampleInequalityVerdict:
     """Outcome of the 4-manifold middle-degree lower-bound check."""
 
-    def __init__(self, result: TwistedBettiResult):
-        b0, b1, b2, b3, b4 = result.dims
-        self.dims = result.dims
-        self.chi_is_zero = result.chi == 0 and result.euler_alternating_sum == 0
-        self.identity_holds = self.chi_is_zero and b2 == b1 + b3 - b0 - b4
-        self.hypotheses_met = (
-            self.chi_is_zero and b0 == 0 and b4 == 0 and b1 >= 1 and b3 >= 1
-        )
-        self.b2_at_least_two = self.identity_holds and self.hypotheses_met
-
-    def as_dict(self) -> dict:
-        return {
-            "dims": list(self.dims),
-            "chi_is_zero": self.chi_is_zero,
-            "identity_holds": self.identity_holds,
-            "hypotheses_met": self.hypotheses_met,
-            "b2_at_least_two": self.b2_at_least_two,
-        }
-
-    def __repr__(self):
-        return (
-            f"ExampleInequalityVerdict(dims={self.dims}, "
-            f"identity={self.identity_holds}, b2_ge_2={self.b2_at_least_two})"
-        )
+    dims: tuple[int, ...]
+    chi_is_zero: bool
+    identity_holds: bool
+    hypotheses_met: bool
+    b2_at_least_two: bool
 
 
 def example_inequality_check(result: TwistedBettiResult) -> ExampleInequalityVerdict:
@@ -179,7 +161,12 @@ def example_inequality_check(result: TwistedBettiResult) -> ExampleInequalityVer
         raise WrongDimension(
             f"need degrees 0..4, got {len(result.dims)} dimensions"
         )
-    return ExampleInequalityVerdict(result)
+    b0, b1, b2, b3, b4 = result.dims
+    chi_is_zero = result.chi == 0 and result.euler_alternating_sum == 0
+    identity = chi_is_zero and b2 == b1 + b3 - b0 - b4
+    hypotheses = chi_is_zero and b0 == 0 and b4 == 0 and b1 >= 1 and b3 >= 1
+    return ExampleInequalityVerdict(result.dims, chi_is_zero, identity,
+                                    hypotheses, identity and hypotheses)
 
 
 def hyperbolic_example() -> tuple[list[list[int]], float]:

@@ -455,9 +455,7 @@ def exact_stage_builder(
 
     def build(t: float) -> StageData:
         L, h, al = F.omega_at(t), ed.h_at(t), ed.alpha_at(t)
-        al_dot = (ed.alpha_dot_at(t) if ed.alpha_dot_at is not None
-                  else fd_derivative(ed.alpha_at, t, FD_STEP))
-        beta = DiffForm(F.grid, 1, al_dot.comps - h * al.comps)
+        beta = DiffForm(F.grid, 1, ed.alpha_dot_at(t).comps - h * al.comps)
         x = moser_vector_field(L, beta, opts.nondeg_margin)
         theta_x = np.einsum("i...,i...->...", L.lee.one_form().comps, x.comps)
         return StageData(x, theta_x + h, h)
@@ -670,7 +668,7 @@ def conformal_compare(a, b) -> ConformalComparison:
 @dataclass
 class Eq1Record:
     flow_identity_residual: float
-    cor2_identity_residual: float
+    cor2_identity_residual: float | None
 
 
 def verify_eq1(
@@ -688,7 +686,8 @@ def verify_eq1(
     cor2 = ||e^g flow_mis||, g = -int_0^t h (the flow's h_integral), relative
     to max(||e^g (d omega/dt - h omega)||, ||e^g omega||), is the identity of
     the rescaled family e^g omega: d_{theta + dg}(e^g b) = e^g d_theta b
-    makes its weight pointwise.
+    makes its weight pointwise.  cor2 is formed only where h is a grid
+    field (the exact path) and is None where h is the scalar 0.
     """
     grid = F.grid
 
@@ -700,10 +699,11 @@ def verify_eq1(
         L, st = F.omega_at(t), fields(t)
         om, dom, h = L.omega.comps, F.derivative_at(t).comps, st.h_values
         flow_mis = dom + d_theta(contract(st.x_form, L.omega), L.lee).comps - h * om
-        eg = np.exp(-h_int)
-        out.append(Eq1Record(
-            norm(flow_mis) / max(norm(dom), norm(om)),
-            norm(eg * flow_mis) / max(norm(eg * (dom - h * om)), norm(eg * om))))
+        cor2 = None
+        if isinstance(h, np.ndarray):
+            eg = np.exp(-h_int)
+            cor2 = norm(eg * flow_mis) / max(norm(eg * (dom - h * om)), norm(eg * om))
+        out.append(Eq1Record(norm(flow_mis) / max(norm(dom), norm(om)), cor2))
     return out
 
 
@@ -825,7 +825,8 @@ class _Provider:
 
     family is the family the flow runs on; stages are its checkpoint
     stages, keyed by checkpoint time; exactness is per checkpoint.  The
-    exact path also gates on the cor2 residual of verify_eq1.
+    exact path also gates on the cor2 residual, which verify_eq1 forms
+    only there.
     """
 
     path: str
@@ -898,7 +899,6 @@ def _run_moser(
     om0 = Fp.omega_at(0.0).omega
     base = om0.comps.reshape(len(om0.comps), -1)[:, ::opts.seed_stride]
 
-    exact_path = pv.path == "exact_family"
     records = []
     positive = True
     for i, t in enumerate(times):
@@ -913,7 +913,7 @@ def _run_moser(
             flow_identity_residual=eq1[i].flow_identity_residual,
             factor_min=float(cc.factor.min()),
             factor_max=float(cc.factor.max()),
-            cor2_identity_residual=eq1[i].cor2_identity_residual if exact_path else None,
+            cor2_identity_residual=eq1[i].cor2_identity_residual,
         ))
     return _assemble_report(pv, F.label, opts, records, positive,
                             flow.max_speed, stages.max_solve_residual)

@@ -5,14 +5,14 @@ weight w(a, b) on each oriented edge with w(b, a) = 1/w(a, b) and the
 multiplicative cocycle rule w(a,b) w(b,c) = w(a,c) on every 2-simplex.
 Cochain coefficients live at the least vertex of each simplex; the
 twisted coboundary transports the dropped-least-vertex face along the
-edge between base vertices.  All ranks are computed fraction-free
-(Bareiss), so d^2 = 0, gauge invariance and the Euler identity are exact
-statements, not floating-point ones.
+edge between base vertices.  Every rank comes from the one fraction-free
+(Bareiss) elimination of `exactlinalg`, so d^2 = 0, gauge invariance and
+the Euler identity are exact statements, not floating-point ones.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
@@ -48,9 +48,6 @@ class SimplicialComplex:
     @property
     def euler_characteristic(self) -> int:
         return sum((-1) ** k * c for k, c in enumerate(self.counts()))
-
-    def index(self, k: int, s: tuple[int, ...]) -> int:
-        return self.simplices[k].index(tuple(sorted(s)))
 
 
 def build_complex(top_simplices) -> SimplicialComplex:
@@ -208,17 +205,15 @@ class TwistedBettiResult:
     """Exact twisted Betti numbers with the Euler bookkeeping attached."""
 
     dims: tuple[int, ...]
-    euler_alternating_sum: int
     chi: int
     trivial_system: bool = False
 
+    @property
+    def euler_alternating_sum(self) -> int:
+        return sum((-1) ** k * b for k, b in enumerate(self.dims))
+
     def as_dict(self) -> dict:
-        return {
-            "dims": list(self.dims),
-            "euler_alternating_sum": self.euler_alternating_sum,
-            "chi": self.chi,
-            "trivial_system": self.trivial_system,
-        }
+        return {**asdict(self), "euler_alternating_sum": self.euler_alternating_sum}
 
 
 def twisted_betti(system: LocalSystem) -> TwistedBettiResult:
@@ -236,25 +231,9 @@ def twisted_betti(system: LocalSystem) -> TwistedBettiResult:
         dims.append(counts[k] - ranks[k] - below)
     return TwistedBettiResult(
         dims=tuple(dims),
-        euler_alternating_sum=sum((-1) ** k * b for k, b in enumerate(dims)),
         chi=cx.euler_characteristic,
         trivial_system=system.is_trivial,
     )
-
-
-@dataclass
-class EulerVerdict:
-    alternating_sum: int
-    chi: int
-
-    @property
-    def ok(self) -> bool:
-        return self.alternating_sum == self.chi
-
-
-def euler_check(result: TwistedBettiResult) -> EulerVerdict:
-    """Compare the alternating Betti sum against the cell-count chi."""
-    return EulerVerdict(result.euler_alternating_sum, result.chi)
 
 
 # -- fixtures -------------------------------------------------------------

@@ -310,7 +310,7 @@ class _ModeOps:
     def __init__(self, grid: GridSpec, c: np.ndarray):
         # true modes here: the Nyquist bucket is a genuine nonzero mode for
         # the harmonic test mu(m) = 0, unlike in the (real-symmetric) d
-        self.mu = [grid.true_multiplier(j) - c[j] for j in range(grid.n)]
+        self.mu = [2j * np.pi * grid.mode_axis(j) - c[j] for j in range(grid.n)]
         self.mubar = [np.conj(m) for m in self.mu]
         mu2 = np.zeros(grid.shape)
         for m in self.mu:

@@ -8,7 +8,6 @@ import pytest
 from lcsflow.exactlinalg import (
     fraction_from_string,
     integer_determinant,
-    rational_nullity,
     rational_rank,
 )
 
@@ -39,12 +38,6 @@ def test_rank_matches_numpy_on_random_integer_matrices():
         expected = np.linalg.matrix_rank(np.array(m, dtype=float)) if r else 0
         got = rational_rank(m)
         assert got == expected
-        assert rational_nullity(m) == cols - got
-
-
-def test_nullity_of_empty_matrix_needs_ncols():
-    assert rational_nullity([], ncols=5) == 5
-    assert rational_nullity([[1, 0, 0]]) == 2
 
 
 def test_determinant_hand_and_random():
@@ -61,6 +54,23 @@ def test_determinant_hand_and_random():
         got = integer_determinant(m.tolist())
         expected = round(float(np.linalg.det(m.astype(float))))
         assert got == expected
+        assert (got == 0) == (rational_rank(m.tolist()) < n)
+    # rank-deficient squares: thin products n x r times r x n, r < n
+    for _ in range(40):
+        n = int(rng.integers(2, 7))
+        r = int(rng.integers(0, n))
+        thin = (rng.integers(-4, 5, size=(n, r)) @ rng.integers(-4, 5, size=(r, n))).tolist()
+        assert rational_rank(thin) < n
+        assert integer_determinant(thin) == 0
+    # multiplicativity, exactly, on entries too large for a float det
+    for _ in range(40):
+        n = int(rng.integers(1, 7))
+        a = rng.integers(-50, 51, size=(n, n)).astype(object)
+        b = rng.integers(-50, 51, size=(n, n)).astype(object)
+        det_ab = integer_determinant((a @ b).tolist())
+        det_a, det_b = integer_determinant(a.tolist()), integer_determinant(b.tolist())
+        assert det_ab == det_a * det_b
+        assert (det_ab == 0) == (rational_rank((a @ b).tolist()) < n)
 
 
 def test_fraction_parsing():

@@ -6,8 +6,10 @@ is read as an identifier (a loaded name, an attribute or an imported
 name) or appears as a string constant anywhere outside its own
 definition, so names that are looked up by string (``getattr``,
 ``__all__``) count as well; assigning a name does not use it.  Methods and
-properties of package classes are held to the same rule, except dunder
-methods; dataclass fields are exempt, since reports serialize them through
+properties of package classes are held to a stricter rule: only reading
+them as an identifier counts, since a string such as a report or config
+key that shares a method's name does not call it.  Dunder methods are
+exempt, and so are dataclass fields, since reports serialize them through
 ``asdict`` / ``vars``.
 
 A defaulted parameter counts as passed when some call of a function with
@@ -35,19 +37,19 @@ def _sources(dirs):
             yield path, ast.parse(path.read_text(), filename=str(path))
 
 
-def _mentions(tree) -> set[str]:
-    """Identifiers and string constants a module mentions."""
-    out = set()
+def _mentions(tree) -> tuple[set[str], set[str]]:
+    """Identifiers a module reads, and the string constants it holds."""
+    names, strings = set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
-            out.add(node.id)
+            names.add(node.id)
         elif isinstance(node, ast.Attribute):
-            out.add(node.attr)
+            names.add(node.attr)
         elif isinstance(node, ast.alias):
-            out.add(node.name.rsplit(".", 1)[-1])
+            names.add(node.name.rsplit(".", 1)[-1])
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            out.add(node.value)
-    return out
+            strings.add(node.value)
+    return names, strings
 
 
 def _top_level_names(node) -> list[str]:
@@ -63,19 +65,21 @@ def _top_level_names(node) -> list[str]:
 def dead_definitions() -> list[str]:
     """Top-level defs, classes, constants and class members of the package
     nothing reads."""
-    used = set()
+    read, strings = set(), set()
     for _, tree in _sources(USER_DIRS):
-        used |= _mentions(tree)
+        names, consts = _mentions(tree)
+        read |= names
+        strings |= consts
     dead = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text())
         for node in tree.body:
             dead += [f"{path.name}:{name}" for name in _top_level_names(node)
-                     if name not in used]
+                     if name not in read | strings]
             if isinstance(node, ast.ClassDef):
                 dead += [f"{path.name}:{node.name}.{fn.name}" for fn in node.body
                          if isinstance(fn, ast.FunctionDef)
-                         and not fn.name.startswith("__") and fn.name not in used]
+                         and not fn.name.startswith("__") and fn.name not in read]
     return dead
 
 

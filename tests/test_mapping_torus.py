@@ -96,7 +96,7 @@ def test_wrong_dimension_rejected():
 
 
 def test_nonzero_chi_result_not_asserted():
-    fake = TwistedBettiResult(dims=(1, 0, 0, 0, 0), euler_alternating_sum=1, chi=1)
+    fake = TwistedBettiResult(dims=(1, 0, 0, 0, 0), chi=1)
     verdict = example_inequality_check(fake)
     assert not verdict.chi_is_zero
     assert not verdict.identity_holds

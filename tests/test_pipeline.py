@@ -236,6 +236,7 @@ def test_corrupted_primitive_is_rejected():
         exact_data=ExactData(
             lambda t: fam.exact_data.alpha_at(t) * 1.01,
             fam.exact_data.h_at,
+            lambda t: fam.exact_data.alpha_dot_at(t) * 1.01,
         ),
         theta_h=fam.theta_h, label="bad_alpha",
     )

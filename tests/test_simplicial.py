@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from lcsflow.simplicial import (
     FIXTURE_BUILDERS,
@@ -13,7 +15,6 @@ from lcsflow.simplicial import (
     coboundary_matrix,
     cylinder_complex,
     disk_complex,
-    euler_check,
     gauge_transform,
     local_system,
     projective_plane_complex,
@@ -57,7 +58,7 @@ def test_untwisted_betti_of_the_standard_fixtures():
         res = twisted_betti(local_system(fixture.complex, []))
         assert res.dims == expected, fixture.name
         assert res.trivial_system
-        assert euler_check(res).ok
+        assert res.euler_alternating_sum == res.chi
 
 
 def test_coboundary_squares_to_zero():
@@ -77,7 +78,7 @@ def test_nontrivial_circle_holonomy_kills_cohomology():
     assert not sys.is_trivial
     res = twisted_betti(sys)
     assert res.dims == (0, 0)
-    assert euler_check(res).ok
+    assert res.euler_alternating_sum == res.chi
 
 
 def test_gauge_transform_preserves_betti_numbers():
@@ -101,8 +102,28 @@ def test_euler_identity_on_random_systems():
         for _ in range(6):
             sys = random_local_system(builder(), rng)
             res = twisted_betti(sys)
-            assert euler_check(res).ok, name
+            assert res.euler_alternating_sum == res.chi, name
             assert res.chi == sys.complex.euler_characteristic
+
+
+fixture_names = st.sampled_from(sorted(FIXTURE_BUILDERS))
+seeds = st.integers(0, 2**32 - 1)
+positive_rationals = st.builds(Fraction, st.integers(1, 50), st.integers(1, 50))
+
+
+@given(name=fixture_names, seed=seeds, data=st.data())
+def test_gauge_transform_never_changes_twisted_betti(name, seed, data):
+    fx = FIXTURE_BUILDERS[name]()
+    sys = random_local_system(fx, np.random.default_rng(seed))
+    pot = {v: data.draw(positive_rationals) for v in fx.complex.vertices}
+    assert twisted_betti(gauge_transform(sys, pot)).dims == twisted_betti(sys).dims
+
+
+@given(name=fixture_names, seed=seeds)
+def test_euler_identity_holds_for_random_systems_on_every_fixture(name, seed):
+    fx = FIXTURE_BUILDERS[name]()
+    res = twisted_betti(random_local_system(fx, np.random.default_rng(seed)))
+    assert res.euler_alternating_sum == res.chi == fx.complex.euler_characteristic
 
 
 def test_pure_gauge_system_matches_classical_betti():
@@ -126,7 +147,7 @@ def test_torus_with_one_unit_holonomy():
     res = twisted_betti(sys)
     # one nontrivial circle factor: all twisted Betti numbers vanish
     assert res.dims == (0, 0, 0)
-    assert euler_check(res).ok
+    assert res.euler_alternating_sum == res.chi
 
 
 def test_weight_inference_from_triangles():
