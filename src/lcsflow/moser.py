@@ -720,7 +720,7 @@ class CheckpointRecord:
     flow_identity_residual: float
     factor_min: float
     factor_max: float
-    cor2_identity_residual: float | None = None
+    cor2_identity_residual: float | None
 
     def as_dict(self) -> dict:
         d = asdict(self)
