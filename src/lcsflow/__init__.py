@@ -13,6 +13,10 @@ The package has three layers:
   torus-bundle (mapping torus) surrogates (`simplicial`, `mapping_torus`)
   on one exact elimination (`exactlinalg`), plus a small scenario runner
   with JSON configs (`runner`).
+
+It holds what the pipeline, the runner, the demos and the benchmark run;
+reference operators that only the tests use (the flat Hodge star, the
+vertex gauge transform of a local system) live with the tests.
 """
 
 __version__ = "0.1.0"
@@ -22,18 +26,14 @@ from .forms import (
     GridSpec,
     GridMismatch,
     DegreeError,
-    basis_form,
     contract,
-    eval_at,
     ext_d,
     form_from_components,
     form_from_literal,
-    hodge_star,
     l2_inner,
     random_band_limited,
     scalar_form,
     wedge,
-    zero_form,
 )
 from .twisted import (
     DegenerateForm,
@@ -44,7 +44,6 @@ from .twisted import (
     d_theta,
     d_theta_star,
     hodge_decompose,
-    laplacian_theta,
     lee_form,
     pfaffian_values,
     solve_primitive,
@@ -56,7 +55,6 @@ from .families import (
     FormFamily,
     area_interpolation_family,
     contact_circle_family,
-    constant_family,
     corollary_two_family,
     gcs_rescale_family,
     lee_drift_family,
@@ -92,7 +90,6 @@ from .simplicial import (
     TwistedBettiResult,
     build_complex,
     coboundary_matrix,
-    gauge_transform,
     local_system,
     twisted_betti,
 )
@@ -109,19 +106,18 @@ from .mapping_torus import (
 __all__ = [
     "__version__",
     # forms
-    "DiffForm", "GridSpec", "GridMismatch", "DegreeError", "basis_form",
-    "contract", "eval_at", "ext_d", "form_from_components",
-    "form_from_literal", "hodge_star", "l2_inner", "random_band_limited",
-    "scalar_form", "wedge", "zero_form",
+    "DiffForm", "GridSpec", "GridMismatch", "DegreeError", "contract",
+    "ext_d", "form_from_components", "form_from_literal", "l2_inner",
+    "random_band_limited", "scalar_form", "wedge",
     # twisted calculus
     "DegenerateForm", "LcsForm", "LeeForm", "NotLcs", "codifferential",
-    "d_theta", "d_theta_star", "hodge_decompose", "laplacian_theta",
-    "lee_form", "pfaffian_values", "solve_primitive", "torus_twisted_betti",
+    "d_theta", "d_theta_star", "hodge_decompose", "lee_form",
+    "pfaffian_values", "solve_primitive", "torus_twisted_betti",
     "validate_lcs",
     # families
     "ExactData", "FormFamily", "area_interpolation_family",
-    "contact_circle_family", "constant_family", "corollary_two_family",
-    "gcs_rescale_family", "lee_drift_family", "tabulated_family",
+    "contact_circle_family", "corollary_two_family", "gcs_rescale_family",
+    "lee_drift_family", "tabulated_family",
     # moser
     "ConformalComparison", "ExactnessCertificate", "FlowState",
     "InconsistentLeeDerivative", "IsotopyDiverged", "LeeClassDrift",
@@ -133,7 +129,7 @@ __all__ = [
     # simplicial / mapping torus
     "CocycleViolation", "LocalSystem", "SimplicialComplex",
     "TwistedBettiResult", "build_complex", "coboundary_matrix",
-    "gauge_transform", "local_system", "twisted_betti",
+    "local_system", "twisted_betti",
     "SingularThresholdAmbiguous", "WrongDimension",
     "example_inequality_check", "exterior_power", "hyperbolic_example",
     "mapping_torus_betti", "toral_product_example",

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .forms import DiffForm, GridSpec, form_from_components, zero_form
+from .forms import DiffForm, GridSpec, form_from_components
 from .twisted import LcsForm, LeeForm, validate_lcs
 
 TWO_PI = 2.0 * np.pi
@@ -277,28 +277,13 @@ def lee_drift_family(
                       label="lee_drift")
 
 
-def constant_family(lcs: LcsForm) -> FormFamily:
-    """The trivial family omega_t = omega_0 (zero derivative), 11 samples."""
-    grid = lcs.grid
-    theta_h = lcs.lee.harmonic.copy() if lcs.lee.is_constant else None
-    return FormFamily(
-        grid,
-        lambda t: lcs,
-        lambda t: zero_form(grid, 2),
-        np.linspace(0, 1, 11),
-        theta_h=theta_h,
-        label="constant",
-    )
-
-
 # -- tabulated families ---------------------------------------------------
 
 
 def _lagrange_window(times: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """Indices and weights for cubic Lagrange interpolation on a uniform grid."""
+    """Indices and weights for cubic Lagrange interpolation on a uniform grid
+    of at least 4 times."""
     m = len(times)
-    if m < 4:
-        raise ValueError("tabulated family needs at least 4 samples")
     dt = times[1] - times[0]
     j = int(np.clip(np.floor((t - times[0]) / dt), 1, m - 3))
     idx = np.arange(j - 1, j + 3)

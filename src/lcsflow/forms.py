@@ -4,8 +4,8 @@ A degree-k form is stored as real node values on a regular N^n grid, one
 scalar array per strictly increasing component index set, the sets ordered
 lexicographically; the array is read-only once the form is built, so the
 cached spectra stay valid.  The signs of this component order live in one
-place, ``product_table``; wedge, contraction, d, d* and the Hodge star all
-read them from there.
+place, ``product_table``; wedge, contraction, d and d* all read them from
+there.
 
 Derivatives are exact on band-limited data (FFT modes multiplied by
 2*pi*i*m, Nyquist bucket zeroed).  A pointwise product (wedge, contraction)
@@ -217,10 +217,6 @@ class DiffForm:
 
     # -- bookkeeping ----------------------------------------------------
 
-    @property
-    def index_set_list(self) -> tuple[tuple[int, ...], ...]:
-        return index_sets(self.grid.n, self.degree)
-
     def spectra(self) -> np.ndarray:
         """FFT of every component (cached and read-only, like the components)."""
         if self._spec_cache is None:
@@ -267,23 +263,10 @@ class DiffForm:
         return float(np.max(np.abs(self.comps))) if self.comps.size else 0.0
 
 
-def zero_form(grid: GridSpec, degree: int) -> DiffForm:
-    return DiffForm(grid, degree)
-
-
 def scalar_form(grid: GridSpec, values) -> DiffForm:
     """Wrap a scalar field (ndarray or constant) as a degree-0 form."""
     vals = np.broadcast_to(np.asarray(values, dtype=float), grid.shape)
     return DiffForm(grid, 0, vals[None].copy())
-
-
-def basis_form(grid: GridSpec, s: tuple[int, ...], coeff: float = 1.0) -> DiffForm:
-    """Constant form coeff * dx_s (0-based index set)."""
-    s = tuple(sorted(s))
-    k = len(s)
-    comps = np.zeros((comb(grid.n, k),) + grid.shape)
-    comps[index_sets(grid.n, k).index(s)] = coeff
-    return DiffForm(grid, k, comps)
 
 
 def form_from_components(grid: GridSpec, degree: int, parts: dict) -> DiffForm:
@@ -386,17 +369,6 @@ def downsample_values(fine: np.ndarray, grid: GridSpec) -> np.ndarray:
     return _unpack_pairs(vals, stack.shape[0]).reshape(lead + grid.shape)
 
 
-def dealiased_product(a_vals: np.ndarray, b_vals: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Pointwise product computed on the de-aliasing grid and truncated back.
-
-    Exact band truncation of the product of the trigonometric interpolants
-    of a_vals and b_vals (fields or equally shaped stacks).
-    """
-    return downsample_values(
-        upsample_values(a_vals, grid) * upsample_values(b_vals, grid), grid
-    )
-
-
 # -- exterior operations -------------------------------------------------
 
 
@@ -468,16 +440,6 @@ def ext_d(a: DiffForm) -> DiffForm:
     return DiffForm.from_spectra(grid, k + 1, wedge_axes(mult, a.spectra(), grid.n, k))
 
 
-def hodge_star(a: DiffForm) -> DiffForm:
-    """Hodge star for the flat metric: star(dx_s) = sign(s, s^c) dx_{s^c}."""
-    grid = a.grid
-    k = a.degree
-    comps = np.zeros((comb(grid.n, grid.n - k),) + grid.shape)
-    for ia, ib, _, sign in product_table(grid.n, k, grid.n - k):
-        comps[ib] = sign * a.comps[ia]
-    return DiffForm(grid, grid.n - k, comps)
-
-
 def contract(x: DiffForm, a: DiffForm) -> DiffForm:
     """Interior product i_X a.
 
@@ -508,12 +470,13 @@ def l2_inner(a: DiffForm, b: DiffForm) -> float:
 class ModeInterpolator:
     """Evaluate several grid scalars at arbitrary points by trig interpolation.
 
-    Channel c at a point x is Re sum_m c_m e^{2 pi i m.x} over the kept
-    modes m, c_m being the FFT coefficient divided by the node count.  With
-    rel_tol == 0 every mode is kept and this is exact trigonometric
-    interpolation of the node values.  With a small rel_tol (e.g. 1e-14)
-    modes below rel_tol * max|coeff| in every channel are dropped, which is
-    what the flow integrator uses on analytically decaying spectra.
+    spectra is the (channels, *grid.shape) FFT stack.  Channel c at a point
+    x is Re sum_m c_m e^{2 pi i m.x} over the kept modes m, c_m being the
+    FFT coefficient divided by the node count.  Modes at or below
+    rel_tol * max|coeff| in every channel are dropped: a small rel_tol (e.g.
+    1e-14) is what the flow integrator uses on analytically decaying
+    spectra, and rel_tol = 0 keeps every nonzero mode, which is exact
+    trigonometric interpolation of the node values.
 
     The Nyquist bucket is split the way upsample_values splits it: a -N/2
     component m_j stands for half the mode at -N/2 and half at +N/2, so it
@@ -538,21 +501,15 @@ class ModeInterpolator:
     product) hold about 2**17 complex entries, 2 MB, so the work stays in
     cache.  A chunk has at least 64 points, so the transient peak is at
     most max(2 MB, 64 points x (table rows + 3 F + channels) x 16 B), about
-    120 MB with every mode of a T^4 N = 16 grid kept.  An explicit
-    ``chunk`` fixes the points per chunk.
+    120 MB with every mode of a T^4 N = 16 grid kept.
     """
 
-    def __init__(self, grid: GridSpec, spectra: np.ndarray, rel_tol: float = 0.0):
+    def __init__(self, grid: GridSpec, spectra: np.ndarray, rel_tol: float):
         spectra = np.asarray(spectra, dtype=complex)
-        if spectra.ndim == grid.n:
-            spectra = spectra[None]
         nf = spectra.shape[0]
         flat = spectra.reshape(nf, -1)
-        if rel_tol > 0.0:
-            mags = np.abs(flat)
-            keep = (mags > rel_tol * mags.max()).any(axis=0)
-        else:
-            keep = np.ones(flat.shape[1], dtype=bool)
+        mags = np.abs(flat)
+        keep = (mags > rel_tol * mags.max()).any(axis=0)
         active = np.nonzero(keep)[0]
         idx = np.array(np.unravel_index(active, grid.shape))
         freqs = np.fft.fftfreq(grid.N, 1.0 / grid.N).astype(int)[idx]
@@ -587,29 +544,17 @@ class ModeInterpolator:
             ph *= table[rows]
         return ph
 
-    def __call__(self, points: np.ndarray, chunk: int | None = None) -> np.ndarray:
+    def __call__(self, points: np.ndarray) -> np.ndarray:
         points = np.atleast_2d(np.asarray(points, dtype=float))
         out = np.empty((self.nf, points.shape[0]))
-        if chunk is None:
-            rows = sum(2 * k + 1 for _, k, _ in self._axes)
-            per_point = rows + 3 * self.modes.shape[0] + self.nf
-            chunk = max(64, 2**17 // per_point)
+        rows = sum(2 * k + 1 for _, k, _ in self._axes)
+        per_point = rows + 3 * self.modes.shape[0] + self.nf
+        chunk = max(64, 2**17 // per_point)
         for lo in range(0, points.shape[0], chunk):
             sl = slice(lo, min(lo + chunk, points.shape[0]))
             ph = self._phases(points[sl])
             out[:, sl] = self._weights @ np.concatenate((ph.real, ph.imag))
         return out
-
-
-def eval_at(a: DiffForm, points: np.ndarray) -> np.ndarray:
-    """Trig-interpolate every component of a at the given points.
-
-    points: (P, n) array of torus coordinates (any reals, wrapped mod 1).
-    Returns an (ncomp, P) array ordered like a.index_set_list.  Every mode
-    is kept, so this is exact trigonometric interpolation, and it agrees
-    with upsample_values on the de-aliasing nodes.
-    """
-    return ModeInterpolator(a.grid, a.spectra())(points)
 
 
 # -- external form literals ----------------------------------------------

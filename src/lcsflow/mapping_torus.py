@@ -4,9 +4,12 @@ For the mapping torus of A acting on T^n, a rank-one local system is
 pinned by a positive weight t0 on the base circle, and degree-k twisted
 cohomology is built from the fixed spaces of t0 times the induced map on
 fiber cohomology: b_k = null(t0 L_k - I) + null(t0 L_{k-1} - I) with
-L_k the k-th exterior power of A^T.  Rational t0 is handled exactly by
-the Bareiss elimination of `exactlinalg`; float t0 goes through an SVD
-with a fixed relative threshold that refuses to guess near the cut.
+L_k the k-th exterior power of A^T.  These dims alternate to 0 for any
+nullities, so chi = 0 and the example identity b2 = b1 + b3 - b0 - b4
+(the same alternating sum) hold by construction and check no nullity.
+Rational t0 is handled exactly by the Bareiss elimination of
+`exactlinalg`; float t0 goes through an SVD with a fixed relative
+threshold that refuses to guess near the cut.
 """
 
 from __future__ import annotations

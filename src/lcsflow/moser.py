@@ -172,8 +172,7 @@ def normalize_family(F: FormFamily, opts: PipelineOptions | None = None) -> Form
 
     if all(lee.is_constant for lee in sample_lees):
         return FormFamily(grid, F.omega_at, F.derivative_at, F.times,
-                          exact_data=F.exact_data, theta_h=c0,
-                          label=F.label + "|normalized")
+                          exact_data=F.exact_data, theta_h=c0)
 
     lee_const = LeeForm.constant(grid, c0)
 
@@ -186,8 +185,7 @@ def normalize_family(F: FormFamily, opts: PipelineOptions | None = None) -> Form
     def derivative_n_at(t: float) -> DiffForm:
         return fd_derivative(lambda u: omega_n_at(u).omega, t, FD_STEP)
 
-    return FormFamily(grid, omega_n_at, derivative_n_at, F.times, theta_h=c0,
-                      label=F.label + "|normalized")
+    return FormFamily(grid, omega_n_at, derivative_n_at, F.times, theta_h=c0)
 
 
 # -- exactness certificate with scalar absorption ------------------------
@@ -288,8 +286,7 @@ def absorbed_family(F: FormFamily, h0: np.ndarray | None) -> FormFamily:
         a = _absorption_rate(dom, om)
         return (dom + om * (-a)) * float(np.exp(_gauge_log(h0, om)))
 
-    return FormFamily(grid, omega_a_at, derivative_a_at, F.times,
-                      theta_h=F.theta_h, label=F.label + "|absorbed")
+    return FormFamily(grid, omega_a_at, derivative_a_at, F.times, theta_h=F.theta_h)
 
 
 # -- vector field construction -------------------------------------------
@@ -305,7 +302,7 @@ def _matrix_of(comps: np.ndarray, n: int) -> np.ndarray:
 
 
 def moser_vector_field(
-    L: LcsForm | DiffForm,
+    om: DiffForm,
     alpha: DiffForm,
     nondeg_margin: float = NONDEG_THRESHOLD,
 ) -> DiffForm:
@@ -316,7 +313,6 @@ def moser_vector_field(
     Raises DegenerateForm if the Pfaffian margin is below nondeg_margin or
     the back-substitution residual exceeds BACKSUB_TOL relative to alpha.
     """
-    om = L.omega if isinstance(L, LcsForm) else L
     grid = om.grid
     if alpha.degree != 1:
         raise ValueError("alpha must be a 1-form")
@@ -413,8 +409,7 @@ def theorem_stage_builder(
     theta_h = F.theta_h
 
     def build(t: float) -> StageData:
-        L = F.omega_at(t)
-        om, dom = L.omega, F.derivative_at(t)
+        om, dom = F.omega_at(t).omega, F.derivative_at(t)
         sol = solve_primitive(dom, theta_h)
         den = max(dom.norm(), RESIDUAL_FLOOR * om.norm())
         obstruction = sol.harmonic_part_norm / den
@@ -423,7 +418,7 @@ def theorem_stage_builder(
                 f"harmonic obstruction {obstruction:.3e} at t={t} exceeds "
                 f"{opts.tol_exactness:.1e} ({_obstruction_hint(om, dom, theta_h, opts)}); "
                 "family not certified in the canonical gauge")
-        x = moser_vector_field(L, sol.primitive, opts.nondeg_margin)
+        x = moser_vector_field(om, sol.primitive, opts.nondeg_margin)
         rate = np.tensordot(theta_h, x.comps, axes=1)
         return StageData(x, rate, 0.0, solve_residual=sol.residual * dom.norm() / den,
                          obstruction=obstruction)
@@ -456,7 +451,7 @@ def exact_stage_builder(
     def build(t: float) -> StageData:
         L, h, al = F.omega_at(t), ed.h_at(t), ed.alpha_at(t)
         beta = DiffForm(F.grid, 1, ed.alpha_dot_at(t).comps - h * al.comps)
-        x = moser_vector_field(L, beta, opts.nondeg_margin)
+        x = moser_vector_field(L.omega, beta, opts.nondeg_margin)
         theta_x = np.einsum("i...,i...->...", L.lee.one_form().comps, x.comps)
         return StageData(x, theta_x + h, h)
 
@@ -492,7 +487,7 @@ def integrate_isotopy(
     fields: Callable[[float], StageData],
     steps: int,
     record_times: list[float],
-    seeds: np.ndarray | None = None,
+    seeds: np.ndarray,
 ) -> FlowState:
     """Classic RK4 on (x, J, L): dx = X, dJ = DX J, dL = rate, t in [0, 1].
 
@@ -502,13 +497,11 @@ def integrate_isotopy(
     the next step.  The grid field h_values is integrated in time alongside,
     by Simpson's rule on each step's own stages k/s, (2k+1)/2s, (k+1)/s.
     Issues a StepCountTooSmall warning when max |X| dt exceeds half a grid
-    cell; raises IsotopyDiverged on non-finite state.  The state is recorded at record_times rounded to the
-    step grid; seeds default to every grid node.
+    cell; raises IsotopyDiverged on non-finite state.  The state of the
+    seed points is recorded at record_times rounded to the step grid.
     """
     if steps < 1:
         raise ValueError("steps must be positive")
-    if seeds is None:
-        seeds = grid.nodes()
     seeds = np.atleast_2d(np.asarray(seeds, dtype=float))
     rec_steps = {round(float(t) * steps) for t in record_times}
 
@@ -589,7 +582,7 @@ class SampledForm:
 
 
 def pullback_form(
-    omega: LcsForm | DiffForm,
+    om: DiffForm,
     flow: FlowState,
     t: float,
 ) -> SampledForm:
@@ -600,7 +593,6 @@ def pullback_form(
     triangle of the congruence is stored, so the result is antisymmetric by
     construction.
     """
-    om = omega.omega if isinstance(omega, LcsForm) else omega
     grid = om.grid
     if om.degree != 2:
         raise ValueError("pullback_form expects a 2-form")
@@ -612,15 +604,6 @@ def pullback_form(
     return SampledForm(grid, 2, comps)
 
 
-def _comp_matrix(a) -> np.ndarray:
-    if isinstance(a, DiffForm):
-        return a.comps.reshape(a.comps.shape[0], -1)
-    if isinstance(a, SampledForm):
-        return a.comps
-    arr = np.asarray(a, dtype=float)
-    return arr.reshape(arr.shape[0], -1)
-
-
 @dataclass
 class ConformalComparison:
     factor: np.ndarray
@@ -628,16 +611,15 @@ class ConformalComparison:
     positive: bool
 
 
-def conformal_compare(a, b) -> ConformalComparison:
+def conformal_compare(av: np.ndarray, bv: np.ndarray) -> ConformalComparison:
     """Extract the pointwise ratio a = factor * b and its spread.
 
-    Componentwise ratios are averaged with weights |b_S|, using only
-    components with |b_S| >= COMPARE_FLOOR * max |b|; the consistency
-    error is the largest pointwise ratio spread divided by the mean
-    factor magnitude.  Raises NoValidComponents when some point has no
-    usable reference component.
+    av and bv are (ncomp, P) component arrays at P points.  Componentwise
+    ratios are averaged with weights |b_S|, using only components with
+    |b_S| >= COMPARE_FLOOR * max |b|; the consistency error is the largest
+    pointwise ratio spread divided by the mean factor magnitude.  Raises
+    NoValidComponents when some point has no usable reference component.
     """
-    av, bv = _comp_matrix(a), _comp_matrix(b)
     if av.shape != bv.shape:
         raise ValueError("component shapes differ")
     bmax = float(np.max(np.abs(bv)))
@@ -816,7 +798,7 @@ def _checkpoint_compare(
     pb = pullback_form(om_t, flow, t)
     if float(np.min(np.abs(pfaffian_values(pb)))) < opts.nondeg_margin:
         raise IsotopyDiverged(f"pullback degenerated at t={t}")
-    return conformal_compare(pb, base), np.exp(logf)
+    return conformal_compare(pb.comps, base), np.exp(logf)
 
 
 @dataclass

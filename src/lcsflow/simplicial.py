@@ -6,8 +6,10 @@ multiplicative cocycle rule w(a,b) w(b,c) = w(a,c) on every 2-simplex.
 Cochain coefficients live at the least vertex of each simplex; the
 twisted coboundary transports the dropped-least-vertex face along the
 edge between base vertices.  Every rank comes from the one fraction-free
-(Bareiss) elimination of `exactlinalg`, so d^2 = 0, gauge invariance and
-the Euler identity are exact statements, not floating-point ones.
+(Bareiss) elimination of `exactlinalg`, so d^2 = 0 and gauge invariance
+are exact statements, not floating-point ones.  The Euler identity is no
+check on the ranks: b_k = c_k - r_k - r_{k-1} telescopes to chi whatever
+the ranks r_k are.
 """
 
 from __future__ import annotations
@@ -163,18 +165,6 @@ def local_system(complex: SimplicialComplex, weight_specs) -> LocalSystem:
     return LocalSystem(complex, weights)
 
 
-def gauge_transform(system: LocalSystem, potential: dict[int, Fraction]) -> LocalSystem:
-    """Rescale by a vertex potential: w'(a,b) = w(a,b) * p(b)/p(a)."""
-    for v, p in potential.items():
-        if p <= 0:
-            raise ValueError(f"potential must be positive, got {p} at vertex {v}")
-    new = {
-        (a, b): w * potential.get(b, Fraction(1)) / potential.get(a, Fraction(1))
-        for (a, b), w in system.weights.items()
-    }
-    return LocalSystem(system.complex, new)
-
-
 # -- twisted coboundary and Betti numbers --------------------------------
 
 
@@ -217,7 +207,11 @@ class TwistedBettiResult:
 
 
 def twisted_betti(system: LocalSystem) -> TwistedBettiResult:
-    """Twisted Betti numbers b_k = dim ker delta_k - rank delta_{k-1}."""
+    """Twisted Betti numbers b_k = dim ker delta_k - rank delta_{k-1}.
+
+    Their alternating sum equals chi for any ranks, so the Euler
+    bookkeeping of the result holds by construction.
+    """
     cx = system.complex
     top = cx.dim
     counts = cx.counts()

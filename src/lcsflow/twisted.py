@@ -45,10 +45,6 @@ class NotLcs(ValueError):
     """The pointwise Lee form is not closed."""
 
 
-class NonConstantLee(ValueError):
-    """Operation requires a constant (harmonic) Lee form."""
-
-
 HARMONIC_SNAP = 1e-12  # |c_j| below this is treated as exactly zero
 NONDEG_THRESHOLD = 1e-8  # least pointwise |Pfaffian| of a nondegenerate 2-form
 LCS_TOL = 1e-8  # closedness gate ||d theta|| / max(||theta||, 1) of a Lee form
@@ -85,10 +81,6 @@ class LeeForm:
         scale = max(1.0, float(np.max(np.abs(self.harmonic))))
         return float(np.max(np.abs(self.potential))) <= 1e-12 * scale
 
-    @property
-    def is_zero(self) -> bool:
-        return self.is_constant and not self.harmonic.any()
-
     def one_form(self) -> DiffForm:
         """theta = harmonic + d(potential) as a degree-1 form."""
         n = self.grid.n
@@ -115,7 +107,7 @@ def _as_theta(theta, grid: GridSpec):
     return c, None
 
 
-# -- twisted differential, adjoint, Laplacian ----------------------------
+# -- twisted differential and its adjoint --------------------------------
 
 
 def d_theta(a: DiffForm, theta) -> DiffForm:
@@ -152,17 +144,6 @@ def d_theta_star(a: DiffForm, theta) -> DiffForm:
         return da - DiffForm(grid, a.degree - 1,
                              contract_axes(c, a.comps, grid.n, a.degree))
     return da - contract(one_form, a)
-
-
-def laplacian_theta(a: DiffForm, theta) -> DiffForm:
-    """Twisted Laplacian d_theta d_theta* + d_theta* d_theta."""
-    grid = a.grid
-    out = DiffForm(grid, a.degree)
-    if a.degree < grid.n:
-        out = out + d_theta_star(d_theta(a, theta), theta)
-    if a.degree > 0:
-        out = out + d_theta(d_theta_star(a, theta), theta)
-    return out
 
 
 # -- splitting closed 1-forms --------------------------------------------
@@ -288,17 +269,10 @@ def validate_lcs(
 
 
 def _require_constant(theta, grid: GridSpec) -> np.ndarray:
-    if isinstance(theta, LeeForm):
-        if not theta.is_constant:
-            raise NonConstantLee(
-                "per-mode Hodge operations need a constant Lee form; "
-                "normalize_family first"
-            )
-        c = theta.harmonic.astype(float).copy()
-    else:
-        c = np.asarray(theta, dtype=float).copy()
-        if c.shape != (grid.n,):
-            raise ValueError(f"need {grid.n} constant coefficients")
+    """The n constant Lee coefficients, |c_j| <= HARMONIC_SNAP set to 0."""
+    c = np.array(theta, dtype=float)
+    if c.shape != (grid.n,):
+        raise ValueError(f"need {grid.n} constant coefficients")
     c[np.abs(c) <= HARMONIC_SNAP] = 0.0
     return c
 

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from lcsflow.families import (
+    FormFamily,
     area_interpolation_family,
-    constant_family,
     contact_circle_family,
     corollary_two_family,
     fd_derivative,
@@ -14,7 +14,8 @@ from lcsflow.families import (
     lee_drift_family,
     tabulated_family,
 )
-from lcsflow.forms import GridSpec, form_from_components
+from lcsflow.forms import DiffForm, GridSpec, form_from_components
+from lcsflow.moser import normalize_family
 from lcsflow.twisted import d_theta, validate_lcs
 
 TWO_PI = 2.0 * np.pi
@@ -47,7 +48,7 @@ def test_every_sample_is_a_valid_lcs_pair():
             if fam.grid.n == 2:
                 # top-degree forms are closed: extraction returns theta = 0
                 # even when the generator carries an exact gauge potential
-                assert checked.lee.is_zero
+                assert checked.lee.is_constant and not checked.lee.harmonic.any()
                 assert np.max(np.abs(sample.lee.harmonic)) < 1e-12
             else:
                 claimed = sample.lee.one_form()
@@ -140,8 +141,12 @@ def test_lee_drift_moves_the_harmonic_class():
 
 
 def test_constant_family_has_zero_derivative():
+    # a family whose Lee form is already constant passes normalize_family
+    # with its own samplers, so the zero derivative stays exactly zero
     base = contact_circle_family(SMALL4).omega_at(0.0)
-    fam = constant_family(base)
+    fam = normalize_family(FormFamily(SMALL4, lambda t: base, lambda t: DiffForm(SMALL4, 2),
+                                      np.linspace(0, 1, 11)))
+    np.testing.assert_array_equal(fam.theta_h, base.lee.harmonic)
     assert fam.derivative_at(0.5).norm() == 0.0
     assert fam.omega_at(0.9) is base
 

@@ -15,15 +15,11 @@ from lcsflow.forms import (
     GridSpec,
     ModeInterpolator,
     _products_fit,
-    basis_form,
     contract,
-    dealiased_product,
     downsample_values,
-    eval_at,
     ext_d,
     form_from_components,
     form_from_literal,
-    hodge_star,
     index_sets,
     l2_inner,
     merge_sign,
@@ -32,10 +28,10 @@ from lcsflow.forms import (
     scalar_form,
     upsample_values,
     wedge,
-    zero_form,
 )
 from lcsflow.moser import StageData
 from lcsflow.twisted import lee_form
+from oracles import hodge_star
 
 TWO_PI = 2.0 * np.pi
 
@@ -134,7 +130,7 @@ def test_wedge_against_hand_computation():
     g = GridSpec(2, 16)
     x1, _ = g.coordinates()
     a = form_from_components(g, 1, {(0,): 1.0, (1,): np.sin(TWO_PI * x1)})
-    b = basis_form(g, (1,))
+    b = form_from_components(g, 1, {(1,): 1.0})
     w = wedge(a, b)
     np.testing.assert_allclose(w.comps[0], 1.0, atol=1e-13)
 
@@ -149,13 +145,22 @@ def test_leibniz_rule():
     assert (lhs - rhs).norm() < 1e-10
 
 
+def _dealiased_product(u: np.ndarray, v: np.ndarray, g: GridSpec) -> np.ndarray:
+    """u * v as the wedge of two 0-forms, checked to take the fine-grid path."""
+    a, b = scalar_form(g, u), scalar_form(g, v)
+    assert not _products_fit(a, b)
+    return wedge(a, b).comps[0]
+
+
 def test_dealiased_product_is_exact_for_in_band_data():
+    # bands 2 + 6 reach N/2, so the product goes through the fine grid; its
+    # mode-8 part is a sine on the Nyquist bucket, zero at every node
     g = GridSpec(2, 16)
     x, _ = g.coordinates()
-    u = np.sin(TWO_PI * x)
-    v = np.cos(3 * TWO_PI * x)
-    exact = 0.5 * (np.sin(4 * TWO_PI * x) - np.sin(2 * TWO_PI * x))
-    np.testing.assert_allclose(dealiased_product(u, v, g), exact, atol=1e-13)
+    u = np.sin(2 * TWO_PI * x)
+    v = np.cos(6 * TWO_PI * x)
+    exact = 0.5 * (np.sin(8 * TWO_PI * x) - np.sin(4 * TWO_PI * x))
+    np.testing.assert_allclose(_dealiased_product(u, v, g), exact, atol=1e-13)
 
 
 def test_dealiased_product_removes_wraparound():
@@ -165,7 +170,7 @@ def test_dealiased_product_removes_wraparound():
     x, _ = g.coordinates()
     u = np.cos(7 * TWO_PI * x)
     plain = u * u
-    clean = dealiased_product(u, u, g)
+    clean = _dealiased_product(u, u, g)
     spec_plain = np.fft.fft(plain[:, 0]) / 16
     spec_clean = np.fft.fft(clean[:, 0]) / 16
     assert abs(spec_plain[2]) > 0.2          # aliased copy present
@@ -181,13 +186,14 @@ def test_wedge_fast_path_matches_dealiased():
     c = random_band_limited(g, 1, 7, rng)       # 2 + 7 > 7: dealiased path
     ref = np.zeros((3,) + g.shape)
     sets2 = index_sets(3, 2)
-    for ia, sa in enumerate(a.index_set_list):
-        for ib, sb in enumerate(b.index_set_list):
+    sets1 = index_sets(3, 1)
+    for ia, sa in enumerate(sets1):
+        for ib, sb in enumerate(sets1):
             s, merged = merge_sign(sa, sb)
             if s == 0:
                 continue
-            ref[sets2.index(merged)] += s * dealiased_product(
-                a.comps[ia], b.comps[ib], g)
+            fine = upsample_values(a.comps[ia], g) * upsample_values(b.comps[ib], g)
+            ref[sets2.index(merged)] += s * downsample_values(fine, g)
     w_ref = DiffForm(g, 2, ref)
     assert (wedge(a, b) - w_ref).norm() < 1e-13
     # wide operand still goes through the upsampled route without error
@@ -234,8 +240,8 @@ def test_star_pairing_recovers_l2_inner():
 
 def test_contract_on_basis_forms():
     g = GridSpec(4, 8)
-    w = basis_form(g, (0, 1)) + basis_form(g, (2, 3))
-    x = basis_form(g, (0,))
+    w = form_from_components(g, 2, {(0, 1): 1.0, (2, 3): 1.0})
+    x = form_from_components(g, 1, {(0,): 1.0})
     ix = contract(x, w)
     # i_{e1}(dx1^dx2) = dx2
     assert ix.comps[1][0, 0, 0, 0] == pytest.approx(1.0)
@@ -259,13 +265,13 @@ def test_contract_antiderivation():
 def test_degree_and_grid_guards():
     g8, g16 = GridSpec(2, 8), GridSpec(2, 16)
     with pytest.raises(GridMismatch):
-        wedge(zero_form(g8, 1), zero_form(g16, 1))
+        wedge(DiffForm(g8, 1), DiffForm(g16, 1))
     with pytest.raises(DegreeError):
-        wedge(zero_form(g8, 1), zero_form(g8, 2))
+        wedge(DiffForm(g8, 1), DiffForm(g8, 2))
     with pytest.raises(DegreeError):
-        ext_d(zero_form(g8, 2))
+        ext_d(DiffForm(g8, 2))
     with pytest.raises(DegreeError):
-        contract(zero_form(g8, 2), zero_form(g8, 2))
+        contract(DiffForm(g8, 2), DiffForm(g8, 2))
 
 
 def test_mode_interpolator_reproduces_grid_and_off_grid():
@@ -273,7 +279,7 @@ def test_mode_interpolator_reproduces_grid_and_off_grid():
     x1, x2 = g.coordinates()
     vals = np.cos(TWO_PI * x1) + 0.5 * np.sin(2 * TWO_PI * (x1 + x2))
     f = scalar_form(g, vals)
-    interp = ModeInterpolator(g, f.spectra())
+    interp = ModeInterpolator(g, f.spectra(), 0.0)
     on_grid = interp(g.nodes())
     np.testing.assert_allclose(on_grid[0], vals.reshape(-1), atol=1e-12)
     pts = np.array([[0.123, 0.456], [0.9, 0.05], [1.75, -0.3]])
@@ -340,17 +346,17 @@ def _random_spectrum(grid, nf, kind, rng):
        kind=st.sampled_from(["hermitian", "general", "one_sided", "zero"]),
        rel_tol=st.one_of(st.just(0.0), st.floats(1e-10, 1e-2)),
        npts=st.integers(1, 40),
-       chunk=st.one_of(st.none(), st.integers(1, 45)),
        seed=st.integers(0, 2**32 - 1))
-@example(n=2, kind="one_sided", rel_tol=1e-6, npts=7, chunk=3, seed=0)
-@example(n=4, kind="hermitian", rel_tol=0.0, npts=10, chunk=4, seed=1)
-@example(n=3, kind="zero", rel_tol=1e-3, npts=5, chunk=None, seed=2)
-def test_mode_interpolator_matches_dense_sum(n, kind, rel_tol, npts, chunk, seed):
+@example(n=2, kind="one_sided", rel_tol=1e-6, npts=7, seed=0)
+@example(n=4, kind="hermitian", rel_tol=0.0, npts=10, seed=1)
+@example(n=3, kind="zero", rel_tol=1e-3, npts=5, seed=2)
+@example(n=2, kind="zero", rel_tol=0.0, npts=3, seed=3)
+def test_mode_interpolator_matches_dense_sum(n, kind, rel_tol, npts, seed):
     rng = np.random.default_rng(seed)
     g = GridSpec(n, 8)
     spec = _random_spectrum(g, 3, kind, rng)
     points = rng.uniform(-10.0, 10.0, (npts, n))
-    got = ModeInterpolator(g, spec, rel_tol)(points, chunk=chunk)
+    got = ModeInterpolator(g, spec, rel_tol)(points)
     # the reference runs on wrapped coordinates: the same sum, but its
     # phases 2 pi m.x then carry ~1e-15 rounding instead of ~1e-13 at |x| = 10
     want = _dense_mode_sum(g, spec, rel_tol, np.mod(points, 1.0))
@@ -360,12 +366,29 @@ def test_mode_interpolator_matches_dense_sum(n, kind, rel_tol, npts, chunk, seed
     assert np.abs(got - want).max() <= 1e-13 * scale
 
 
+def test_mode_interpolator_spans_many_chunks():
+    # every mode of a dense T^4 N = 16 spectrum is kept, so a chunk holds the
+    # 64-point minimum and 203 points take four chunks, the last one partial
+    rng = np.random.default_rng(11)
+    g = GridSpec(4, 16)
+    spec = _random_spectrum(g, 1, "hermitian", rng)
+    interp = ModeInterpolator(g, spec, 0.0)
+    assert 2**17 // (3 * interp.modes.shape[0]) < 64   # derived chunk: 64 points
+    points = rng.uniform(0.0, 1.0, (203, 4))
+    got = interp(points)
+    want = np.concatenate([_dense_mode_sum(g, spec, 0.0, points[lo:lo + 8])
+                           for lo in range(0, len(points), 8)], axis=1)
+    scale = np.sqrt((np.abs(spec) ** 2).sum()) / g.num_nodes
+    assert got.shape == (1, 203)
+    assert np.abs(got - want).max() <= 1e-13 * scale
+
+
 def test_mode_interpolator_folds_conjugate_pairs():
     # Hermitian spectrum with every mode kept: all pairs fold except the
     # 2^n modes whose components are all 0 or -N/2, each its own partner
     g = GridSpec(2, 8)
     spec = np.fft.fftn(np.random.default_rng(3).standard_normal(g.shape))
-    interp = ModeInterpolator(g, spec)
+    interp = ModeInterpolator(g, spec[None], 0.0)
     unpaired = 2**g.n
     assert interp.modes.shape == ((g.num_nodes - unpaired) // 2 + unpaired, 2)
 
@@ -379,7 +402,7 @@ def test_eval_at_splits_the_nyquist_bucket_like_upsample():
     M = g.fine_N
     nodes = np.stack([c.ravel() for c in np.meshgrid(
         np.arange(M) / M, np.arange(M) / M, indexing="ij")], axis=-1)
-    got = eval_at(scalar_form(g, vals), nodes)[0]
+    got = ModeInterpolator(g, scalar_form(g, vals).spectra(), 0.0)(nodes)[0]
     assert np.abs(got - fine.ravel()).max() <= 1e-13
 
 
@@ -387,7 +410,7 @@ def test_eval_at_multicomponent():
     rng = np.random.default_rng(7)
     g = GridSpec(3, 8)
     a = random_band_limited(g, 2, 2, rng)
-    got = eval_at(a, g.nodes())
+    got = ModeInterpolator(g, a.spectra(), 0.0)(g.nodes())
     np.testing.assert_allclose(got, a.comps.reshape(3, -1), atol=1e-12)
 
 
@@ -403,7 +426,8 @@ def test_upsample_preserves_values_on_coarse_nodes():
     assert fine.shape == (M, M)
     nodes = np.stack([c.ravel() for c in np.meshgrid(
         np.arange(M) / M, np.arange(M) / M, indexing="ij")], axis=-1)
-    np.testing.assert_allclose(fine.ravel(), eval_at(a, nodes)[0], atol=1e-13)
+    np.testing.assert_allclose(fine.ravel(), ModeInterpolator(g, a.spectra(), 0.0)(nodes)[0],
+                               atol=1e-13)
     np.testing.assert_allclose(downsample_values(fine, g), a.comps[0], atol=1e-13)
 
 
@@ -431,8 +455,7 @@ def test_spectral_operators_use_only_the_counted_fft_entry_points(monkeypatch):
     b = random_band_limited(g, 2, 3, rng)
     g4 = GridSpec(4, 8)
     logf = 0.05 * np.sin(TWO_PI * g4.coordinates()[1])
-    w = DiffForm(g4, 2, (basis_form(g4, (0, 1)) + basis_form(g4, (2, 3))).comps
-                 * np.exp(logf)[None])
+    w = form_from_components(g4, 2, {(0, 1): np.exp(logf), (2, 3): np.exp(logf)})
     calls = []
 
     def counted(fn):
@@ -499,8 +522,8 @@ def test_form_literal_rejections():
 
 def test_norm_and_arithmetic():
     g = GridSpec(2, 8)
-    a = basis_form(g, (0,), 3.0)
-    b = basis_form(g, (1,), 4.0)
+    a = form_from_components(g, 1, {(0,): 3.0})
+    b = form_from_components(g, 1, {(1,): 4.0})
     c = a + b
     assert c.norm() == pytest.approx(5.0)
     assert (c * 2.0).norm() == pytest.approx(10.0)

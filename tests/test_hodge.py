@@ -3,9 +3,14 @@
 import numpy as np
 import pytest
 
-from lcsflow.forms import GridSpec, basis_form, l2_inner, random_band_limited
+from lcsflow.forms import (
+    DiffForm,
+    GridSpec,
+    form_from_components,
+    l2_inner,
+    random_band_limited,
+)
 from lcsflow.twisted import (
-    NonConstantLee,
     d_theta,
     d_theta_star,
     hodge_decompose,
@@ -76,32 +81,21 @@ def test_solve_primitive_forward_round_trip():
 
 def test_solve_primitive_reports_obstruction():
     g = GridSpec(4, 8)
-    target = basis_form(g, (0, 1))  # constant 2-form: harmonic when theta = 0
+    # constant 2-form: harmonic when theta = 0
+    target = form_from_components(g, 2, {(0, 1): 1.0})
     sol = solve_primitive(target, np.zeros(4))
     assert sol.harmonic_part_norm == pytest.approx(1.0, rel=1e-12)
     assert sol.primitive.norm() < 1e-12
     # for theta = dx3 the constant dx1^dx3 equals d_theta(dx1): solvable
-    sol2 = solve_primitive(basis_form(g, (0, 2)), np.array([0.0, 0.0, 1.0, 0.0]))
+    sol2 = solve_primitive(form_from_components(g, 2, {(0, 2): 1.0}),
+                           np.array([0.0, 0.0, 1.0, 0.0]))
     assert sol2.harmonic_part_norm < 1e-12
     assert sol2.residual < 1e-12
 
 
 def test_solve_primitive_zero_target():
     g = GridSpec(2, 8)
-    from lcsflow.forms import zero_form
-    sol = solve_primitive(zero_form(g, 2), np.zeros(2))
+    sol = solve_primitive(DiffForm(g, 2), np.zeros(2))
     assert sol.primitive.norm() == 0.0
     assert sol.residual == 0.0
 
-
-def test_constant_lee_required():
-    rng = np.random.default_rng(24)
-    g = GridSpec(2, 8)
-    from lcsflow.twisted import LeeForm
-    x1 = g.coordinates()[0]
-    lee = LeeForm(g, np.zeros(2), 0.1 * np.sin(2 * np.pi * x1))
-    a = random_band_limited(g, 1, 2, rng)
-    with pytest.raises(NonConstantLee):
-        hodge_decompose(a, lee)
-    with pytest.raises(NonConstantLee):
-        solve_primitive(a, lee)

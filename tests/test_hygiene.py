@@ -1,7 +1,10 @@
 """Source hygiene: no dead top-level definitions, constants or methods, no
 unused imports, no default that every caller leaves alone.
 
-The checks read the code with ``ast``.  A name counts as used when it
+The checks read the code with ``ast``.  Only the code that runs the
+package counts as a user: src, demos and perfbench.  Tests do not, so a
+definition or a default that only tests reach fails; nor do the
+re-exports of ``lcsflow/__init__.py``.  A name counts as used when it
 is read as an identifier (a loaded name, an attribute or an imported
 name) or appears as a string constant anywhere outside its own
 definition, so names that are looked up by string (``getattr``,
@@ -13,7 +16,7 @@ exempt, and so are dataclass fields, since reports serialize them through
 ``asdict`` / ``vars``.
 
 A defaulted parameter counts as passed when some call of a function with
-that name, anywhere in src, tests, demos or perfbench, passes it by
+that name, anywhere in src, demos or perfbench, passes it by
 position or keyword, or passes ``*`` / ``**`` arguments.  Calls match by
 name only: ``f(..)`` and ``obj.f(..)`` both call every package ``f``, a
 class name calls its ``__init__`` and ``C(..)(..)`` calls ``C.__call__``.
@@ -27,14 +30,19 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "lcsflow"
-USER_DIRS = ("src", "tests", "demos", "perfbench")
+USER_DIRS = ("src", "demos", "perfbench")
 IMPORT_DIRS = ("src", "tests")
+EXPORTS = PACKAGE / "__init__.py"
 
 
 def _sources(dirs):
     for d in dirs:
         for path in sorted((ROOT / d).rglob("*.py")):
             yield path, ast.parse(path.read_text(), filename=str(path))
+
+
+def _user_sources():
+    return ((path, tree) for path, tree in _sources(USER_DIRS) if path != EXPORTS)
 
 
 def _mentions(tree) -> tuple[set[str], set[str]]:
@@ -66,7 +74,7 @@ def dead_definitions() -> list[str]:
     """Top-level defs, classes, constants and class members of the package
     nothing reads."""
     read, strings = set(), set()
-    for _, tree in _sources(USER_DIRS):
+    for _, tree in _user_sources():
         names, consts = _mentions(tree)
         read |= names
         strings |= consts
@@ -123,7 +131,7 @@ def _callee(func) -> str | None:
 def passed_arguments() -> dict[str, set]:
     """Callee name -> positions, keywords, "*" and "**" some call passes."""
     passed: dict[str, set] = {}
-    for _, tree in _sources(USER_DIRS):
+    for _, tree in _user_sources():
         for node in ast.walk(tree):
             if isinstance(node, ast.Call):
                 name = _callee(node.func)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from lcsflow.exactlinalg import rational_rank
 from lcsflow.simplicial import (
     FIXTURE_BUILDERS,
     CocycleViolation,
@@ -15,7 +16,6 @@ from lcsflow.simplicial import (
     coboundary_matrix,
     cylinder_complex,
     disk_complex,
-    gauge_transform,
     local_system,
     projective_plane_complex,
     random_local_system,
@@ -23,6 +23,7 @@ from lcsflow.simplicial import (
     torus_grid_complex,
     twisted_betti,
 )
+from oracles import gauge_transform
 
 
 def _frac_matmul(a, b):
@@ -124,6 +125,18 @@ def test_euler_identity_holds_for_random_systems_on_every_fixture(name, seed):
     fx = FIXTURE_BUILDERS[name]()
     res = twisted_betti(random_local_system(fx, np.random.default_rng(seed)))
     assert res.euler_alternating_sum == res.chi == fx.complex.euler_characteristic
+
+
+@given(name=fixture_names, seed=seeds)
+def test_exact_ranks_match_float_ranks_on_every_fixture(name, seed):
+    # the Euler identity above holds for any ranks; this one can fail on a
+    # wrong rank (the coboundaries' smallest relative nonzero singular
+    # values sit far above the float rank cutoff)
+    fx = FIXTURE_BUILDERS[name]()
+    sys = random_local_system(fx, np.random.default_rng(seed))
+    for k in range(fx.complex.dim):
+        m = coboundary_matrix(sys, k)
+        assert rational_rank(m) == np.linalg.matrix_rank(np.array(m, dtype=float)), (name, k)
 
 
 def test_pure_gauge_system_matches_classical_betti():
