@@ -9,8 +9,10 @@ pointwise that the pulled-back family stays conformally equivalent to
 the initial form with the predicted factor.
 
 One driver runs flow -> identity residuals -> checkpoint comparison ->
-report for two primitive providers, each behind a public entry point:
-  run_theorem_pipeline -- primitive found by per-mode Hodge solves;
+report on the ExactnessCertificate that one of two primitive providers
+hands it, each behind a public entry point:
+  run_theorem_pipeline -- primitive found by per-mode Hodge solves, after
+                          normalize_family, its one Lee extraction per time;
   run_exact_family     -- a supplied primitive alpha_t with
                           d/dt theta_t = d h_t bypasses the Hodge solve.
 Each RK4 stage time is built once; a theorem-path stage is one Hodge solve
@@ -135,22 +137,30 @@ class PipelineOptions:
 def normalize_family(F: FormFamily, opts: PipelineOptions | None = None) -> FormFamily:
     """Gauge every sample to its constant (harmonic) Lee representative.
 
-    Validates the family samples, checks that the harmonic Lee
-    coefficients are t-independent (LeeClassDrift otherwise), and
-    returns a family whose samples have constant Lee form.  Families
-    that already carry a constant Lee form pass through untouched,
-    keeping their analytic derivative.
+    The one Lee extraction of the theorem path.  Validates omega_t at each
+    sample time and at each checkpoint time that is not one, checks there
+    that the family's Lee data match the extracted ones and that the
+    harmonic Lee coefficients are t-independent (LeeClassDrift otherwise),
+    and returns a family whose samples have constant Lee form.  Families
+    that already carry a constant Lee form pass through untouched, keeping
+    their analytic derivative; otherwise the gauged samples e^{-g} omega
+    are validated at the checkpoints.
     """
     opts = opts or PipelineOptions()
     grid = F.grid
+    checkpoints = opts.checkpoint_times()
+    times = [float(t) for t in F.times]
+    times += [t for t in checkpoints
+              if all(abs(t - s) > 1e-12 for s in F.times)]
     sample_lees = []
-    for t in F.times:
-        L = F.omega_at(float(t))
-        V = validate_lcs(L.omega, nondeg_threshold=opts.nondeg_margin,
-                         lcs_tol=opts.lcs_tol)
+    for t in times:
+        L = F.omega_at(t)
+        V = _validated(L.omega, opts)
         claimed = L.lee
         if grid.n > 2:
-            dev = (V.lee.one_form() - claimed.one_form()).norm()
+            gap = LeeForm(grid, V.lee.harmonic - claimed.harmonic,
+                          V.lee.potential - claimed.potential)
+            dev = gap.one_form().norm()
             scale = max(1.0, claimed.one_form().norm())
             if dev > 1e-6 * scale:
                 raise ValueError(
@@ -161,7 +171,7 @@ def normalize_family(F: FormFamily, opts: PipelineOptions | None = None) -> Form
 
     c0 = sample_lees[0].harmonic.copy()
     scale = max(1.0, float(np.max(np.abs(c0))))
-    for t, lee in zip(F.times, sample_lees):
+    for t, lee in zip(times, sample_lees):
         drift = float(np.max(np.abs(lee.harmonic - c0)))
         if drift > opts.tol_lee_match * scale:
             raise LeeClassDrift(
@@ -185,7 +195,13 @@ def normalize_family(F: FormFamily, opts: PipelineOptions | None = None) -> Form
     def derivative_n_at(t: float) -> DiffForm:
         return fd_derivative(lambda u: omega_n_at(u).omega, t, FD_STEP)
 
+    for t in checkpoints:
+        _validated(omega_n_at(t).omega, opts)
     return FormFamily(grid, omega_n_at, derivative_n_at, F.times, theta_h=c0)
+
+
+def _validated(om: DiffForm, opts: PipelineOptions) -> LcsForm:
+    return validate_lcs(om, nondeg_threshold=opts.nondeg_margin, lcs_tol=opts.lcs_tol)
 
 
 # -- exactness certificate with scalar absorption ------------------------
@@ -205,40 +221,47 @@ def _absorption_rate(dom: DiffForm, om: DiffForm) -> float:
     return float(hd @ ho) / denom
 
 
-def _gauge_log(h0: np.ndarray, om: DiffForm) -> float:
-    """c with e^c H(om) = h0 = H(omega_0)."""
-    return float(np.log((h0 @ h0) / (_harmonic_parts(om) @ h0)))
+def _gauge_log(h0: np.ndarray, om: DiffForm, t: float) -> float:
+    """c with e^c H(om) = h0 = H(omega_0); NotExact unless H(om).h0 > 0."""
+    overlap = float(_harmonic_parts(om) @ h0)
+    if not overlap > 0.0:
+        raise NotExact(
+            f"harmonic part of omega at t={t} has overlap {overlap:.3e} with "
+            "that of omega_0, so no constant gauge e^c maps one onto the "
+            "other; family not certified in the canonical gauge")
+    return float(np.log((h0 @ h0) / overlap))
 
 
 @dataclass
 class ExactnessCertificate:
-    """Checkpoint stages of a normalized family, each twisted-exact.
+    """What a primitive provider hands the driver, before any integration.
 
-    family is the normalized family; certified is the family the stages
-    solve on, the absorbed one when absorption is used.  residuals are
-    read off the stages.  Absorption certifies
+    family is the family the provider was given (normalized on the theorem
+    path); certified is the family the flow runs on, the absorbed one when
+    absorption is used.  builder builds its stage at any time, stages are
+    its checkpoint stages, keyed by checkpoint time, and residuals are the
+    exactness residuals per checkpoint.  Absorption certifies
     H(d omega/dt) = a(t) H(omega_t), so the constant gauge f -> e^{c(t)} f
     with dc/dt = -a(t) has the closed form c(t) = log(|H(omega_0)|^2 /
     H(omega_t).H(omega_0)), evaluated on the normalized family.
     """
 
+    path: str
     family: FormFamily
     certified: FormFamily
+    builder: Callable[[float], StageData]
     stages: dict[float, StageData]
+    residuals: list[float]
     harmonic0: np.ndarray | None
 
     @property
     def used_absorption(self) -> bool:
         return self.harmonic0 is not None
 
-    @property
-    def residuals(self) -> list[float]:
-        return [s.solve_residual for s in self.stages.values()]
-
     def c_at(self, t: float) -> float:
         if not self.used_absorption:
             return 0.0
-        return _gauge_log(self.harmonic0, self.family.omega_at(t).omega)
+        return _gauge_log(self.harmonic0, self.family.omega_at(t).omega, t)
 
 
 def exactness_certificate(
@@ -263,9 +286,13 @@ def exactness_certificate(
                  for t in times]
         if any(abs(a) > RATE_FLOOR for a in rates):
             h0 = _harmonic_parts(F.omega_at(0.0).omega)
+    # an absorbed e^c omega keeps the Lee form normalize_family validated,
+    # and moser_vector_field gates its Pfaffian margin in each stage build
     Fa = absorbed_family(F, h0)
     build = theorem_stage_builder(Fa, opts)
-    return ExactnessCertificate(F, Fa, {t: build(t) for t in times}, h0)
+    stages = {t: build(t) for t in times}
+    return ExactnessCertificate("theorem", F, Fa, build, stages,
+                                [s.solve_residual for s in stages.values()], h0)
 
 
 def absorbed_family(F: FormFamily, h0: np.ndarray | None) -> FormFamily:
@@ -277,14 +304,14 @@ def absorbed_family(F: FormFamily, h0: np.ndarray | None) -> FormFamily:
 
     def omega_a_at(t: float) -> LcsForm:
         L = F.omega_at(t)
-        s = np.exp(_gauge_log(h0, L.omega))
+        s = np.exp(_gauge_log(h0, L.omega, t))
         return LcsForm(DiffForm(grid, 2, L.omega.comps * s), L.lee)
 
     def derivative_a_at(t: float) -> DiffForm:
         om = F.omega_at(t).omega
         dom = F.derivative_at(t)
         a = _absorption_rate(dom, om)
-        return (dom + om * (-a)) * float(np.exp(_gauge_log(h0, om)))
+        return (dom + om * (-a)) * float(np.exp(_gauge_log(h0, om, t)))
 
     return FormFamily(grid, omega_a_at, derivative_a_at, F.times, theta_h=F.theta_h)
 
@@ -413,7 +440,7 @@ def theorem_stage_builder(
         sol = solve_primitive(dom, theta_h)
         den = max(dom.norm(), RESIDUAL_FLOOR * om.norm())
         obstruction = sol.harmonic_part_norm / den
-        if obstruction > opts.tol_exactness:
+        if not obstruction <= opts.tol_exactness:
             raise NotExact(
                 f"harmonic obstruction {obstruction:.3e} at t={t} exceeds "
                 f"{opts.tol_exactness:.1e} ({_obstruction_hint(om, dom, theta_h, opts)}); "
@@ -742,7 +769,7 @@ class MoserReport:
 
 
 def _assemble_report(
-    pv: _Provider,
+    cert: ExactnessCertificate,
     label: str,
     opts: PipelineOptions,
     records: list[CheckpointRecord],
@@ -767,14 +794,14 @@ def _assemble_report(
         and factor_positive
         and (max_c2 is None or max_c2 <= opts.tol_cor2)
     )
-    grid = pv.family.grid
+    grid = cert.family.grid
     return MoserReport(
-        path=pv.path, label=label, grid=(grid.n, grid.N), steps=opts.steps,
+        path=cert.path, label=label, grid=(grid.n, grid.N), steps=opts.steps,
         records=records, max_exactness=max_ex, max_obstruction=max_ob,
         max_consistency=max_cc, max_factor_error=max_fe,
         max_flow_identity=max_fl, max_cor2=max_c2,
-        factor_positive=factor_positive, absorption_used=pv.absorption_used,
-        absorption_log_final=pv.absorption_log_final, max_speed=max_speed,
+        factor_positive=factor_positive, absorption_used=cert.used_absorption,
+        absorption_log_final=cert.c_at(1.0), max_speed=max_speed,
         stage_solve_residual_max=stage_res, success=ok,
         verdict=("certified_conformally_equivalent" if ok
                  else "not_certified_in_canonical_gauge"),
@@ -801,47 +828,15 @@ def _checkpoint_compare(
     return conformal_compare(pb.comps, base), np.exp(logf)
 
 
-@dataclass
-class _Provider:
-    """What a primitive provider hands the driver, before any integration.
-
-    family is the family the flow runs on; stages are its checkpoint
-    stages, keyed by checkpoint time; exactness is per checkpoint.  The
-    exact path also gates on the cor2 residual, which verify_eq1 forms
-    only there.
-    """
-
-    path: str
-    family: FormFamily
-    builder: Callable[[float], StageData]
-    stages: dict[float, StageData]
-    exactness: list[float]
-    absorption_used: bool = False
-    absorption_log_final: float = 0.0
-
-
-def _theorem_provider(F: FormFamily, opts: PipelineOptions,
-                      times: list[float]) -> _Provider:
-    """Hodge primitives on the normalized, scalar-absorbed family."""
-    cert = exactness_certificate(normalize_family(F, opts), opts)
-    Fa = cert.certified
-    for t in times:
-        validate_lcs(Fa.omega_at(t).omega, nondeg_threshold=opts.nondeg_margin,
-                     lcs_tol=opts.lcs_tol)
-    return _Provider("theorem", Fa, theorem_stage_builder(Fa, opts), cert.stages,
-                     cert.residuals, cert.used_absorption, cert.c_at(1.0))
-
-
-def _exact_provider(F: FormFamily, opts: PipelineOptions,
-                    times: list[float]) -> _Provider:
+def _exact_provider(F: FormFamily, opts: PipelineOptions) -> ExactnessCertificate:
     """A supplied primitive, after checking its preconditions."""
     build = exact_stage_builder(F, opts)
     ed, grid = F.exact_data, F.grid
+    times = opts.checkpoint_times()
     exact_res = []
     for t in times:
         L = F.omega_at(t)
-        validate_lcs(L.omega, nondeg_threshold=opts.nondeg_margin,
-                     lcs_tol=opts.lcs_tol)
+        _validated(L.omega, opts)
         recon = d_theta(ed.alpha_at(t), L.lee)
         res = (recon - L.omega).norm() / max(L.omega.norm(), 1e-300)
         if res > opts.tol_lee_match:
@@ -858,21 +853,21 @@ def _exact_provider(F: FormFamily, opts: PipelineOptions,
                 f"d theta/dt differs from d h by {dev:.3e} at t={t}"
             )
 
-    return _Provider("exact_family", F, build, {t: build(t) for t in times},
-                     exact_res)
+    return ExactnessCertificate("exact_family", F, F, build,
+                                {t: build(t) for t in times}, exact_res, None)
 
 
 def _run_moser(
     F: FormFamily,
     opts: PipelineOptions | None,
-    provide: Callable[[FormFamily, PipelineOptions, list[float]], _Provider],
+    provide: Callable[[FormFamily, PipelineOptions], ExactnessCertificate],
 ) -> MoserReport:
     """The one driver: flow, identity residuals, checkpoint comparison."""
     opts = opts or PipelineOptions()
     times = opts.checkpoint_times()
-    pv = provide(F, opts, times)
-    Fp = pv.family
-    stages = StageCache(pv.builder, pv.stages)
+    cert = provide(F, opts)
+    Fp = cert.certified
+    stages = StageCache(cert.builder, cert.stages)
     seeds = Fp.grid.nodes()[:: opts.seed_stride]
     flow = integrate_isotopy(Fp.grid, stages, opts.steps, record_times=times,
                              seeds=seeds)
@@ -888,8 +883,8 @@ def _run_moser(
         positive = positive and cc.positive
         records.append(CheckpointRecord(
             t=t,
-            exactness_residual=pv.exactness[i],
-            harmonic_obstruction=pv.stages[t].obstruction,
+            exactness_residual=cert.residuals[i],
+            harmonic_obstruction=cert.stages[t].obstruction,
             conformal_consistency_error=cc.consistency_error,
             factor_error=float(np.max(np.abs(cc.factor - predicted) / predicted)),
             flow_identity_residual=eq1[i].flow_identity_residual,
@@ -897,7 +892,7 @@ def _run_moser(
             factor_max=float(cc.factor.max()),
             cor2_identity_residual=eq1[i].cor2_identity_residual,
         ))
-    return _assemble_report(pv, F.label, opts, records, positive,
+    return _assemble_report(cert, F.label, opts, records, positive,
                             flow.max_speed, stages.max_solve_residual)
 
 
@@ -905,7 +900,8 @@ def run_theorem_pipeline(
     F: FormFamily, opts: PipelineOptions | None = None
 ) -> MoserReport:
     """Full certify-solve-integrate-verify cycle via Hodge primitives."""
-    return _run_moser(F, opts, _theorem_provider)
+    return _run_moser(
+        F, opts, lambda G, o: exactness_certificate(normalize_family(G, o), o))
 
 
 def run_exact_family(

@@ -1,5 +1,7 @@
 """End-to-end runs of both certification pipelines on small grids."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from lcsflow.families import (
     gcs_rescale_family,
     lee_drift_family,
 )
-from lcsflow import moser
+from lcsflow import moser, twisted
 from lcsflow.forms import GridSpec, form_from_components
 from lcsflow.moser import (
     InconsistentLeeDerivative,
@@ -23,7 +25,8 @@ from lcsflow.moser import (
     run_exact_family,
     run_theorem_pipeline,
 )
-from lcsflow.twisted import LcsForm, LeeForm
+from lcsflow.twisted import LcsForm, LeeForm, pfaffian_values
+from oracles import GridIsometry
 
 T2 = GridSpec(2, 32)
 T4 = GridSpec(4, 8)
@@ -187,6 +190,73 @@ def test_theorem_path_builds_each_stage_time_once(monkeypatch):
     assert len(solves) == 2 * steps + 1
 
 
+@pytest.mark.parametrize("make, steps, checkpoints, calls", [
+    (lambda: contact_circle_family(T4, n_times=3), 4, 3, 3),
+    (lambda: contact_circle_family(T4, n_times=3), 4, 5, 5),
+    (lambda: gcs_rescale_family(T2, amp=0.25), 20, 3, 14),
+])
+def test_theorem_path_extracts_each_lee_form_once(monkeypatch, make, steps,
+                                                  checkpoints, calls):
+    # normalize_family validates each sample time and each checkpoint time
+    # that is not a sample time once; a pointwise-gauged family also
+    # validates its gauged samples e^{-g} omega at the checkpoints
+    count = []
+    lee_form = twisted.lee_form
+
+    def counting(*args, **kwargs):
+        count.append(1)
+        return lee_form(*args, **kwargs)
+
+    monkeypatch.setattr(twisted, "lee_form", counting)
+    fam = make()
+    rep = run_theorem_pipeline(fam, PipelineOptions(
+        steps=steps, checkpoints=checkpoints, seed_stride=8))
+    assert rep.success
+    assert len(count) == calls
+
+
+def _sign_flip_family(grid):
+    """Constant-coefficient T^4 symplectic family whose harmonic part is a
+    negative multiple of H(omega_0) at t = 1/4 and 3/4, but a positive one
+    at the checkpoints 0, 1/2 and 1:
+
+        omega_t = (1 + t) cos(4 pi t) (dx12 + dx34)
+                  + sin^2(4 pi t) (dx13 - dx24) + 0.2 pi t cos(2 pi x1) dx12.
+    """
+    x1 = grid.coordinates()[0]
+    bump = 0.2 * np.pi * np.cos(2.0 * np.pi * x1) * np.ones(grid.shape)
+    lee = LeeForm.zero(grid)
+
+    def parts(a, b, c):
+        one = np.ones(grid.shape)
+        return {(0, 1): a * one + c * bump, (2, 3): a * one,
+                (0, 2): b * one, (1, 3): -b * one}
+
+    def omega_at(t):
+        a = (1.0 + t) * np.cos(4.0 * np.pi * t)
+        return LcsForm(form_from_components(grid, 2, parts(
+            a, np.sin(4.0 * np.pi * t) ** 2, t)), lee)
+
+    def derivative_at(t):
+        a = np.cos(4.0 * np.pi * t) - 4.0 * np.pi * (1.0 + t) * np.sin(4.0 * np.pi * t)
+        return form_from_components(grid, 2, parts(
+            a, 4.0 * np.pi * np.sin(8.0 * np.pi * t), 1.0))
+
+    return FormFamily(grid, omega_at, derivative_at, np.linspace(0.0, 1.0, 3),
+                      theta_h=np.zeros(4), label="sign_flip")
+
+
+def test_undefined_absorption_gauge_raises_not_exact():
+    # the checkpoint rates ask for absorption, but e^c H(omega_t) = H(omega_0)
+    # has no solution at t = 1/4: the gate names that stage time instead of
+    # passing a NaN obstruction and a zero velocity
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NotExact, match=r"at t=0\.25 "):
+            run_theorem_pipeline(_sign_flip_family(T4), PipelineOptions(
+                steps=2, checkpoints=3))
+
+
 def _sinusoidal_area_family(grid):
     """T^2 area family whose total area moves at a rate ~ sin 2 pi t.
 
@@ -270,3 +340,72 @@ def test_factor_error_converges_at_fourth_order():
     assert errs[1] < errs[0]
     assert errs[0] / errs[1] > 8.0 or errs[1] < 1e-9
     assert errs[1] / errs[2] > 8.0 or errs[2] < 1e-9
+
+
+def _report_floats(a, b, where="report"):
+    """Every (where, float, float) pair of two report trees, after checking
+    that they agree everywhere else."""
+    if isinstance(a, dict):
+        assert set(a) == set(b), where
+        return [p for k in a for p in _report_floats(a[k], b[k], f"{where}.{k}")]
+    if isinstance(a, (list, tuple)):
+        assert len(a) == len(b), where
+        return [p for i, (x, y) in enumerate(zip(a, b))
+                for p in _report_floats(x, y, f"{where}[{i}]")]
+    if isinstance(a, float):
+        return [(where, a, b)]
+    assert a == b, where
+    return []
+
+
+_SYMMETRY_CASES = {
+    "contact_t4": (run_theorem_pipeline, lambda: contact_circle_family(T4, n_times=3),
+                   PipelineOptions(steps=4, checkpoints=3)),
+    "corollary_t4": (run_exact_family, lambda: corollary_two_family(T4, a=0.3, n_times=3),
+                     PipelineOptions(steps=2, checkpoints=2)),
+    # pointwise-gauged on the theorem path: e^{-g} omega is not band-limited
+    # at N = 8, so the verdict is "not certified", yet X moves and its
+    # Jacobian is not zero
+    "corollary_t4_gauged": (run_theorem_pipeline,
+                            lambda: corollary_two_family(T4, a=0.3, n_times=3),
+                            PipelineOptions(steps=4, checkpoints=3)),
+    "area_t2": (run_theorem_pipeline,
+                lambda: area_interpolation_family(GridSpec(2, 16), eps=0.3, sigma=0.3),
+                PipelineOptions(steps=20, checkpoints=3)),
+}
+
+
+@pytest.fixture(scope="module")
+def symmetry_reports():
+    """The report of each unmapped symmetry case, run once per module."""
+    return {name: run(make(), opts).as_dict()
+            for name, (run, make, opts) in _SYMMETRY_CASES.items()}
+
+
+@pytest.mark.filterwarnings("ignore::lcsflow.moser.StepCountTooSmall")
+@pytest.mark.parametrize("case, perm, roll", [
+    ("contact_t4", (0, 1, 2, 3), (3, 0, 0, 0)),
+    ("contact_t4", (1, 0, 2, 3), (0, 2, 0, 5)),
+    ("contact_t4", (3, 2, 1, 0), (0, 0, 0, 0)),
+    ("corollary_t4", (2, 0, 3, 1), (7, 0, 0, 0)),
+    ("corollary_t4_gauged", (0, 3, 1, 2), (0, 6, 0, 1)),
+    ("area_t2", (1, 0), (5, 11)),
+])
+def test_pipeline_reports_are_invariant_under_grid_isometries(symmetry_reports, case,
+                                                              perm, roll):
+    # psi^* omega_t is certified by the conjugated isotopy psi^-1 phi_t psi,
+    # and with seed stride 1 psi maps the seed set onto itself, so every
+    # report float is the same up to rounding
+    run, make, opts = _SYMMETRY_CASES[case]
+    psi = GridIsometry(perm, roll)
+    fam = make()
+    mapped = psi.family(fam)
+    om0 = fam.omega_at(0.0).omega
+    odd = np.linalg.det(np.eye(len(perm))[list(perm)]) < 0
+    np.testing.assert_allclose(pfaffian_values(mapped.omega_at(0.0).omega),
+                               (-1.0 if odd else 1.0) * psi.field(pfaffian_values(om0)),
+                               rtol=0.0, atol=1e-13)
+    floats = _report_floats(symmetry_reports[case], run(mapped, opts).as_dict())
+    assert len(floats) > 10
+    for where, a, b in floats:
+        assert abs(a - b) <= 1e-13, f"{where}: {a!r} vs {b!r}"
