@@ -472,11 +472,11 @@ class ModeInterpolator:
 
     spectra is the (channels, *grid.shape) FFT stack.  Channel c at a point
     x is Re sum_m c_m e^{2 pi i m.x} over the kept modes m, c_m being the
-    FFT coefficient divided by the node count.  Modes at or below
-    rel_tol * max|coeff| in every channel are dropped: a small rel_tol (e.g.
-    1e-14) is what the flow integrator uses on analytically decaying
-    spectra, and rel_tol = 0 keeps every nonzero mode, which is exact
-    trigonometric interpolation of the node values.
+    FFT coefficient divided by the node count.  Modes at or below rel_tol *
+    max|finite coeff| in every channel are dropped, non-finite ones kept: a
+    small rel_tol (1e-14) is what the flow integrator uses on analytically
+    decaying spectra, and rel_tol = 0 keeps every nonzero mode, which is
+    exact trigonometric interpolation of the node values.
 
     The Nyquist bucket is split the way upsample_values splits it: a -N/2
     component m_j stands for half the mode at -N/2 and half at +N/2, so it
@@ -509,7 +509,8 @@ class ModeInterpolator:
         nf = spectra.shape[0]
         flat = spectra.reshape(nf, -1)
         mags = np.abs(flat)
-        keep = (mags > rel_tol * mags.max()).any(axis=0)
+        top = mags.max(where=np.isfinite(mags), initial=0.0)
+        keep = ~(mags <= rel_tol * top).all(axis=0)
         active = np.nonzero(keep)[0]
         idx = np.array(np.unravel_index(active, grid.shape))
         freqs = np.fft.fftfreq(grid.N, 1.0 / grid.N).astype(int)[idx]

@@ -56,9 +56,11 @@ from .twisted import (
     DegenerateForm,
     LcsForm,
     LeeForm,
+    component_means,
     d_theta,
     pfaffian_inverse,
     pfaffian_values,
+    snap_lee,
     solve_primitive,
     validate_lcs,
 )
@@ -141,7 +143,8 @@ def normalize_family(F: FormFamily, opts: PipelineOptions | None = None) -> Form
     sample time and at each checkpoint time that is not one, checks there
     that the family's Lee data match the extracted ones and that the
     harmonic Lee coefficients are t-independent (LeeClassDrift otherwise),
-    and returns a family whose samples have constant Lee form.  Families
+    and returns a family whose samples have constant Lee form theta_h
+    (snapped once, by snap_lee, for every reader).  Families
     that already carry a constant Lee form pass through untouched, keeping
     their analytic derivative; otherwise the gauged samples e^{-g} omega
     are validated at the checkpoints.
@@ -162,29 +165,30 @@ def normalize_family(F: FormFamily, opts: PipelineOptions | None = None) -> Form
                           V.lee.potential - claimed.potential)
             dev = gap.one_form().norm()
             scale = max(1.0, claimed.one_form().norm())
-            if dev > 1e-6 * scale:
+            if not dev <= 1e-6 * scale:
                 raise ValueError(
                     f"family Lee data inconsistent with extraction at t={t}: "
                     f"deviation {dev:.3e}"
                 )
         sample_lees.append(claimed)
 
-    c0 = sample_lees[0].harmonic.copy()
+    c0 = sample_lees[0].harmonic
     scale = max(1.0, float(np.max(np.abs(c0))))
     for t, lee in zip(times, sample_lees):
         drift = float(np.max(np.abs(lee.harmonic - c0)))
-        if drift > opts.tol_lee_match * scale:
+        if not drift <= opts.tol_lee_match * scale:
             raise LeeClassDrift(
                 f"harmonic Lee coefficients move by {drift:.3e} at t={t}: "
                 "the Lee class is not t-independent, so no conformal isotopy "
                 "can connect the family"
             )
 
+    theta_h = snap_lee(c0, grid)
     if all(lee.is_constant for lee in sample_lees):
         return FormFamily(grid, F.omega_at, F.derivative_at, F.times,
-                          exact_data=F.exact_data, theta_h=c0)
+                          exact_data=F.exact_data, theta_h=theta_h)
 
-    lee_const = LeeForm.constant(grid, c0)
+    lee_const = LeeForm.constant(grid, theta_h)
 
     def omega_n_at(t: float) -> LcsForm:
         L = F.omega_at(t)
@@ -197,7 +201,7 @@ def normalize_family(F: FormFamily, opts: PipelineOptions | None = None) -> Form
 
     for t in checkpoints:
         _validated(omega_n_at(t).omega, opts)
-    return FormFamily(grid, omega_n_at, derivative_n_at, F.times, theta_h=c0)
+    return FormFamily(grid, omega_n_at, derivative_n_at, F.times, theta_h=theta_h)
 
 
 def _validated(om: DiffForm, opts: PipelineOptions) -> LcsForm:
@@ -207,14 +211,9 @@ def _validated(om: DiffForm, opts: PipelineOptions) -> LcsForm:
 # -- exactness certificate with scalar absorption ------------------------
 
 
-def _harmonic_parts(a: DiffForm) -> np.ndarray:
-    """Componentwise means: the harmonic projection when theta = 0."""
-    return np.array([float(np.mean(c)) for c in a.comps])
-
-
 def _absorption_rate(dom: DiffForm, om: DiffForm) -> float:
     """Least-squares coefficient a with H(dom) ~ a H(om)."""
-    hd, ho = _harmonic_parts(dom), _harmonic_parts(om)
+    hd, ho = component_means(dom), component_means(om)
     denom = float(ho @ ho)
     if denom == 0.0:
         return 0.0
@@ -223,7 +222,7 @@ def _absorption_rate(dom: DiffForm, om: DiffForm) -> float:
 
 def _gauge_log(h0: np.ndarray, om: DiffForm, t: float) -> float:
     """c with e^c H(om) = h0 = H(omega_0); NotExact unless H(om).h0 > 0."""
-    overlap = float(_harmonic_parts(om) @ h0)
+    overlap = float(component_means(om) @ h0)
     if not overlap > 0.0:
         raise NotExact(
             f"harmonic part of omega at t={t} has overlap {overlap:.3e} with "
@@ -285,7 +284,7 @@ def exactness_certificate(
         rates = [_absorption_rate(F.derivative_at(t), F.omega_at(t).omega)
                  for t in times]
         if any(abs(a) > RATE_FLOOR for a in rates):
-            h0 = _harmonic_parts(F.omega_at(0.0).omega)
+            h0 = component_means(F.omega_at(0.0).omega)
     # an absorbed e^c omega keeps the Lee form normalize_family validated,
     # and moser_vector_field gates its Pfaffian margin in each stage build
     Fa = absorbed_family(F, h0)
@@ -777,14 +776,13 @@ def _assemble_report(
     max_speed: float,
     stage_res: float,
 ) -> MoserReport:
-    max_ex = max(r.exactness_residual for r in records)
-    max_ob = max(r.harmonic_obstruction for r in records)
-    max_cc = max(r.conformal_consistency_error for r in records)
-    max_fe = max(r.factor_error for r in records)
-    max_fl = max(r.flow_identity_residual for r in records)
+    # np.max, unlike max(), keeps a NaN record, so every gate below fails on it
+    max_ex, max_ob, max_cc, max_fe, max_fl = np.max(
+        [(r.exactness_residual, r.harmonic_obstruction, r.conformal_consistency_error,
+          r.factor_error, r.flow_identity_residual) for r in records], axis=0).tolist()
     cor2s = [r.cor2_identity_residual for r in records
              if r.cor2_identity_residual is not None]
-    max_c2 = max(cor2s) if cor2s else None
+    max_c2 = float(np.max(cor2s)) if cor2s else None
     ok = (
         max_ex <= opts.tol_exactness
         and max_ob <= opts.tol_exactness
@@ -820,10 +818,10 @@ def _checkpoint_compare(
 ) -> tuple[ConformalComparison, np.ndarray]:
     pos, jac, logf = flow.at(t)
     det = np.linalg.det(jac)
-    if float(det.min()) <= 0.0:
+    if not float(det.min()) > 0.0:
         raise IsotopyDiverged(f"orientation lost at t={t}: min det J = {det.min():.3e}")
     pb = pullback_form(om_t, flow, t)
-    if float(np.min(np.abs(pfaffian_values(pb)))) < opts.nondeg_margin:
+    if not float(np.min(np.abs(pfaffian_values(pb)))) >= opts.nondeg_margin:
         raise IsotopyDiverged(f"pullback degenerated at t={t}")
     return conformal_compare(pb.comps, base), np.exp(logf)
 
@@ -839,7 +837,7 @@ def _exact_provider(F: FormFamily, opts: PipelineOptions) -> ExactnessCertificat
         _validated(L.omega, opts)
         recon = d_theta(ed.alpha_at(t), L.lee)
         res = (recon - L.omega).norm() / max(L.omega.norm(), 1e-300)
-        if res > opts.tol_lee_match:
+        if not res <= opts.tol_lee_match:
             raise NotExactFamily(
                 f"omega_t deviates from d_theta alpha_t by {res:.3e} at t={t}"
             )
@@ -848,7 +846,7 @@ def _exact_provider(F: FormFamily, opts: PipelineOptions) -> ExactnessCertificat
                                   t, FD_STEP)
         dh = ext_d(scalar_form(grid, ed.h_at(t)))
         dev = (theta_dot - dh).norm() / max(theta_dot.norm(), 1.0)
-        if dev > opts.tol_lee_match:
+        if not dev <= opts.tol_lee_match:
             raise InconsistentLeeDerivative(
                 f"d theta/dt differs from d h by {dev:.3e} at t={t}"
             )

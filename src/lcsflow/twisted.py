@@ -12,7 +12,9 @@ omega is lcs when d omega = theta ^ omega; rescaling omega -> f*omega moves
 theta to theta + d ln f, which is the gauge freedom everything here is
 organized around.  For constant theta the whole calculus diagonalizes over
 Fourier modes m with multiplier mu_j(m) = 2*pi*i*m_j - c_j, and
-Delta_theta acts as |mu(m)|^2 * Id, so harmonic means mu(m) = 0 exactly.
+Delta_theta acts as |mu(m)|^2 = sum_j (2 pi m_j)^2 + c_j^2, so the harmonic
+forms are the constant ones (component_means) if c = 0, as snap_lee
+decides, and there are none otherwise.
 The metric is the flat one throughout; there is no metric parameter.
 """
 
@@ -149,11 +151,24 @@ def d_theta_star(a: DiffForm, theta) -> DiffForm:
 # -- splitting closed 1-forms --------------------------------------------
 
 
-def _harmonic_and_potential(theta: DiffForm):
-    """Mean of each component (snapped) and the mean-zero g solving d*dg = d*theta."""
-    grid = theta.grid
-    c = np.array([float(np.mean(comp)) for comp in theta.comps])
+def component_means(a: DiffForm) -> np.ndarray:
+    """Mean of each component: the harmonic projection of a when theta = 0."""
+    return np.array([float(np.mean(comp)) for comp in a.comps])
+
+
+def snap_lee(theta, grid: GridSpec) -> np.ndarray:
+    """The n constant Lee coefficients, |c_j| <= HARMONIC_SNAP set to 0."""
+    c = np.array(theta, dtype=float)
+    if c.shape != (grid.n,):
+        raise ValueError(f"need {grid.n} constant coefficients")
     c[np.abs(c) <= HARMONIC_SNAP] = 0.0
+    return c
+
+
+def _harmonic_and_potential(theta: DiffForm):
+    """Snapped component means and the mean-zero g solving d*dg = d*theta."""
+    grid = theta.grid
+    c = snap_lee(component_means(theta), grid)
     mult = [grid.derivative_multiplier(j) for j in range(grid.n)]
     k2 = sum(np.abs(m) ** 2 for m in mult)
     g_spec = contract_axes([np.conj(m) for m in mult], theta.spectra(), grid.n, 1)
@@ -188,11 +203,11 @@ def pfaffian_inverse(omega, nondeg_threshold: float):
     B is the dual antisymmetric matrix, Omega B = Pf * Id: the constant
     -dx_0 ^ dx_1 on T^2 and -*omega on T^4.  Returns the components
     (a < b) of Omega^-1, laid out like omega's, and the margin min |Pf|;
-    raises DegenerateForm when the margin is below nondeg_threshold.
+    raises DegenerateForm when the margin is below nondeg_threshold or NaN.
     """
     pf = pfaffian_values(omega)
     margin = float(np.min(np.abs(pf)))
-    if margin < nondeg_threshold:
+    if not margin >= nondeg_threshold:
         raise DegenerateForm(
             f"Pfaffian margin {margin:.3e} below threshold {nondeg_threshold:.1e}"
         )
@@ -268,32 +283,20 @@ def validate_lcs(
 # -- per-mode Hodge solver (constant Lee form) ---------------------------
 
 
-def _require_constant(theta, grid: GridSpec) -> np.ndarray:
-    """The n constant Lee coefficients, |c_j| <= HARMONIC_SNAP set to 0."""
-    c = np.array(theta, dtype=float)
-    if c.shape != (grid.n,):
-        raise ValueError(f"need {grid.n} constant coefficients")
-    c[np.abs(c) <= HARMONIC_SNAP] = 0.0
-    return c
-
-
 class _ModeOps:
-    """Per-mode multipliers mu(m) = 2*pi*i*m - c, the harmonic mask
-    |mu|^2 == 0 and 1 / |mu|^2 off it."""
+    """Per-mode multipliers mu(m) = 2*pi*i*m - c and 1 / |mu|^2, set to 0
+    where mu(m) = 0: at m = 0 if c = 0 (then harmonic is True), else nowhere."""
 
     def __init__(self, grid: GridSpec, c: np.ndarray):
         # true modes here: the Nyquist bucket is a genuine nonzero mode for
         # the harmonic test mu(m) = 0, unlike in the (real-symmetric) d
         self.mu = [2j * np.pi * grid.mode_axis(j) - c[j] for j in range(grid.n)]
         self.mubar = [np.conj(m) for m in self.mu]
-        mu2 = np.zeros(grid.shape)
-        for m in self.mu:
-            mu2 = mu2 + np.abs(np.broadcast_to(m, grid.shape)) ** 2
-        self.harmonic_mask = mu2 == 0.0
-        inv = np.zeros(grid.shape)
-        nz = ~self.harmonic_mask
-        inv[nz] = 1.0 / mu2[nz]
-        self.inv = inv
+        self.harmonic = not c.any()
+        mu2 = sum(np.abs(m) ** 2 for m in self.mu)
+        if self.harmonic:
+            mu2[(0,) * grid.n] = np.inf
+        self.inv = 1.0 / mu2
 
 
 def _spec_norm(spec: np.ndarray, grid: GridSpec) -> float:
@@ -317,14 +320,13 @@ def hodge_decompose(a: DiffForm, theta) -> tuple[DiffForm, DiffForm, DiffForm]:
     im d_theta*).
     """
     grid = a.grid
-    c = _require_constant(theta, grid)
-    ops = _ModeOps(grid, c)
+    ops = _ModeOps(grid, snap_lee(theta, grid))
     spec = a.spectra()
-    k = a.degree
-    harmonic = spec * ops.harmonic_mask
-    exact = np.zeros_like(spec)
-    coexact = np.zeros_like(spec)
-    n = grid.n
+    n, k = grid.n, a.degree
+    zero = (slice(None),) + (0,) * n
+    harmonic = np.zeros_like(spec)
+    harmonic[zero] = spec[zero] * ops.harmonic
+    exact = coexact = np.zeros_like(spec)
     if k > 0:
         exact = wedge_axes(ops.mu, contract_axes(ops.mubar, spec, n, k) * ops.inv, n, k - 1)
     if k < n:
@@ -347,27 +349,23 @@ def solve_primitive(target: DiffForm, theta) -> HodgeSolveResult:
     grid = target.grid
     if target.degree == 0:
         raise DegreeError("a 0-form has no primitive")
-    c = _require_constant(theta, grid)
-    ops = _ModeOps(grid, c)
+    ops = _ModeOps(grid, snap_lee(theta, grid))
     k = target.degree
     t_spec = target.spectra()
     alpha_spec = contract_axes(ops.mubar, t_spec, grid.n, k) * ops.inv
     alpha = DiffForm.from_spectra(grid, k - 1, alpha_spec)
     recon = wedge_axes(ops.mu, alpha_spec, grid.n, k - 1)
-    t_norm = _spec_norm(t_spec, grid)
-    residual = _spec_norm(recon - t_spec, grid) / max(t_norm, 1e-300)
-    harm = _spec_norm(t_spec * ops.harmonic_mask, grid)
+    residual = _spec_norm(recon - t_spec, grid) / max(_spec_norm(t_spec, grid), 1e-300)
+    harm = _spec_norm(t_spec[(slice(None),) + (0,) * grid.n], grid) * ops.harmonic
     return HodgeSolveResult(alpha, residual, harm)
 
 
 def torus_twisted_betti(theta, grid: GridSpec) -> tuple[int, ...]:
     """Twisted Betti numbers of T^n for a constant Lee form.
 
-    Counted from the per-mode Koszul complex: a mode contributes C(n, k)
-    to degree k iff mu(m) = 0 exactly, which happens only for m = 0 and
-    theta = 0; any nonzero constant Lee form kills all cohomology.
+    Per Fourier mode the twisted complex is a Koszul complex, acyclic
+    unless mu(m) = 0, which happens only at m = 0 with theta = 0 (snapped):
+    b_k = C(n, k) then, and any nonzero constant Lee form kills all of it.
     """
-    c = _require_constant(theta, grid)
-    ops = _ModeOps(grid, c)
-    h = int(np.count_nonzero(ops.harmonic_mask))
+    h = int(not snap_lee(theta, grid).any())
     return tuple(comb(grid.n, k) * h for k in range(grid.n + 1))

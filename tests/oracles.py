@@ -2,10 +2,12 @@
 
 The package never applies them, so they live here: the flat Hodge star
 (for the adjointness and orientation checks of wedge, d and d*), the
-vertex gauge transform of a simplicial local system (for the gauge
-invariance of the twisted Betti numbers) and the pullback of a form
-family by an axis permutation plus a roll by whole grid nodes (for the
-symmetry of the Moser pipeline under the isometries of the grid torus).
+harmonic modes of a constant Lee form read off |mu(m)|^2 on the whole
+grid (for the closed form the Hodge solver uses instead), the vertex
+gauge transform of a simplicial local system (for the gauge invariance
+of the twisted Betti numbers) and the pullback of a form family by an
+axis permutation plus a roll by whole grid nodes (for the symmetry of
+the Moser pipeline under the isometries of the grid torus).
 """
 
 import dataclasses
@@ -15,9 +17,9 @@ from math import comb
 import numpy as np
 
 from lcsflow.families import FormFamily
-from lcsflow.forms import DiffForm, index_sets, merge_sign, product_table
+from lcsflow.forms import DiffForm, GridSpec, index_sets, merge_sign, product_table
 from lcsflow.simplicial import LocalSystem
-from lcsflow.twisted import LcsForm, LeeForm
+from lcsflow.twisted import HARMONIC_SNAP, LcsForm, LeeForm
 
 
 def hodge_star(a: DiffForm) -> DiffForm:
@@ -28,6 +30,21 @@ def hodge_star(a: DiffForm) -> DiffForm:
     for ia, ib, _, sign in product_table(grid.n, k, grid.n - k):
         comps[ib] = sign * a.comps[ia]
     return DiffForm(grid, grid.n - k, comps)
+
+
+def harmonic_mask(grid: GridSpec, c) -> np.ndarray:
+    """The modes m with mu(m) = 2 pi i m - c = 0, as a grid of booleans.
+
+    |mu(m)|^2 is summed over the true modes m (the Nyquist bucket counts as
+    the nonzero mode -N/2), with |c_j| <= HARMONIC_SNAP read as 0.
+    """
+    c = np.asarray(c, dtype=float)
+    c = np.where(np.abs(c) <= HARMONIC_SNAP, 0.0, c)
+    mu2 = np.zeros(grid.shape)
+    for j in range(grid.n):
+        mu = 2j * np.pi * grid.mode_axis(j) - c[j]
+        mu2 = mu2 + np.abs(np.broadcast_to(mu, grid.shape)) ** 2
+    return mu2 == 0.0
 
 
 def gauge_transform(system: LocalSystem, potential: dict[int, Fraction]) -> LocalSystem:

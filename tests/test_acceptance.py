@@ -1,8 +1,12 @@
 """Acceptance suite: one test per advertised guarantee, desk-scale grids.
 
 Run with -s to see the one-line verdicts; each line is also the assertion
-message, so failures carry the same text.
+message, so failures carry the same text.  Every runner fixture runs once
+per module (runner_fixtures); criterion 04 reads its case from the
+contact_circle fixture's report, criterion 10 checks them all.
 """
+
+import json
 
 import numpy as np
 import pytest
@@ -29,7 +33,7 @@ from lcsflow.moser import (
     run_theorem_pipeline,
 )
 from lcsflow.runner import emit_fixture, fixture_names, run, validate_config
-from lcsflow.runner import _scenario_identities
+from lcsflow.runner import _MOSER_TOL_MAP, _scenario_identities
 from lcsflow.simplicial import (
     FIXTURE_BUILDERS,
     circle_complex,
@@ -65,6 +69,19 @@ def _verdict(num: int, name: str, ok: bool, detail: str):
     line = f"criterion {num:2d} [{name}]: {'PASS' if ok else 'FAIL'} ({detail})"
     print(line)
     assert ok, line
+
+
+@pytest.fixture(scope="module")
+def runner_fixtures(tmp_path_factory):
+    """Every runner fixture, run once: name -> (exit code, config, report)."""
+    out = {}
+    for name in fixture_names():
+        fdir = tmp_path_factory.mktemp(name)
+        cfg = json.loads(emit_fixture(name, str(fdir)).read_text())
+        code = run(cfg, out_dir=str(fdir), quiet=True)
+        out_name = validate_config(cfg)["output"]["json"]
+        out[name] = (code, cfg, json.loads((fdir / out_name).read_text()))
+    return out
 
 
 def test_criterion_01_operator_identities():
@@ -147,11 +164,20 @@ def test_criterion_03_lee_extraction():
              "degenerate raises DegenerateForm")
 
 
-def test_criterion_04_moser_pipeline_contact(golden):
-    fam = contact_circle_family(T4)
-    rep = run_theorem_pipeline(fam, PipelineOptions(steps=200, checkpoints=11,
-                                                    seed_stride=1))
-    per_checkpoint_flow = max(r.flow_identity_residual for r in rep.records)
+def test_criterion_04_moser_pipeline_contact(runner_fixtures, golden):
+    # the contact_circle runner fixture is run_theorem_pipeline(
+    # contact_circle_family(T4), steps=200, checkpoints=11, seed_stride=1)
+    _, raw, report = runner_fixtures["contact_circle"]
+    cfg = validate_config(raw)
+    assert (cfg["generator"], cfg["params"], cfg["grid"], cfg["path"]) == (
+        "contact_circle", {"s": np.pi / 4.0, "c": 1.0}, {"n": 4, "N": 16}, "theorem")
+    opts = PipelineOptions(
+        **{k: cfg[k] for k in ("steps", "checkpoints", "seed_stride",
+                               "allow_scalar_absorption")},
+        **{_MOSER_TOL_MAP[k]: v for k, v in cfg["tolerances"].items()})
+    assert opts == PipelineOptions(steps=200, checkpoints=11, seed_stride=1)
+    rep = report["result"]
+    per_checkpoint_flow = max(r["flow_identity_residual"] for r in rep["checkpoints"])
 
     # step-halving study where the error is integrator-dominated
     conv_fam = area_interpolation_family(T2, eps=0.6)
@@ -162,18 +188,18 @@ def test_criterion_04_moser_pipeline_contact(golden):
         errs[i] / errs[i + 1] > 8.0 or errs[i + 1] < 1e-9 for i in range(2)
     )
 
-    ok = (rep.success
-          and rep.max_consistency <= 1e-3
-          and rep.max_factor_error <= 1e-3
-          and rep.factor_positive
+    ok = (rep["success"]
+          and rep["max_consistency"] <= 1e-3
+          and rep["max_factor_error"] <= 1e-3
+          and rep["factor_positive"]
           and per_checkpoint_flow <= 1e-6
           and fourth_order)
     _verdict(4, "moser pipeline", ok,
-             f"consistency {rep.max_consistency:.2e} <= 1e-3, "
-             f"factor {rep.max_factor_error:.2e} <= 1e-3, positive, "
+             f"consistency {rep['max_consistency']:.2e} <= 1e-3, "
+             f"factor {rep['max_factor_error']:.2e} <= 1e-3, positive, "
              f"flow identity {per_checkpoint_flow:.2e} <= 1e-6, "
              f"step halving errors {errs[0]:.1e}/{errs[1]:.1e}/{errs[2]:.1e}")
-    golden("criterion_04", {"contact_circle": rep.as_dict(),
+    golden("criterion_04", {"contact_circle": rep,
                             "area_step_halving": [r.as_dict() for r in conv]})
 
 
@@ -294,18 +320,9 @@ def test_criterion_09_example_reproduction():
              f"b2 >= 2 asserted where b1, b3 >= 1")
 
 
-def test_criterion_10_cli_fixtures(tmp_path, golden):
-    import json
-    results, reports = {}, {}
-    for name in fixture_names():
-        fdir = tmp_path / name
-        cfg_path = emit_fixture(name, str(fdir))
-        cfg = json.loads(cfg_path.read_text())
-        code = run(cfg, out_dir=str(fdir), quiet=True)
-        out_name = validate_config(cfg)["output"]["json"]
-        rep = json.loads((fdir / out_name).read_text())
-        results[name] = (code, rep["verdict"], cfg["expected_verdict"])
-        reports[name] = rep
+def test_criterion_10_cli_fixtures(runner_fixtures, tmp_path, golden):
+    results = {name: (code, rep["verdict"], cfg["expected_verdict"])
+               for name, (code, cfg, rep) in runner_fixtures.items()}
     all_documented = all(
         code == 0 and got == want for code, got, want in results.values()
     )
@@ -323,5 +340,5 @@ def test_criterion_10_cli_fixtures(tmp_path, golden):
     _verdict(10, "cli fixtures", ok,
              f"{len(results)} fixtures ran to their documented verdicts, "
              "reports deterministic")
-    for name, rep in reports.items():
+    for name, (_, _, rep) in runner_fixtures.items():
         golden(f"fixture_{name}", deterministic(rep))

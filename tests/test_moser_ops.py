@@ -8,7 +8,9 @@ import pytest
 from lcsflow.families import FormFamily, area_interpolation_family, contact_circle_family
 from lcsflow.forms import DiffForm, GridSpec, form_from_components, index_sets
 from lcsflow.moser import (
+    CheckpointRecord,
     DegenerateForm,
+    ExactnessCertificate,
     IsotopyDiverged,
     NoValidComponents,
     PipelineOptions,
@@ -19,6 +21,7 @@ from lcsflow.moser import (
     integrate_isotopy,
     moser_vector_field,
     NotExact,
+    _assemble_report,
     pullback_form,
 )
 from lcsflow.twisted import pfaffian_values
@@ -282,3 +285,18 @@ def test_constant_family_certificate_is_trivial():
     cert = exactness_certificate(fam, PipelineOptions())
     assert max(cert.residuals) == 0.0
     assert not cert.used_absorption
+
+
+@pytest.mark.parametrize("field", [
+    "exactness_residual", "harmonic_obstruction", "conformal_consistency_error",
+    "factor_error", "flow_identity_residual", "cor2_identity_residual"])
+def test_a_nan_in_a_middle_record_fails_the_report(field):
+    fam = contact_circle_family(GridSpec(4, 8))
+    cert = ExactnessCertificate("exact_family", fam, fam, None, {}, [], None)
+    records = [CheckpointRecord(t, 1e-16, 0.0, 1e-14, 1e-14, 1e-16, 1.0, 1.0, 1e-16)
+               for t in (0.0, 0.5, 1.0)]
+    setattr(records[1], field, float("nan"))
+    rep = _assemble_report(cert, "nan", PipelineOptions(), records, True, 1.0, 0.0)
+    assert not rep.success
+    assert rep.verdict == "not_certified_in_canonical_gauge"
+    assert any(np.isnan(v) for v in vars(rep).values() if isinstance(v, float))

@@ -1,5 +1,6 @@
 """End-to-end runs of both certification pipelines on small grids."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -15,9 +16,10 @@ from lcsflow.families import (
     lee_drift_family,
 )
 from lcsflow import moser, twisted
-from lcsflow.forms import GridSpec, form_from_components
+from lcsflow.forms import DiffForm, GridSpec, form_from_components, random_band_limited
 from lcsflow.moser import (
     InconsistentLeeDerivative,
+    IsotopyDiverged,
     LeeClassDrift,
     NotExact,
     NotExactFamily,
@@ -409,3 +411,73 @@ def test_pipeline_reports_are_invariant_under_grid_isometries(symmetry_reports, 
     assert len(floats) > 10
     for where, a, b in floats:
         assert abs(a - b) <= 1e-13, f"{where}: {a!r} vs {b!r}"
+
+
+def _max_float_gap(a, b):
+    return max(abs(x - y) for _, x, y in _report_floats(a, b))
+
+
+def test_a_lee_covector_below_the_snap_is_zero_everywhere():
+    # normalize_family snaps theta_h once, so absorption, the obstruction
+    # hint, the stage rate and the solver all read c = 0 here
+    grid = GridSpec(2, 16)
+    fam = area_interpolation_family(grid, eps=0.1, sigma=0.3)
+    lee = LeeForm.constant(grid, [1e-13, 0.0])
+    tiny = dataclasses.replace(
+        fam, omega_at=lambda t: LcsForm(fam.omega_at(t).omega, lee))
+    opts = PipelineOptions(steps=10, checkpoints=3, seed_stride=4)
+    rep = run_theorem_pipeline(tiny, opts)
+    assert rep.success and rep.absorption_used
+    assert _max_float_gap(run_theorem_pipeline(fam, opts).as_dict(),
+                          rep.as_dict()) <= 1e-12
+
+
+def _with_nan_h(fam, bad_t):
+    ed = fam.exact_data
+    h_at = lambda t: np.full(fam.grid.shape, np.nan) if t == bad_t else ed.h_at(t)
+    return dataclasses.replace(fam, exact_data=dataclasses.replace(ed, h_at=h_at))
+
+
+@pytest.mark.filterwarnings("ignore::lcsflow.moser.StepCountTooSmall")
+@pytest.mark.parametrize("bad_t, error, match", [
+    (0.5, InconsistentLeeDerivative, r"by nan at t=0\.5"),
+    (0.25, IsotopyDiverged, "non-finite positions after step 1"),
+], ids=["checkpoint", "stage"])
+def test_a_nan_h_on_the_exact_path_raises(bad_t, error, match):
+    # at a checkpoint the d theta/dt = d h gate names it; at a stage time
+    # between checkpoints the NaN velocity is kept and the flow diverges
+    fam = _with_nan_h(contact_circle_family(T4), bad_t)
+    with pytest.raises(error, match=match):
+        run_exact_family(fam, PipelineOptions(steps=4, checkpoints=3))
+
+
+def _constant_gauge(fam, f):
+    """e^f omega_t with Lee data (c, g_t + f) and derivative e^f d omega/dt."""
+    ef = np.exp(f)
+
+    def omega_at(t):
+        L = fam.omega_at(t)
+        return LcsForm(DiffForm(fam.grid, 2, L.omega.comps * ef),
+                       LeeForm(fam.grid, L.lee.harmonic, L.lee.potential + f))
+
+    return FormFamily(fam.grid, omega_at, lambda t: fam.derivative_at(t) * ef,
+                      fam.times, label=fam.label)
+
+
+@pytest.mark.filterwarnings("ignore::lcsflow.moser.StepCountTooSmall")
+@pytest.mark.parametrize("make, opts", [
+    # e^f omega is lcs to LCS_TOL only at N = 16 on T^4
+    (lambda: contact_circle_family(GridSpec(4, 16), n_times=3),
+     PipelineOptions(steps=4, checkpoints=3, seed_stride=256)),
+    (lambda: area_interpolation_family(T2, eps=0.1, sigma=0.3),
+     PipelineOptions(steps=10, checkpoints=3, seed_stride=4)),
+], ids=["contact_t4", "area_t2"])
+def test_a_constant_in_t_gauge_leaves_the_report_unchanged(make, opts):
+    # normalize_family divides e^f out again; the gauged family's derivative
+    # is a finite difference in t, so the floats move by up to 8.2e-13
+    fam = make()
+    f = random_band_limited(fam.grid, 0, 1, np.random.default_rng(5), 0.05).comps[0]
+    rep = run_theorem_pipeline(fam, opts)
+    gauged = run_theorem_pipeline(_constant_gauge(fam, f - f.mean()), opts)
+    assert (gauged.verdict, gauged.absorption_used) == (rep.verdict, rep.absorption_used)
+    assert _max_float_gap(rep.as_dict(), gauged.as_dict()) <= 5e-12

@@ -14,7 +14,10 @@ are rounding-level:
 - The antiderivation rule with wide operands uses a constant-coefficient
   X, which commutes with the band truncation.
 - The Hodge splitting and the primitive solver are per-mode and need a
-  constant theta.
+  constant theta.  Their harmonic parts, and the twisted Betti numbers of
+  the torus, must match the modes where the whole-grid |mu(m)|^2 of
+  tests/oracles.py vanishes, for Lee coefficients at, below and above the
+  snap to zero.
 - Gauge covariance d_{theta + dg}(e^g b) = e^g d_theta b multiplies by e^g,
   which is not band-limited: it runs on T^4 at N = 16 with a band-1 g small
   enough that the truncation of e^g stays below the tolerance.
@@ -27,6 +30,7 @@ e^g times a contact-type form, and its B / Pf inverse must agree with a
 dense per-point solve.
 """
 
+from math import comb
 from types import SimpleNamespace
 
 import numpy as np
@@ -48,6 +52,7 @@ from lcsflow.forms import (
     wedge,
 )
 from lcsflow.twisted import (
+    HARMONIC_SNAP,
     LeeForm,
     d_theta,
     d_theta_star,
@@ -56,7 +61,9 @@ from lcsflow.twisted import (
     pfaffian_inverse,
     pfaffian_values,
     solve_primitive,
+    torus_twisted_betti,
 )
+from oracles import harmonic_mask
 
 N = 8
 BANDS = {"narrow": 1, "wide": N // 2 - 1}
@@ -180,6 +187,27 @@ def test_solve_primitive_round_trip(n, k, band, zero_theta, seed):
     if k > 1:
         # the primitive is the coexact representative
         assert d_theta_star(sol.primitive, theta).norm() < TOL * scale
+
+
+lee_coefficients = st.one_of(
+    st.sampled_from([0.0, 1e-13, -1e-13, HARMONIC_SNAP, -HARMONIC_SNAP]),
+    st.floats(0.25, 2.0), st.floats(-2.0, -0.25))
+
+
+@given(n=dims, k=st.integers(1, 4), band=bands, data=st.data(), seed=seeds)
+def test_harmonic_parts_match_the_whole_grid_mask(n, k, band, data, seed):
+    k = 1 + (k - 1) % n
+    c = np.array(data.draw(st.lists(lee_coefficients, min_size=n, max_size=n)))
+    g = GridSpec(n, N)
+    mask = harmonic_mask(g, c)
+    assert torus_twisted_betti(c, g) == tuple(
+        comb(n, j) * int(np.count_nonzero(mask)) for j in range(n + 1))
+    a = random_band_limited(g, k, BANDS[band], np.random.default_rng(seed))
+    spec = a.spectra() * mask
+    want = np.sqrt(np.sum(np.abs(spec) ** 2)) / g.num_nodes
+    assert abs(solve_primitive(a, c).harmonic_part_norm - want) <= 1e-14 * max(want, 1.0)
+    h, _, _ = hodge_decompose(a, c)
+    assert np.max(np.abs(h.comps - DiffForm.from_spectra(g, k, spec).comps)) <= 1e-14
 
 
 def _doubling_maps():

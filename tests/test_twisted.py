@@ -139,6 +139,18 @@ def test_lee_extraction_degenerate_input():
         lee_form(w)
 
 
+@pytest.mark.parametrize("n", [2, 4])
+def test_lee_extraction_rejects_a_nan_node(n):
+    # a NaN Pfaffian margin fails the nondegeneracy gate, not passes it
+    g = GridSpec(n, 8)
+    w = (contact_like_form(g) if n == 4
+         else form_from_components(g, 2, {(0, 1): np.ones(g.shape)}))
+    comps = w.comps.copy()
+    comps[(0,) + (3,) * n] = np.nan
+    with pytest.raises(DegenerateForm, match="margin nan"):
+        validate_lcs(DiffForm(g, 2, comps))
+
+
 def test_lee_extraction_rejects_non_lcs():
     # generic nondegenerate but non-lcs 2-form on T^4
     rng = np.random.default_rng(14)
