@@ -145,9 +145,9 @@ def normalize_family(F: FormFamily, opts: PipelineOptions | None = None) -> Form
     harmonic Lee coefficients are t-independent (LeeClassDrift otherwise),
     and returns a family whose samples have constant Lee form theta_h
     (snapped once, by snap_lee, for every reader).  Families
-    that already carry a constant Lee form pass through untouched, keeping
-    their analytic derivative; otherwise the gauged samples e^{-g} omega
-    are validated at the checkpoints.
+    that already carry a constant Lee form keep their 2-forms and their
+    analytic derivative, with theta_h as the samples' Lee form; otherwise
+    the gauged samples e^{-g} omega are validated at the checkpoints.
     """
     opts = opts or PipelineOptions()
     grid = F.grid
@@ -185,8 +185,11 @@ def normalize_family(F: FormFamily, opts: PipelineOptions | None = None) -> Form
 
     theta_h = snap_lee(c0, grid)
     if all(lee.is_constant for lee in sample_lees):
-        return FormFamily(grid, F.omega_at, F.derivative_at, F.times,
-                          exact_data=F.exact_data, theta_h=theta_h)
+        # a fresh LeeForm per sample: one shared for the whole run would keep
+        # its N^n zero potential resident (about 1 MB of peak RSS at T^4 N = 16)
+        return FormFamily(
+            grid, lambda t: LcsForm(F.omega_at(t).omega, LeeForm.constant(grid, theta_h)),
+            F.derivative_at, F.times, exact_data=F.exact_data, theta_h=theta_h)
 
     lee_const = LeeForm.constant(grid, theta_h)
 

@@ -2,14 +2,17 @@
 one back.
 
 perfbench/tracing.py wraps package functions by name, so a renamed or
-deleted one makes ``install`` raise; this test runs it in the tier-1
-suite, which does not collect perfbench/.
+deleted one makes ``install`` raise, and a traced call whose arguments
+its work function cannot read raises too; this test runs both in the
+tier-1 suite, which does not collect perfbench/.
 """
 
 import sys
 from pathlib import Path
 
-from lcsflow import moser, twisted
+import numpy as np
+
+from lcsflow import exactlinalg, moser, simplicial, twisted
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -24,13 +27,24 @@ def test_tracer_wraps_the_package_and_undo_restores_it(monkeypatch):
     import tracing
 
     named = ((moser, "exactness_certificate"), (moser, "normalize_family"),
-             (twisted, "lee_form"))
+             (twisted, "lee_form"), (exactlinalg, "rational_rank"),
+             (simplicial, "coboundary_matrix"))
     originals = [getattr(mod, name) for mod, name in named]
     before = _namespaces()
-    patches = tracing.install(tracing.Tracer())
+    tracer = tracing.Tracer()
+    patches = tracing.install(tracer)
     try:
         for (mod, name), fn in zip(named, originals):
             assert getattr(mod, name) is not fn, name
+        # the exact layer through its traced names, as the algebra workload
+        # calls it: one coboundary and one rank span per degree
+        circle = simplicial.circle_complex()
+        system = simplicial.random_local_system(circle, np.random.default_rng(0))
+        simplicial.twisted_betti(system)
+        spans = tracer.pass_spans(None)
+        assert [s[1] for s in spans] == ["simplicial.coboundary",
+                                         "exactlinalg.rational_rank"]
+        assert spans[1][6] == {"cells": 6 * 6}
     finally:
         patches.undo()
     for (mod, name), fn in zip(named, originals):

@@ -142,13 +142,17 @@ def test_lee_drift_moves_the_harmonic_class():
 
 def test_constant_family_has_zero_derivative():
     # a family whose Lee form is already constant passes normalize_family
-    # with its own samplers, so the zero derivative stays exactly zero
+    # with its own 2-forms and derivative, so the zero derivative stays
+    # exactly zero; its samples carry the snapped theta_h as Lee form
     base = contact_circle_family(SMALL4).omega_at(0.0)
     fam = normalize_family(FormFamily(SMALL4, lambda t: base, lambda t: DiffForm(SMALL4, 2),
                                       np.linspace(0, 1, 11)))
     np.testing.assert_array_equal(fam.theta_h, base.lee.harmonic)
     assert fam.derivative_at(0.5).norm() == 0.0
-    assert fam.omega_at(0.9) is base
+    sample = fam.omega_at(0.9)
+    assert sample.omega is base.omega
+    np.testing.assert_array_equal(sample.lee.harmonic, fam.theta_h)
+    assert not sample.lee.potential.any()
 
 
 def test_generator_guards():
