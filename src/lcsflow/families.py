@@ -1,11 +1,11 @@
 """Time-dependent lcs form families on flat tori.
 
-A family is a pair of samplers on t in [0, 1]: omega_at(t) returning a
-validated lcs pair, and derivative_at(t) returning the 2-form time
-derivative (analytic for the built-in generators, high-order finite
-differences for tabulated data).  Families built from a twisted
-primitive also carry that primitive so the exact-family pipeline can
-skip the Hodge solve.
+A family is a pair of samplers on t in [0, 1]: omega_at(t) returning an
+lcs pair, and derivative_at(t) returning the 2-form time derivative
+(analytic for the built-in generators, high-order finite differences for
+tabulated data, whose samples are validated once, when it is built).
+Families built from a twisted primitive also carry that primitive so the
+exact-family pipeline can skip the Hodge solve.
 """
 
 from __future__ import annotations
@@ -19,9 +19,6 @@ from .forms import DiffForm, GridSpec, form_from_components
 from .twisted import LcsForm, LeeForm, validate_lcs
 
 TWO_PI = 2.0 * np.pi
-# lcs tolerance of a tabulated sample: cubic interpolation in t does not
-# keep d omega = theta ^ omega exactly, so it is looser than twisted.LCS_TOL
-TABULATED_LCS_TOL = 1e-5
 
 
 @dataclass
@@ -304,9 +301,9 @@ def tabulated_family(
 
     Values are interpolated in t with cubic Lagrange windows and the time
     derivative uses 4th-order finite differences on the table (one-sided
-    at the ends), so both carry O(dt^4) truncation error.  Interpolated
-    samples are validated against TABULATED_LCS_TOL and the default
-    nondegeneracy threshold.
+    at the ends), so both carry O(dt^4) truncation error.  Each sample is
+    validated once, here, and omega_at interpolates the Lee data with the
+    2-form's weights: exactly lcs when the Lee form is constant in t.
     """
     times = np.asarray(times, dtype=float)
     if len(times) != len(samples):
@@ -318,6 +315,9 @@ def tabulated_family(
         raise ValueError("tabulated times must be uniform")
     dt = float(steps[0])
     comps = np.stack([s.comps for s in samples])  # (M, C, *shape)
+    lees = [validate_lcs(s).lee for s in samples]
+    harmonic = np.stack([lee.harmonic for lee in lees])
+    potential = np.stack([lee.potential for lee in lees])
 
     deriv_table = np.empty_like(comps)
     m = len(times)
@@ -330,7 +330,8 @@ def tabulated_family(
     def omega_at(t: float) -> LcsForm:
         idx, w = _lagrange_window(times, t)
         form = DiffForm(grid, 2, np.tensordot(w, comps[idx], axes=1))
-        return validate_lcs(form, lcs_tol=TABULATED_LCS_TOL)
+        lee = LeeForm(grid, w @ harmonic[idx], np.tensordot(w, potential[idx], axes=1))
+        return LcsForm(form, lee)
 
     def derivative_at(t: float) -> DiffForm:
         idx, w = _lagrange_window(times, t)

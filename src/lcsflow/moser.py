@@ -51,7 +51,6 @@ from .forms import (
     scalar_form,
 )
 from .twisted import (
-    LCS_TOL,
     NONDEG_THRESHOLD,
     DegenerateForm,
     LcsForm,
@@ -104,22 +103,20 @@ RESIDUAL_FLOOR = 1e-9   # exactness residuals are relative to at least this * ||
 RATE_FLOOR = 1e-13      # absorption rates at or below this count as zero
 COMPARE_FLOOR = 1e-6    # conformal_compare skips components below this * max |b|
 
+# gate tolerances, keyed as the runner's report echoes them; lee_match bounds
+# Lee-class drift and the exact path's primitive and Lee-derivative checks
+TOLERANCES = {"consistency": 1e-3, "factor": 1e-3, "eq1": 1e-6,
+              "exactness": 1e-9, "lee_match": 1e-8, "cor2": 1e-8}
+
 
 @dataclass
 class PipelineOptions:
-    """Tolerances and discretization knobs shared by both pipelines."""
+    """The run shape shared by both pipelines; gate thresholds are the
+    constants TOLERANCES, twisted.NONDEG_THRESHOLD and twisted.LCS_TOL."""
 
     steps: int = 200
     checkpoints: int = 11
     seed_stride: int = 1
-    nondeg_margin: float = NONDEG_THRESHOLD
-    lcs_tol: float = LCS_TOL
-    tol_consistency: float = 1e-3
-    tol_factor: float = 1e-3
-    tol_eq1: float = 1e-6
-    tol_exactness: float = 1e-9
-    tol_lee_match: float = 1e-8
-    tol_cor2: float = 1e-8
     allow_scalar_absorption: bool = True
 
     def checkpoint_times(self) -> list[float]:
@@ -158,7 +155,7 @@ def normalize_family(F: FormFamily, opts: PipelineOptions | None = None) -> Form
     sample_lees = []
     for t in times:
         L = F.omega_at(t)
-        V = _validated(L.omega, opts)
+        V = validate_lcs(L.omega)
         claimed = L.lee
         if grid.n > 2:
             gap = LeeForm(grid, V.lee.harmonic - claimed.harmonic,
@@ -176,7 +173,7 @@ def normalize_family(F: FormFamily, opts: PipelineOptions | None = None) -> Form
     scale = max(1.0, float(np.max(np.abs(c0))))
     for t, lee in zip(times, sample_lees):
         drift = float(np.max(np.abs(lee.harmonic - c0)))
-        if not drift <= opts.tol_lee_match * scale:
+        if not drift <= TOLERANCES["lee_match"] * scale:
             raise LeeClassDrift(
                 f"harmonic Lee coefficients move by {drift:.3e} at t={t}: "
                 "the Lee class is not t-independent, so no conformal isotopy "
@@ -203,12 +200,8 @@ def normalize_family(F: FormFamily, opts: PipelineOptions | None = None) -> Form
         return fd_derivative(lambda u: omega_n_at(u).omega, t, FD_STEP)
 
     for t in checkpoints:
-        _validated(omega_n_at(t).omega, opts)
+        validate_lcs(omega_n_at(t).omega)
     return FormFamily(grid, omega_n_at, derivative_n_at, F.times, theta_h=theta_h)
-
-
-def _validated(om: DiffForm, opts: PipelineOptions) -> LcsForm:
-    return validate_lcs(om, nondeg_threshold=opts.nondeg_margin, lcs_tol=opts.lcs_tol)
 
 
 # -- exactness certificate with scalar absorption ------------------------
@@ -330,22 +323,18 @@ def _matrix_of(comps: np.ndarray, n: int) -> np.ndarray:
     return mat
 
 
-def moser_vector_field(
-    om: DiffForm,
-    alpha: DiffForm,
-    nondeg_margin: float = NONDEG_THRESHOLD,
-) -> DiffForm:
+def moser_vector_field(om: DiffForm, alpha: DiffForm) -> DiffForm:
     """Solve i_X omega = -alpha pointwise; X returned as a degree-1 form.
 
     In coefficients this is Omega X = alpha with Omega_ij = omega(e_i, e_j),
     solved in closed form as X = B alpha / Pf (twisted.pfaffian_inverse).
-    Raises DegenerateForm if the Pfaffian margin is below nondeg_margin or
-    the back-substitution residual exceeds BACKSUB_TOL relative to alpha.
+    Raises DegenerateForm if the Pfaffian margin is below NONDEG_THRESHOLD
+    or the back-substitution residual exceeds BACKSUB_TOL relative to alpha.
     """
     grid = om.grid
     if alpha.degree != 1:
         raise ValueError("alpha must be a 1-form")
-    inv, _ = pfaffian_inverse(om, nondeg_margin)
+    inv, _ = pfaffian_inverse(om, NONDEG_THRESHOLD)
     # Omega^-1 alpha = -i_alpha Omega^-1, and i_X omega + alpha = alpha - Omega X
     x = -contract_axes(alpha.comps, inv, grid.n, 2)
     resid = float(np.max(np.abs(contract_axes(x, om.comps, grid.n, 2) + alpha.comps)))
@@ -432,22 +421,23 @@ def theorem_stage_builder(
 
     F is a normalized family, already absorbed when absorption is used.
     Residual and obstruction are relative to max(||d omega/dt||,
-    RESIDUAL_FLOOR * ||omega||); an obstruction above tol_exactness raises
-    NotExact before the vector field is built.
+    RESIDUAL_FLOOR * ||omega||); an obstruction above TOLERANCES["exactness"]
+    raises NotExact before the vector field is built.
     """
     theta_h = F.theta_h
+    tol = TOLERANCES["exactness"]
 
     def build(t: float) -> StageData:
         om, dom = F.omega_at(t).omega, F.derivative_at(t)
         sol = solve_primitive(dom, theta_h)
         den = max(dom.norm(), RESIDUAL_FLOOR * om.norm())
         obstruction = sol.harmonic_part_norm / den
-        if not obstruction <= opts.tol_exactness:
+        if not obstruction <= tol:
             raise NotExact(
                 f"harmonic obstruction {obstruction:.3e} at t={t} exceeds "
-                f"{opts.tol_exactness:.1e} ({_obstruction_hint(om, dom, theta_h, opts)}); "
+                f"{tol:.1e} ({_obstruction_hint(om, dom, theta_h, opts)}); "
                 "family not certified in the canonical gauge")
-        x = moser_vector_field(om, sol.primitive, opts.nondeg_margin)
+        x = moser_vector_field(om, sol.primitive)
         rate = np.tensordot(theta_h, x.comps, axes=1)
         return StageData(x, rate, 0.0, solve_residual=sol.residual * dom.norm() / den,
                          obstruction=obstruction)
@@ -472,7 +462,8 @@ def exact_stage_builder(
     F: FormFamily, opts: PipelineOptions
 ) -> Callable[[float], StageData]:
     """Stages for the supplied-primitive path: i_X omega = -beta, beta =
-    d alpha/dt - h alpha."""
+    d alpha/dt - h alpha.  opts is unread: it keeps the signature of
+    theorem_stage_builder."""
     ed = F.exact_data
     if ed is None:
         raise ValueError("family has no exact primitive data")
@@ -480,7 +471,7 @@ def exact_stage_builder(
     def build(t: float) -> StageData:
         L, h, al = F.omega_at(t), ed.h_at(t), ed.alpha_at(t)
         beta = DiffForm(F.grid, 1, ed.alpha_dot_at(t).comps - h * al.comps)
-        x = moser_vector_field(L.omega, beta, opts.nondeg_margin)
+        x = moser_vector_field(L.omega, beta)
         theta_x = np.einsum("i...,i...->...", L.lee.one_form().comps, x.comps)
         return StageData(x, theta_x + h, h)
 
@@ -787,13 +778,13 @@ def _assemble_report(
              if r.cor2_identity_residual is not None]
     max_c2 = float(np.max(cor2s)) if cor2s else None
     ok = (
-        max_ex <= opts.tol_exactness
-        and max_ob <= opts.tol_exactness
-        and max_cc <= opts.tol_consistency
-        and max_fe <= opts.tol_factor
-        and max_fl <= opts.tol_eq1
+        max_ex <= TOLERANCES["exactness"]
+        and max_ob <= TOLERANCES["exactness"]
+        and max_cc <= TOLERANCES["consistency"]
+        and max_fe <= TOLERANCES["factor"]
+        and max_fl <= TOLERANCES["eq1"]
         and factor_positive
-        and (max_c2 is None or max_c2 <= opts.tol_cor2)
+        and (max_c2 is None or max_c2 <= TOLERANCES["cor2"])
     )
     grid = cert.family.grid
     return MoserReport(
@@ -817,14 +808,13 @@ def _checkpoint_compare(
     base: np.ndarray,
     flow: FlowState,
     t: float,
-    opts: PipelineOptions,
 ) -> tuple[ConformalComparison, np.ndarray]:
     pos, jac, logf = flow.at(t)
     det = np.linalg.det(jac)
     if not float(det.min()) > 0.0:
         raise IsotopyDiverged(f"orientation lost at t={t}: min det J = {det.min():.3e}")
     pb = pullback_form(om_t, flow, t)
-    if not float(np.min(np.abs(pfaffian_values(pb)))) >= opts.nondeg_margin:
+    if not float(np.min(np.abs(pfaffian_values(pb)))) >= NONDEG_THRESHOLD:
         raise IsotopyDiverged(f"pullback degenerated at t={t}")
     return conformal_compare(pb.comps, base), np.exp(logf)
 
@@ -837,10 +827,10 @@ def _exact_provider(F: FormFamily, opts: PipelineOptions) -> ExactnessCertificat
     exact_res = []
     for t in times:
         L = F.omega_at(t)
-        _validated(L.omega, opts)
+        validate_lcs(L.omega)
         recon = d_theta(ed.alpha_at(t), L.lee)
         res = (recon - L.omega).norm() / max(L.omega.norm(), 1e-300)
-        if not res <= opts.tol_lee_match:
+        if not res <= TOLERANCES["lee_match"]:
             raise NotExactFamily(
                 f"omega_t deviates from d_theta alpha_t by {res:.3e} at t={t}"
             )
@@ -849,7 +839,7 @@ def _exact_provider(F: FormFamily, opts: PipelineOptions) -> ExactnessCertificat
                                   t, FD_STEP)
         dh = ext_d(scalar_form(grid, ed.h_at(t)))
         dev = (theta_dot - dh).norm() / max(theta_dot.norm(), 1.0)
-        if not dev <= opts.tol_lee_match:
+        if not dev <= TOLERANCES["lee_match"]:
             raise InconsistentLeeDerivative(
                 f"d theta/dt differs from d h by {dev:.3e} at t={t}"
             )
@@ -880,7 +870,7 @@ def _run_moser(
     records = []
     positive = True
     for i, t in enumerate(times):
-        cc, predicted = _checkpoint_compare(Fp.omega_at(t).omega, base, flow, t, opts)
+        cc, predicted = _checkpoint_compare(Fp.omega_at(t).omega, base, flow, t)
         positive = positive and cc.positive
         records.append(CheckpointRecord(
             t=t,

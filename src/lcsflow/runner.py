@@ -9,8 +9,9 @@ Scenarios (picked by the "scenario" config field):
 
 Reports are written as JSON (always) and, for moser runs, a per-checkpoint
 CSV.  Exit codes: 0 all verdicts pass, 1 scenario failure (report still
-written), 2 unreadable or invalid config.  Reports are deterministic for a
-fixed config and seed, except for the "timings" block.
+written), 2 unreadable or invalid config or unusable output directory.
+Reports are deterministic for a fixed config and seed, except for the
+"timings" block.
 """
 
 from __future__ import annotations
@@ -60,6 +61,7 @@ from .moser import (
     NotExact,
     NotExactFamily,
     PipelineOptions,
+    TOLERANCES,
     run_exact_family,
     run_theorem_pipeline,
 )
@@ -70,7 +72,8 @@ from .simplicial import (
     local_system,
     twisted_betti,
 )
-from .twisted import LeeForm, NotLcs, d_theta, d_theta_star, torus_twisted_betti
+from .twisted import (LCS_TOL, NONDEG_THRESHOLD, LeeForm, NotLcs, d_theta,
+                      d_theta_star, torus_twisted_betti)
 
 SCHEMA_VERSION = 2
 
@@ -103,15 +106,7 @@ _SCENARIO_KEYS = {
     "cohomology_simplicial": {"fixture", "complex", "weights"},
     "cohomology_mapping_torus": {"matrix", "t0"},
     "moser": {"generator", "params", "grid", "steps", "checkpoints",
-              "seed_stride", "path", "tolerances", "allow_scalar_absorption",
-              "samples_file"},
-}
-
-# config tolerance name -> PipelineOptions field
-_MOSER_TOL_MAP = {
-    "consistency": "tol_consistency", "factor": "tol_factor", "eq1": "tol_eq1",
-    "exactness": "tol_exactness", "lee_match": "tol_lee_match",
-    "cor2": "tol_cor2", "nondeg_margin": "nondeg_margin", "lcs": "lcs_tol",
+              "seed_stride", "path", "allow_scalar_absorption", "samples_file"},
 }
 
 _IDENTITY_TOL_DEFAULTS = {"d_theta_squared": 1e-9, "chain_map": 1e-9,
@@ -204,13 +199,6 @@ def _grid(cfg: dict, default: tuple) -> dict:
     return grid
 
 
-def _tolerances(cfg: dict, defaults: dict) -> dict:
-    given = _object(cfg, "tolerances", set(defaults))
-    for k, v in given.items():
-        _number(v, f"tolerances.{k}", positive=True)
-    return {**defaults, **given}
-
-
 def _weight(spec, where: str):
     _need(isinstance(spec, dict) and set(spec) == {"edge", "w"}, where,
           'an object {"edge": [a, b], "w": "p/q"}', spec)
@@ -249,7 +237,10 @@ def validate_config(cfg: dict) -> dict:
         half = grid["N"] // 2
         _need(out["sweep"]["bandwidth"] < half, "sweep.bandwidth",
               f"below N/2 = {half}", out["sweep"]["bandwidth"])
-        out["tolerances"] = _tolerances(cfg, _IDENTITY_TOL_DEFAULTS)
+        tols = _object(cfg, "tolerances", set(_IDENTITY_TOL_DEFAULTS))
+        for k, v in tols.items():
+            _number(v, f"tolerances.{k}", positive=True)
+        out["tolerances"] = {**_IDENTITY_TOL_DEFAULTS, **tols}
     elif scenario == "cohomology_torus":
         grid = out["grid"] = _grid(cfg, (4, 16))
         theta = _list(cfg.get("theta", [0.0] * grid["n"]), "theta", _number)
@@ -296,8 +287,9 @@ def validate_config(cfg: dict) -> dict:
         absorb = cfg.get("allow_scalar_absorption", base.allow_scalar_absorption)
         out["allow_scalar_absorption"] = _need(
             type(absorb) is bool, "allow_scalar_absorption", "true or false", absorb)
-        out["tolerances"] = _tolerances(
-            cfg, {k: getattr(base, v) for k, v in _MOSER_TOL_MAP.items()})
+        # the report echoes the gate thresholds, which are constants, not config
+        out["tolerances"] = {**TOLERANCES, "nondeg_margin": NONDEG_THRESHOLD,
+                             "lcs": LCS_TOL}
     return out
 
 
@@ -399,10 +391,9 @@ def _build_family(cfg: dict) -> FormFamily:
 def _scenario_moser(cfg: dict) -> tuple[dict, bool]:
     with _library_checks():
         family = _build_family(cfg)
-    opts = PipelineOptions(
-        **{k: cfg[k] for k in ("steps", "checkpoints", "seed_stride",
-                               "allow_scalar_absorption")},
-        **{_MOSER_TOL_MAP[k]: v for k, v in cfg["tolerances"].items()})
+    opts = PipelineOptions(steps=cfg["steps"], checkpoints=cfg["checkpoints"],
+                           seed_stride=cfg["seed_stride"],
+                           allow_scalar_absorption=cfg["allow_scalar_absorption"])
     if cfg["path"] == "exact_family":
         report = run_exact_family(family, opts)
     else:
@@ -434,9 +425,18 @@ def _jsonable(x):
     return x.item() if isinstance(x, np.generic) else x
 
 
-def _write_report(report: dict, cfg: dict, out_dir: str):
+def _output_dir(out_dir: str) -> list[Path]:
+    """Create out_dir (ConfigError if it cannot be); the directories made."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    made = [p for p in (*reversed(out.parents), out) if not p.exists()]
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(f"cannot use output directory: {e}") from e
+    return made
+
+
+def _write_report(report: dict, cfg: dict, out: Path):
     path = out / cfg["output"]["json"]
     path.write_text(json.dumps(_jsonable(report), indent=2, sort_keys=True) + "\n")
     checkpoints = (report.get("result") or {}).get("checkpoints")
@@ -503,6 +503,7 @@ def run(config, out_dir: str = ".", overrides: dict | None = None,
     overrides = overrides or {}
     cfg = validate_config(_with_overrides(config, overrides.get("steps"),
                                           overrides.get("grid")))
+    made = _output_dir(out_dir)
     report: dict = {"schema_version": SCHEMA_VERSION, "config": _jsonable(cfg)}
     t0 = time.perf_counter()
     try:
@@ -510,9 +511,14 @@ def run(config, out_dir: str = ".", overrides: dict | None = None,
     except _DOMAIN_ERRORS as e:
         report["result"], ok = None, False
         report["error"] = {"type": type(e).__name__, "message": str(e)}
+    except ConfigError:
+        # a config the scenario rejects while it builds its input leaves no trace
+        for d in reversed(made):
+            d.rmdir()
+        raise
     report["verdict"] = "pass" if ok else "fail"
     report["timings"] = {"seconds": time.perf_counter() - t0}
-    path = _write_report(report, cfg, out_dir)
+    path = _write_report(report, cfg, Path(out_dir))
     if not quiet:
         for line in _summary_lines(report):
             print(line)

@@ -219,25 +219,24 @@ def pfaffian_inverse(omega, nondeg_threshold: float):
     return inv, margin
 
 
-def lee_form(omega: DiffForm, nondeg_threshold: float = NONDEG_THRESHOLD,
-             lcs_tol: float = LCS_TOL):
+def lee_form(omega: DiffForm):
     """Extract the Lee form of a nondegenerate 2-form.
 
     On T^4, theta ^ . : 1-forms -> 3-forms is invertible where Pf != 0
     (Lefschetz), so theta ^ omega = d omega has the pointwise solution
     theta_j = -1/2 sum_ab (Omega^-1)_ab (d omega)_abj, and the one lcs
     condition left is d theta = 0.  NotLcs is raised when ||d theta|| /
-    max(||theta||, 1) exceeds lcs_tol: relative for a sizeable theta,
+    max(||theta||, 1) exceeds LCS_TOL: relative for a sizeable theta,
     absolute for the rounding-noise theta of a symplectic omega, which is
-    why a theta with ||theta|| <= lcs_tol is returned as exactly zero.  On
+    why a theta with ||theta|| <= LCS_TOL is returned as exactly zero.  On
     T^2 theta = 0 by convention.  Returns (LeeForm, diagnostics) with keys
     lcs_residual (the gated value) and nondeg_margin.  Raises
-    DegenerateForm / NotLcs.
+    DegenerateForm (Pfaffian margin below NONDEG_THRESHOLD) / NotLcs.
     """
     grid = omega.grid
     if omega.degree != 2:
         raise DegreeError("Lee form extraction expects a 2-form")
-    inv, margin = pfaffian_inverse(omega, nondeg_threshold)
+    inv, margin = pfaffian_inverse(omega, NONDEG_THRESHOLD)
     theta = np.zeros((grid.n,) + grid.shape)
     if grid.n == 4:
         domega = ext_d(omega).comps
@@ -246,14 +245,14 @@ def lee_form(omega: DiffForm, nondeg_threshold: float = NONDEG_THRESHOLD,
     theta = DiffForm(grid, 1, theta)
     size = theta.norm()
     lcs_residual = ext_d(theta).norm() / max(size, 1.0)
-    if lcs_residual > lcs_tol:
+    if lcs_residual > LCS_TOL:
         raise NotLcs(
-            f"d theta residual {lcs_residual:.3e} > {lcs_tol:.1e} at N = {grid.N}; "
+            f"d theta residual {lcs_residual:.3e} > {LCS_TOL:.1e} at N = {grid.N}; "
             "an lcs form that is not band-limited at this N (such as e^g omega) "
             "fails too, so a finer grid may pass it"
         )
     diagnostics = {"lcs_residual": lcs_residual, "nondeg_margin": margin}
-    if size <= lcs_tol:
+    if size <= LCS_TOL:
         return LeeForm.zero(grid), diagnostics
     c, g = _harmonic_and_potential(theta)
     return LeeForm(grid, c, g), diagnostics
@@ -271,12 +270,9 @@ class LcsForm:
         return self.omega.grid
 
 
-def validate_lcs(
-    omega: DiffForm, nondeg_threshold: float = NONDEG_THRESHOLD,
-    lcs_tol: float = LCS_TOL,
-) -> LcsForm:
+def validate_lcs(omega: DiffForm) -> LcsForm:
     """Extract and check the Lee form; package the certified pair."""
-    lee, _ = lee_form(omega, nondeg_threshold=nondeg_threshold, lcs_tol=lcs_tol)
+    lee, _ = lee_form(omega)
     return LcsForm(omega, lee)
 
 

@@ -33,7 +33,7 @@ from lcsflow.moser import (
     run_theorem_pipeline,
 )
 from lcsflow.runner import emit_fixture, fixture_names, run, validate_config
-from lcsflow.runner import _MOSER_TOL_MAP, _scenario_identities
+from lcsflow.runner import _scenario_identities
 from lcsflow.simplicial import (
     FIXTURE_BUILDERS,
     circle_complex,
@@ -173,8 +173,7 @@ def test_criterion_04_moser_pipeline_contact(runner_fixtures, golden):
         "contact_circle", {"s": np.pi / 4.0, "c": 1.0}, {"n": 4, "N": 16}, "theorem")
     opts = PipelineOptions(
         **{k: cfg[k] for k in ("steps", "checkpoints", "seed_stride",
-                               "allow_scalar_absorption")},
-        **{_MOSER_TOL_MAP[k]: v for k, v in cfg["tolerances"].items()})
+                               "allow_scalar_absorption")})
     assert opts == PipelineOptions(steps=200, checkpoints=11, seed_stride=1)
     rep = report["result"]
     per_checkpoint_flow = max(r["flow_identity_residual"] for r in rep["checkpoints"])

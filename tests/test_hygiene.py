@@ -20,6 +20,8 @@ that name, anywhere in src, demos or perfbench, passes it by
 position or keyword, or passes ``*`` / ``**`` arguments.  Calls match by
 name only: ``f(..)`` and ``obj.f(..)`` both call every package ``f``, a
 class name calls its ``__init__`` and ``C(..)(..)`` calls ``C.__call__``.
+The fields of a package dataclass are the parameters of its generated
+``__init__``, in order, so a defaulted field is held to the same rule.
 A tuple that holds a function name next to a set of strings (the
 runner's generator table, whose config keys reach the builder through
 ``**``) passes those strings as keywords to that function.
@@ -167,12 +169,27 @@ def _functions(body, cls=None):
             yield from _functions(node.body)
 
 
+def _dataclass_fields(body):
+    """(class name, fields in order) for each dataclass defined in body."""
+    for node in body:
+        if isinstance(node, ast.ClassDef) and any(
+                _callee(d.func if isinstance(d, ast.Call) else d) == "dataclass"
+                for d in node.decorator_list):
+            yield node.name, [s for s in node.body if isinstance(s, ast.AnnAssign)]
+
+
 def unpassed_defaults() -> list[str]:
-    """Defaulted parameters of package functions that no call passes."""
+    """Defaulted parameters of package functions, and defaulted fields of
+    package dataclasses, that no call passes."""
     passed = passed_arguments()
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
-        for name, fn, skip in _functions(ast.parse(path.read_text()).body):
+        body = ast.parse(path.read_text()).body
+        for name, fields in _dataclass_fields(body):
+            got = passed.get(name, set())
+            found += [f"{path.name}:{name}({f.target.id})" for i, f in enumerate(fields)
+                      if f.value is not None and not got & {i, f.target.id, "*", "**"}]
+        for name, fn, skip in _functions(body):
             got = passed.get(name, set())
             positional = (fn.args.posonlyargs + fn.args.args)[skip:]
             first = len(positional) - len(fn.args.defaults)

@@ -14,6 +14,7 @@ from lcsflow.families import (
     corollary_two_family,
     gcs_rescale_family,
     lee_drift_family,
+    tabulated_family,
 )
 from lcsflow import moser, twisted
 from lcsflow.forms import DiffForm, GridSpec, form_from_components, random_band_limited
@@ -192,16 +193,26 @@ def test_theorem_path_builds_each_stage_time_once(monkeypatch):
     assert len(solves) == 2 * steps + 1
 
 
+def _table(source):
+    """The 9-sample tabulated family of a generated one."""
+    times = np.linspace(0.0, 1.0, 9)
+    return tabulated_family(source.grid, times,
+                            [source.omega_at(float(t)).omega for t in times])
+
+
 @pytest.mark.parametrize("make, steps, checkpoints, calls", [
     (lambda: contact_circle_family(T4, n_times=3), 4, 3, 3),
     (lambda: contact_circle_family(T4, n_times=3), 4, 5, 5),
     (lambda: gcs_rescale_family(T2, amp=0.25), 20, 3, 14),
+    (lambda: _table(area_interpolation_family(T2, eps=0.3)), 16, 5, 18),
+    (lambda: _table(contact_circle_family(T4)), 8, 3, 18),
 ])
 def test_theorem_path_extracts_each_lee_form_once(monkeypatch, make, steps,
                                                   checkpoints, calls):
     # normalize_family validates each sample time and each checkpoint time
     # that is not a sample time once; a pointwise-gauged family also
-    # validates its gauged samples e^{-g} omega at the checkpoints
+    # validates its gauged samples e^{-g} omega at the checkpoints, and a
+    # tabulated one each table sample once more, when it is built
     count = []
     lee_form = twisted.lee_form
 

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lcsflow import runner
 from lcsflow.runner import (
     CSV_COLUMNS,
     ConfigError,
@@ -146,8 +147,7 @@ VALID_CONFIGS = {
         "scenario": "moser", "generator": "area_interpolation",
         "params": {"eps": 0.2, "sigma": 0.1, "kappa": 0.0, "n_times": 5},
         "grid": {"n": 2, "N": 16}, "steps": 10, "checkpoints": 3,
-        "seed_stride": 2, "path": "theorem", "allow_scalar_absorption": False,
-        "tolerances": {"eq1": 1e-6, "lcs": 1e-8}},
+        "seed_stride": 2, "path": "theorem", "allow_scalar_absorption": False},
     "moser_tabulated": {"scenario": "moser", "generator": "tabulated",
                         "samples_file": "samples.json", "params": {}},
 }
@@ -212,7 +212,9 @@ def test_moser_defaults_filled_in():
     assert cfg["checkpoints"] == 11
     assert cfg["path"] == "theorem"
     assert cfg["allow_scalar_absorption"] is True
-    assert cfg["tolerances"]["eq1"] == 1e-6
+    assert cfg["tolerances"] == {
+        "consistency": 1e-3, "factor": 1e-3, "eq1": 1e-6, "exactness": 1e-9,
+        "lee_match": 1e-8, "cor2": 1e-8, "nondeg_margin": 1e-8, "lcs": 1e-8}
     assert cfg["output"] == {"json": "report.json", "csv": "checkpoints.csv"}
     assert cfg["grid"] == {"n": 2, "N": 32}
 
@@ -387,6 +389,34 @@ def test_cli_steps_override_is_validated(tmp_path, capsys):
     assert code == 2
     assert "steps must be an integer >= 1" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_moser_tolerances_are_not_config(tmp_path, capsys):
+    # the gate thresholds are constants: even their own values are refused
+    path = tmp_path / "area.json"
+    path.write_text(json.dumps({"scenario": "moser", "generator": "area_interpolation",
+                                "tolerances": {"eq1": 1e-6}}))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out), "--quiet"]) == 2
+    assert capsys.readouterr().err == "config error: unknown field(s) in config: tolerances\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("out", ["taken", "taken/sub"])
+def test_unusable_out_exits_2_before_the_scenario_runs(out, tmp_path, capsys,
+                                                       monkeypatch):
+    path = tmp_path / "torus.json"
+    path.write_text(json.dumps({"scenario": "cohomology_torus",
+                                "grid": {"n": 2, "N": 8}}))
+    (tmp_path / "taken").write_text("kept")
+    monkeypatch.setitem(runner._SCENARIOS, "cohomology_torus",
+                        lambda cfg: pytest.fail("the scenario ran"))
+    code = main(["run", "--config", str(path), "--out", str(tmp_path / out), "--quiet"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot use output directory")
+    assert err.count("\n") == 1
+    assert (tmp_path / "taken").read_text() == "kept"
 
 
 def test_command_line_rejects_a_malformed_config_without_a_traceback(tmp_path):
