@@ -11,8 +11,9 @@ The package has three layers:
   comparison of pullbacks (`moser`, `families`);
 * exact rational twisted cohomology of simplicial complexes and
   torus-bundle (mapping torus) surrogates (`simplicial`, `mapping_torus`)
-  on one exact elimination (`exactlinalg`), plus a small scenario runner
-  with JSON configs (`runner`).
+  on exact ranks (`exactlinalg`: certified mod 2^31 - 1, with Bareiss
+  elimination as the fallback), plus a small scenario runner with JSON
+  configs (`runner`).
 
 It holds what the pipeline, the runner, the demos and the benchmark run;
 reference operators that only the tests use (the flat Hodge star, the
@@ -48,7 +49,6 @@ from .twisted import (
     pfaffian_values,
     solve_primitive,
     torus_twisted_betti,
-    validate_lcs,
 )
 from .families import (
     ExactData,
@@ -113,7 +113,6 @@ __all__ = [
     "DegenerateForm", "LcsForm", "LeeForm", "NotLcs", "codifferential",
     "d_theta", "d_theta_star", "hodge_decompose", "lee_form",
     "pfaffian_values", "solve_primitive", "torus_twisted_betti",
-    "validate_lcs",
     # families
     "ExactData", "FormFamily", "area_interpolation_family",
     "contact_circle_family", "corollary_two_family", "gcs_rescale_family",

@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .forms import DiffForm, GridSpec, form_from_components
-from .twisted import LcsForm, LeeForm, validate_lcs
+from .twisted import LcsForm, LeeForm, lee_form
 
 TWO_PI = 2.0 * np.pi
 
@@ -297,7 +297,7 @@ def tabulated_family(
     times: np.ndarray,
     samples: list[DiffForm],
 ) -> FormFamily:
-    """Family from 2-form snapshots on a uniform time grid.
+    """Family from 2-form snapshots on a uniform time grid from 0 to 1.
 
     Values are interpolated in t with cubic Lagrange windows and the time
     derivative uses 4th-order finite differences on the table (one-sided
@@ -313,9 +313,13 @@ def tabulated_family(
     steps = np.diff(times)
     if not np.allclose(steps, steps[0], rtol=1e-12, atol=1e-12):
         raise ValueError("tabulated times must be uniform")
+    # past the ends of the table _lagrange_window would extrapolate silently
+    if not (steps[0] > 0 and abs(times[0]) <= 1e-12 and abs(times[-1] - 1.0) <= 1e-12):
+        raise ValueError(f"tabulated times must increase from 0 to 1, "
+                         f"got {times[0]:g} .. {times[-1]:g}")
     dt = float(steps[0])
     comps = np.stack([s.comps for s in samples])  # (M, C, *shape)
-    lees = [validate_lcs(s).lee for s in samples]
+    lees = [lee_form(s) for s in samples]
     harmonic = np.stack([lee.harmonic for lee in lees])
     potential = np.stack([lee.potential for lee in lees])
 

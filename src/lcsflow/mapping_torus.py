@@ -7,9 +7,10 @@ fiber cohomology: b_k = null(t0 L_k - I) + null(t0 L_{k-1} - I) with
 L_k the k-th exterior power of A^T.  These dims alternate to 0 for any
 nullities, so chi = 0 and the example identity b2 = b1 + b3 - b0 - b4
 (the same alternating sum) hold by construction and check no nullity.
-Rational t0 is handled exactly by the Bareiss elimination of
-`exactlinalg`; float t0 goes through an SVD with a fixed relative
-threshold that refuses to guess near the cut.
+Rational t0 is handled by the exact ranks of `exactlinalg` (certified
+mod 2^31 - 1, with Bareiss elimination as the fallback); float t0 goes
+through an SVD with a fixed relative threshold that refuses to guess
+near the cut.
 """
 
 from __future__ import annotations
@@ -92,11 +93,14 @@ def _nullity_float(lk, t0: float) -> int:
     return int(np.count_nonzero(rel < SVD_NULL_THRESHOLD))
 
 
-def mapping_torus_input(matrix, t0) -> tuple[list[list[int]], Fraction | float]:
-    """Check the arguments of mapping_torus_betti; ValueError if unusable.
+def mapping_torus_betti(matrix, t0) -> TwistedBettiResult:
+    """Twisted Betti numbers of the mapping torus of an integer matrix.
 
-    Returns the matrix as integer rows and t0 as a Fraction (exact input)
-    or a float; both pass through this check unchanged.
+    The one check of its input (ValueError): matrix must be invertible
+    over the integers (|det| = 1) and t0 a positive base-circle weight.
+    Fraction/int/"p/q" strings are computed exactly, finite floats via
+    thresholded SVD (SingularThresholdAmbiguous when a singular value is
+    too close to the cutoff to call) if t0 L_k fits in floats.
     """
     m = [[int(x) for x in row] for row in matrix]
     n = len(m)
@@ -104,31 +108,20 @@ def mapping_torus_input(matrix, t0) -> tuple[list[list[int]], Fraction | float]:
         raise ValueError("matrix must be square")
     if abs(integer_determinant(m)) != 1:
         raise ValueError("matrix is not invertible over the integers")
-    t0_val = float(t0) if isinstance(t0, float) else fraction_from_string(t0)
-    if t0_val <= 0:
-        raise ValueError(f"t0 must be positive, got {t0_val}")
-    return m, t0_val
-
-
-def mapping_torus_betti(matrix, t0) -> TwistedBettiResult:
-    """Twisted Betti numbers of the mapping torus of an integer matrix.
-
-    matrix must be invertible over the integers (|det| = 1).  t0 is the
-    positive base-circle weight: Fraction/int/"p/q" strings are computed
-    exactly, floats via thresholded SVD (SingularThresholdAmbiguous when
-    a singular value is too close to the cutoff to call).
-    """
-    m, t0_val = mapping_torus_input(matrix, t0)
-    n = len(m)
-    exact = not isinstance(t0_val, float)
+    exact = not isinstance(t0, float)
+    t0_val = fraction_from_string(t0) if exact else float(t0)
+    if not 0 < t0_val < np.inf:
+        raise ValueError(f"t0 must be positive and finite, got {t0_val}")
     at = [list(col) for col in zip(*m)]
-    nullities = []
-    for k in range(n + 1):
-        lk = exterior_power(at, k)
-        if exact:
-            nullities.append(_nullity_rational(lk, t0_val))
-        else:
-            nullities.append(_nullity_float(lk, t0_val))
+    powers = [exterior_power(at, k) for k in range(n + 1)]
+    if exact:
+        nullities = [_nullity_rational(lk, t0_val) for lk in powers]
+    else:
+        big = max(abs(x) for lk in powers for row in lk for x in row)
+        if Fraction(t0_val) * big > np.finfo(float).max:
+            raise ValueError("t0 times an exterior power of the matrix "
+                             "overflows a float; give t0 exactly")
+        nullities = [_nullity_float(lk, t0_val) for lk in powers]
 
     dims = tuple(
         (nullities[k] if k <= n else 0) + (nullities[k - 1] if k >= 1 else 0)

@@ -57,11 +57,11 @@ from .twisted import (
     LeeForm,
     component_means,
     d_theta,
+    lee_form,
     pfaffian_inverse,
     pfaffian_values,
     snap_lee,
     solve_primitive,
-    validate_lcs,
 )
 
 
@@ -155,11 +155,11 @@ def normalize_family(F: FormFamily, opts: PipelineOptions | None = None) -> Form
     sample_lees = []
     for t in times:
         L = F.omega_at(t)
-        V = validate_lcs(L.omega)
+        lee = lee_form(L.omega)
         claimed = L.lee
         if grid.n > 2:
-            gap = LeeForm(grid, V.lee.harmonic - claimed.harmonic,
-                          V.lee.potential - claimed.potential)
+            gap = LeeForm(grid, lee.harmonic - claimed.harmonic,
+                          lee.potential - claimed.potential)
             dev = gap.one_form().norm()
             scale = max(1.0, claimed.one_form().norm())
             if not dev <= 1e-6 * scale:
@@ -181,7 +181,7 @@ def normalize_family(F: FormFamily, opts: PipelineOptions | None = None) -> Form
             )
 
     theta_h = snap_lee(c0, grid)
-    if all(lee.is_constant for lee in sample_lees):
+    if not any(lee.potential.any() for lee in sample_lees):
         # a fresh LeeForm per sample: one shared for the whole run would keep
         # its N^n zero potential resident (about 1 MB of peak RSS at T^4 N = 16)
         return FormFamily(
@@ -200,7 +200,7 @@ def normalize_family(F: FormFamily, opts: PipelineOptions | None = None) -> Form
         return fd_derivative(lambda u: omega_n_at(u).omega, t, FD_STEP)
 
     for t in checkpoints:
-        validate_lcs(omega_n_at(t).omega)
+        lee_form(omega_n_at(t).omega)
     return FormFamily(grid, omega_n_at, derivative_n_at, F.times, theta_h=theta_h)
 
 
@@ -334,7 +334,7 @@ def moser_vector_field(om: DiffForm, alpha: DiffForm) -> DiffForm:
     grid = om.grid
     if alpha.degree != 1:
         raise ValueError("alpha must be a 1-form")
-    inv, _ = pfaffian_inverse(om, NONDEG_THRESHOLD)
+    inv = pfaffian_inverse(om, NONDEG_THRESHOLD)
     # Omega^-1 alpha = -i_alpha Omega^-1, and i_X omega + alpha = alpha - Omega X
     x = -contract_axes(alpha.comps, inv, grid.n, 2)
     resid = float(np.max(np.abs(contract_axes(x, om.comps, grid.n, 2) + alpha.comps)))
@@ -827,7 +827,7 @@ def _exact_provider(F: FormFamily, opts: PipelineOptions) -> ExactnessCertificat
     exact_res = []
     for t in times:
         L = F.omega_at(t)
-        validate_lcs(L.omega)
+        lee_form(L.omega)
         recon = d_theta(ed.alpha_at(t), L.lee)
         res = (recon - L.omega).norm() / max(L.omega.norm(), 1e-300)
         if not res <= TOLERANCES["lee_match"]:

@@ -50,7 +50,6 @@ from .mapping_torus import (
     SingularThresholdAmbiguous,
     example_inequality_check,
     mapping_torus_betti,
-    mapping_torus_input,
 )
 from .moser import (
     DegenerateForm,
@@ -363,8 +362,7 @@ def _scenario_cohomology_simplicial(cfg: dict) -> tuple[dict, bool]:
 
 def _scenario_cohomology_mapping_torus(cfg: dict) -> tuple[dict, bool]:
     with _library_checks():
-        matrix, t0 = mapping_torus_input(cfg["matrix"], cfg["t0"])
-    result = mapping_torus_betti(matrix, t0)
+        result = mapping_torus_betti(cfg["matrix"], cfg["t0"])
     out = result.as_dict()
     ok = out["euler_alternating_sum"] == 0
     if len(result.dims) == 5:

@@ -5,9 +5,9 @@ weight w(a, b) on each oriented edge with w(b, a) = 1/w(a, b) and the
 multiplicative cocycle rule w(a,b) w(b,c) = w(a,c) on every 2-simplex.
 Cochain coefficients live at the least vertex of each simplex; the
 twisted coboundary transports the dropped-least-vertex face along the
-edge between base vertices.  Every rank comes from the one fraction-free
-(Bareiss) elimination of `exactlinalg`, so d^2 = 0 and gauge invariance
-are exact statements, not floating-point ones.  The Euler identity is no
+edge between base vertices.  Every rank is exact (`exactlinalg`: certified
+mod 2^31 - 1, with Bareiss elimination as the fallback), so d^2 = 0 and
+gauge invariance are exact statements, not floating-point ones.  The Euler identity is no
 check on the ranks: b_k = c_k - r_k - r_{k-1} telescopes to chi whatever
 the ranks r_k are.
 """

@@ -61,7 +61,8 @@ class LeeForm:
 
     harmonic: length-n array of constant coefficients (exact zeros are
     meaningful: they decide which Fourier modes are mu-harmonic).
-    potential: mean-zero scalar grid field g with theta = harmonic + dg.
+    potential: mean-zero scalar grid field g with theta = harmonic + dg;
+    all zeros exactly when theta is constant (lee_form snaps it).
     """
 
     grid: GridSpec
@@ -78,11 +79,6 @@ class LeeForm:
     def zero(cls, grid: GridSpec) -> "LeeForm":
         return cls.constant(grid, np.zeros(grid.n))
 
-    @property
-    def is_constant(self) -> bool:
-        scale = max(1.0, float(np.max(np.abs(self.harmonic))))
-        return float(np.max(np.abs(self.potential))) <= 1e-12 * scale
-
     def one_form(self) -> DiffForm:
         """theta = harmonic + d(potential) as a degree-1 form."""
         n = self.grid.n
@@ -96,7 +92,7 @@ def _as_theta(theta, grid: GridSpec):
     if isinstance(theta, LeeForm):
         if theta.grid != grid:
             raise ValueError("Lee form on a different grid")
-        if theta.is_constant:
+        if not theta.potential.any():
             return theta.harmonic, None
         return None, theta.one_form()
     if isinstance(theta, DiffForm):
@@ -177,7 +173,7 @@ def _harmonic_and_potential(theta: DiffForm):
     return c, g - g.mean()
 
 
-# -- Lee form extraction and lcs validation ------------------------------
+# -- Lee form extraction, the one lcs check ------------------------------
 
 
 def pfaffian_values(omega) -> np.ndarray:
@@ -197,13 +193,13 @@ def pfaffian_values(omega) -> np.ndarray:
     raise DegenerateForm(f"no nondegenerate 2-forms on T^{grid.n} (odd dimension)")
 
 
-def pfaffian_inverse(omega, nondeg_threshold: float):
+def pfaffian_inverse(omega, nondeg_threshold: float) -> np.ndarray:
     """Pointwise Omega^-1, Omega_ab = omega(e_a, e_b), as B / Pf.
 
     B is the dual antisymmetric matrix, Omega B = Pf * Id: the constant
     -dx_0 ^ dx_1 on T^2 and -*omega on T^4.  Returns the components
-    (a < b) of Omega^-1, laid out like omega's, and the margin min |Pf|;
-    raises DegenerateForm when the margin is below nondeg_threshold or NaN.
+    (a < b) of Omega^-1, laid out like omega's; raises DegenerateForm when
+    the margin min |Pf| is below nondeg_threshold or NaN.
     """
     pf = pfaffian_values(omega)
     margin = float(np.min(np.abs(pf)))
@@ -212,15 +208,15 @@ def pfaffian_inverse(omega, nondeg_threshold: float):
             f"Pfaffian margin {margin:.3e} below threshold {nondeg_threshold:.1e}"
         )
     if omega.grid.n == 2:
-        return -1.0 / pf[None], margin
+        return -1.0 / pf[None]
     inv = np.empty_like(omega.comps)
     for ia, ib, _, sign in product_table(4, 2, 2):
         inv[ib] = -sign * omega.comps[ia] / pf
-    return inv, margin
+    return inv
 
 
-def lee_form(omega: DiffForm):
-    """Extract the Lee form of a nondegenerate 2-form.
+def lee_form(omega: DiffForm) -> LeeForm:
+    """Check that a nondegenerate 2-form is lcs and return its Lee form.
 
     On T^4, theta ^ . : 1-forms -> 3-forms is invertible where Pf != 0
     (Lefschetz), so theta ^ omega = d omega has the pointwise solution
@@ -228,15 +224,15 @@ def lee_form(omega: DiffForm):
     condition left is d theta = 0.  NotLcs is raised when ||d theta|| /
     max(||theta||, 1) exceeds LCS_TOL: relative for a sizeable theta,
     absolute for the rounding-noise theta of a symplectic omega, which is
-    why a theta with ||theta|| <= LCS_TOL is returned as exactly zero.  On
-    T^2 theta = 0 by convention.  Returns (LeeForm, diagnostics) with keys
-    lcs_residual (the gated value) and nondeg_margin.  Raises
-    DegenerateForm (Pfaffian margin below NONDEG_THRESHOLD) / NotLcs.
+    why a theta with ||theta|| <= LCS_TOL is returned as exactly zero, as
+    is a potential with max |g| <= HARMONIC_SNAP * max(1, max |c|).  On
+    T^2 theta = 0 by convention.  Raises DegenerateForm (Pfaffian margin
+    below NONDEG_THRESHOLD) / NotLcs.
     """
     grid = omega.grid
     if omega.degree != 2:
         raise DegreeError("Lee form extraction expects a 2-form")
-    inv, margin = pfaffian_inverse(omega, NONDEG_THRESHOLD)
+    inv = pfaffian_inverse(omega, NONDEG_THRESHOLD)
     theta = np.zeros((grid.n,) + grid.shape)
     if grid.n == 4:
         domega = ext_d(omega).comps
@@ -251,16 +247,17 @@ def lee_form(omega: DiffForm):
             "an lcs form that is not band-limited at this N (such as e^g omega) "
             "fails too, so a finer grid may pass it"
         )
-    diagnostics = {"lcs_residual": lcs_residual, "nondeg_margin": margin}
     if size <= LCS_TOL:
-        return LeeForm.zero(grid), diagnostics
+        return LeeForm.zero(grid)
     c, g = _harmonic_and_potential(theta)
-    return LeeForm(grid, c, g), diagnostics
+    if np.max(np.abs(g)) <= HARMONIC_SNAP * max(1.0, float(np.max(np.abs(c)))):
+        g[:] = 0.0
+    return LeeForm(grid, c, g)
 
 
 @dataclass
 class LcsForm:
-    """A validated lcs pair (omega, theta)."""
+    """An lcs pair (omega, theta)."""
 
     omega: DiffForm
     lee: LeeForm
@@ -268,12 +265,6 @@ class LcsForm:
     @property
     def grid(self) -> GridSpec:
         return self.omega.grid
-
-
-def validate_lcs(omega: DiffForm) -> LcsForm:
-    """Extract and check the Lee form; package the certified pair."""
-    lee, _ = lee_form(omega)
-    return LcsForm(omega, lee)
 
 
 # -- per-mode Hodge solver (constant Lee form) ---------------------------

@@ -52,9 +52,9 @@ from lcsflow.twisted import (
     DegenerateForm,
     d_theta,
     hodge_decompose,
+    lee_form,
     solve_primitive,
     torus_twisted_betti,
-    validate_lcs,
 )
 
 from golden_reports import deterministic
@@ -134,9 +134,9 @@ def test_criterion_02_hodge_suite():
 def test_criterion_03_lee_extraction():
     # contact x circle sample: theta = c dx4
     c = 1.0
-    lcs = validate_lcs(contact_circle_family(T4, c=c).omega_at(0.3).omega)
+    lee = lee_form(contact_circle_family(T4, c=c).omega_at(0.3).omega)
     target = np.array([0.0, 0.0, 0.0, c])
-    err_contact = (lcs.lee.one_form()
+    err_contact = (lee.one_form()
                    - form_from_components(
                        T4, 1, {(3,): c * np.ones(T4.shape)})).norm()
 
@@ -144,9 +144,9 @@ def test_criterion_03_lee_extraction():
     x1, x2 = T4.coordinates()[:2]
     g = 0.05 * (np.sin(TWO_PI * x1) + np.cos(TWO_PI * x2)) * np.ones(T4.shape)
     om = form_from_components(T4, 2, {(0, 1): np.exp(g), (2, 3): np.exp(g)})
-    lcs2 = validate_lcs(om)
+    lee2 = lee_form(om)
     dg = ext_d(scalar_form(T4, g))
-    err_gcs = (lcs2.lee.one_form() - dg).norm()
+    err_gcs = (lee2.one_form() - dg).norm()
 
     # degenerate input must be refused
     x1a = T4.coordinates()[0]
@@ -155,10 +155,10 @@ def test_criterion_03_lee_extraction():
         (2, 3): np.sin(TWO_PI * x1a) * np.ones(T4.shape),
     })
     with pytest.raises(DegenerateForm):
-        validate_lcs(bad)
+        lee_form(bad)
 
     ok = (err_contact <= 1e-9 and err_gcs <= 1e-9
-          and np.max(np.abs(lcs.lee.harmonic - target)) <= 1e-9)
+          and np.max(np.abs(lee.harmonic - target)) <= 1e-9)
     _verdict(3, "lee extraction", ok,
              f"contact {err_contact:.2e} <= 1e-9, rescale {err_gcs:.2e} <= 1e-9, "
              "degenerate raises DegenerateForm")

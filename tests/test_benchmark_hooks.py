@@ -1,10 +1,11 @@
 """The benchmark's tracer finds every package name it wraps and puts each
-one back.
+one back, and the runner accepts every config the benchmark builds.
 
 perfbench/tracing.py wraps package functions by name, so a renamed or
 deleted one makes ``install`` raise, and a traced call whose arguments
-its work function cannot read raises too; this test runs both in the
-tier-1 suite, which does not collect perfbench/.
+its work function cannot read raises too; perfbench/checks.py reads gate
+tolerances from each report's echoed config.  These tests run all three
+in the tier-1 suite, which does not collect perfbench/.
 """
 
 import sys
@@ -13,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from lcsflow import exactlinalg, moser, simplicial, twisted
+from lcsflow.runner import validate_config
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -52,3 +54,21 @@ def test_tracer_wraps_the_package_and_undo_restores_it(monkeypatch):
     after = _namespaces()
     for mod, ns in before.items():
         assert {k: v for k, v in after[mod].items() if k in ns} == ns, mod
+
+
+def test_benchmark_configs_are_valid_and_echo_the_tolerances_checked(monkeypatch):
+    # every job the benchmark builds is a config the runner accepts, and its
+    # echo holds each tolerance perfbench/checks.py reads for its gates
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import checks
+    import workloads
+
+    gate_keys = {"moser": {key for _, _, key in checks.MOSER_GATES},
+                 "identities": {key for _, _, key in checks.IDENTITY_GATES}}
+    for name in workloads.WORKLOADS:
+        jobs = workloads.build(name, 101)
+        assert jobs, name
+        for job in jobs:
+            echo = validate_config(job.config)
+            want = gate_keys.get(echo["scenario"], set())
+            assert want <= set(echo.get("tolerances", {})), (name, job.name)

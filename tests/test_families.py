@@ -16,7 +16,7 @@ from lcsflow.families import (
 )
 from lcsflow.forms import DiffForm, GridSpec, form_from_components
 from lcsflow.moser import normalize_family
-from lcsflow.twisted import d_theta, validate_lcs
+from lcsflow.twisted import d_theta, lee_form
 
 TWO_PI = 2.0 * np.pi
 SMALL4 = GridSpec(4, 8)
@@ -44,15 +44,15 @@ def test_every_sample_is_a_valid_lcs_pair():
     for fam in FAMILIES:
         for t in (0.0, 0.5, 1.0):
             sample = fam.omega_at(t)
-            checked = validate_lcs(sample.omega)
+            checked = lee_form(sample.omega)
             if fam.grid.n == 2:
                 # top-degree forms are closed: extraction returns theta = 0
                 # even when the generator carries an exact gauge potential
-                assert checked.lee.is_constant and not checked.lee.harmonic.any()
+                assert not checked.potential.any() and not checked.harmonic.any()
                 assert np.max(np.abs(sample.lee.harmonic)) < 1e-12
             else:
                 claimed = sample.lee.one_form()
-                extracted = checked.lee.one_form()
+                extracted = checked.one_form()
                 assert (claimed - extracted).norm() < 1e-8, (fam.label, t)
 
 
@@ -201,3 +201,8 @@ def test_tabulated_family_input_guards():
         tabulated_family(SMALL2, times**2, samples)  # non-uniform
     with pytest.raises(ValueError):
         tabulated_family(SMALL2, times[:4], samples[:4])  # too few
+    # uniform tables that do not run from 0 to 1: the cubic window would
+    # extrapolate past their ends
+    for bad in (times / 2, times + 0.5, times[::-1]):
+        with pytest.raises(ValueError, match="from 0 to 1"):
+            tabulated_family(SMALL2, bad, samples)

@@ -1,6 +1,7 @@
 """End-to-end runs of both certification pipelines on small grids."""
 
 import dataclasses
+import sys
 import warnings
 
 import numpy as np
@@ -220,7 +221,11 @@ def test_theorem_path_extracts_each_lee_form_once(monkeypatch, make, steps,
         count.append(1)
         return lee_form(*args, **kwargs)
 
-    monkeypatch.setattr(twisted, "lee_form", counting)
+    # every module that binds lee_form by name calls it through that binding
+    for mod in list(sys.modules.values()):
+        if (getattr(mod, "__name__", "").startswith("lcsflow")
+                and getattr(mod, "lee_form", None) is lee_form):
+            monkeypatch.setattr(mod, "lee_form", counting)
     fam = make()
     rep = run_theorem_pipeline(fam, PipelineOptions(
         steps=steps, checkpoints=checkpoints, seed_stride=8))

@@ -113,6 +113,8 @@ LIBRARY_REJECTED = [
     {"scenario": "cohomology_simplicial", "fixture": "disk",
      "weights": [{"edge": [0, 5], "w": "2"}]},
     {"scenario": "cohomology_simplicial", "complex": {"top_simplices": [[0, 0]]}},
+    # a float t0 times an entry too large for a float
+    {"scenario": "cohomology_mapping_torus", "matrix": [[1, 10**400], [0, 1]], "t0": 0.5},
 ]
 
 
@@ -525,6 +527,22 @@ def test_malformed_samples_literal_exits_2(literal, tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["run", "--config", str(cfg), "--out", str(out), "--quiet"]) == 2
     assert capsys.readouterr().err.startswith("config error: literal")
+    assert not out.exists()
+
+
+def test_tabulated_times_off_the_unit_interval_exit_2(tmp_path, capsys):
+    # a table on [0, 1/2] would be extrapolated past its end up to t = 1
+    good = [{"component": [1, 2], "modes": [{"k": [0, 0], "re": 1.0}]}]
+    samples = tmp_path / "samples.json"
+    samples.write_text(json.dumps({"grid": {"n": 2, "N": 8},
+                                   "times": [0.0, 0.125, 0.25, 0.375, 0.5],
+                                   "samples": [good] * 5}))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenario": "moser", "generator": "tabulated",
+                               "samples_file": str(samples)}))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out), "--quiet"]) == 2
+    assert capsys.readouterr().err.startswith("config error: tabulated times")
     assert not out.exists()
 
 
