@@ -8,6 +8,7 @@ from lcsflow import (
     PipelineOptions,
     area_interpolation_family,
     exactness_certificate,
+    normalize_family,
     run_theorem_pipeline,
 )
 from lcsflow.forms import GridSpec
@@ -26,7 +27,7 @@ print(f"  verdict {rep.verdict}, factor error {rep.max_factor_error:.2e}, "
 # spatially constant gauge e^{c(t)} can
 sigma = 0.5
 fam2 = area_interpolation_family(g, eps=0.3, sigma=sigma)
-cert = exactness_certificate(fam2, opts)
+cert = exactness_certificate(normalize_family(fam2, opts), opts)
 print(f"\narea growth sigma = {sigma}: certified with gauge constant c(t)")
 print("  t      c(t)        -log(1 + sigma t)")
 for t in (0.0, 0.25, 0.5, 0.75, 1.0):

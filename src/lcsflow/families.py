@@ -36,7 +36,11 @@ class ExactData:
 
 @dataclass
 class FormFamily:
-    """Samplers for a one-parameter lcs family on a fixed grid."""
+    """Samplers for a one-parameter lcs family on a fixed grid.
+
+    theta_h, the constant harmonic Lee covector, is set by
+    moser.normalize_family only: it marks a normalized family.
+    """
 
     grid: GridSpec
     omega_at: Callable[[float], LcsForm]
@@ -143,8 +147,7 @@ def _rotating_coframe_family(grid: GridSpec, s: float, c: float, a: float,
         return form_from_components(grid, 1, {(1,): -s * np.sin(u), (2,): s * np.cos(u)})
 
     return FormFamily(grid, omega_at, derivative_at, np.linspace(0, 1, n_times),
-                      exact_data=ExactData(alpha_at, h_at, alpha_dot_at),
-                      theta_h=harmonic.copy(), label=label)
+                      exact_data=ExactData(alpha_at, h_at, alpha_dot_at), label=label)
 
 
 def contact_circle_family(
@@ -214,7 +217,7 @@ def area_interpolation_family(
         return form_from_components(grid, 2, {(0, 1): vals})
 
     return FormFamily(grid, omega_at, derivative_at, np.linspace(0, 1, n_times),
-                      theta_h=np.zeros(2), label="area_interpolation")
+                      label="area_interpolation")
 
 
 def gcs_rescale_family(
@@ -240,7 +243,7 @@ def gcs_rescale_family(
         return form_from_components(grid, 2, {(0, 1): g_shape * np.exp(t * g_shape)})
 
     return FormFamily(grid, omega_at, derivative_at, np.linspace(0, 1, n_times),
-                      theta_h=np.zeros(2), label="gcs_rescale")
+                      label="gcs_rescale")
 
 
 def lee_drift_family(
@@ -329,7 +332,8 @@ def tabulated_family(
         lo = min(max(i - 2, 0), m - 5)
         sten = np.arange(lo, lo + 5)
         w = _OFFSET_5[i - lo] / dt
-        deriv_table[i] = np.tensordot(w, comps[sten], axes=1)
+        # sum w = 0: differences to sample i leave equal samples an exact 0
+        deriv_table[i] = np.tensordot(w, comps[sten] - comps[i], axes=1)
 
     def omega_at(t: float) -> LcsForm:
         idx, w = _lagrange_window(times, t)

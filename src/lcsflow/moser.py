@@ -8,9 +8,9 @@ flow together with its Jacobian and conformal exponent, and verifies
 pointwise that the pulled-back family stays conformally equivalent to
 the initial form with the predicted factor.
 
-One driver runs flow -> identity residuals -> checkpoint comparison ->
-report on the ExactnessCertificate that one of two primitive providers
-hands it, each behind a public entry point:
+One driver runs the flow, then per checkpoint the identity residuals and
+the pullback comparison, then the report, on the ExactnessCertificate that
+one of two primitive providers hands it, each behind a public entry point:
   run_theorem_pipeline -- primitive found by per-mode Hodge solves, after
                           normalize_family, its one Lee extraction per time;
   run_exact_family     -- a supplied primitive alpha_t with
@@ -396,7 +396,8 @@ class StageCache:
 
     The providers build the checkpoint stages before integration and hand
     them in as kept; integrate_isotopy asks for every other stage time
-    once, so nothing else is stored.  verify_eq1 reads the kept stages.
+    once, so nothing else is stored.  The driver reads the kept stages again
+    at the checkpoints.
     """
 
     def __init__(self, builder: Callable[[float], StageData],
@@ -483,23 +484,15 @@ def exact_stage_builder(
 
 @dataclass
 class FlowState:
-    """Snapshots of the isotopy: positions, Jacobians, conformal exponent.
+    """Snapshots of the isotopy and the largest speed the sweep met.
 
-    h_integral holds the grid field int_0^t h at each recorded time.
+    snapshots[t] = (positions, Jacobians, log factor, int_0^t h) of the
+    seed points, the last a grid field, keyed by t = k / steps: the same
+    floats PipelineOptions.checkpoint_times yields.
     """
 
-    times: list[float]
-    positions: list[np.ndarray]
-    jacobians: list[np.ndarray]
-    log_factor: list[np.ndarray]
+    snapshots: dict[float, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]
     max_speed: float
-    h_integral: list[np.ndarray]
-
-    def at(self, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        for i, ti in enumerate(self.times):
-            if abs(ti - t) <= 1e-12:
-                return self.positions[i], self.jacobians[i], self.log_factor[i]
-        raise KeyError(f"time {t} was not recorded")
 
 
 def integrate_isotopy(
@@ -530,16 +523,11 @@ def integrate_isotopy(
     logf = np.zeros(len(seeds))
     h_int = np.zeros(grid.shape)
     dt = 1.0 / steps
-
-    times: list[float] = []
-    positions, jacobians, logs, h_ints = [], [], [], []
+    snapshots = {}
 
     def record(k: int):
-        times.append(k / steps)
-        positions.append(np.mod(pos, 1.0))
-        jacobians.append(jac.copy())
-        logs.append(logf.copy())
-        h_ints.append(h_int)
+        # every update below rebinds jac, logf and h_int, so no copies
+        snapshots[k / steps] = (np.mod(pos, 1.0), jac, logf, h_int)
 
     if 0 in rec_steps:
         record(0)
@@ -586,7 +574,7 @@ def integrate_isotopy(
         if k + 1 in rec_steps:
             record(k + 1)
 
-    return FlowState(times, positions, jacobians, logs, max_speed, h_ints)
+    return FlowState(snapshots, max_speed)
 
 
 # -- pullback and conformal comparison -----------------------------------
@@ -616,7 +604,7 @@ def pullback_form(
     grid = om.grid
     if om.degree != 2:
         raise ValueError("pullback_form expects a 2-form")
-    pos, jac, _ = flow.at(t)
+    pos, jac, *_ = flow.snapshots[t]
     vals = ModeInterpolator(grid, om.spectra(), INTERP_REL_TOL)(pos)
     mat = _matrix_of(vals, grid.n)
     back = np.einsum("pai,pab,pbj->pij", jac, mat, jac, optimize=True)
@@ -667,46 +655,34 @@ def conformal_compare(av: np.ndarray, bv: np.ndarray) -> ConformalComparison:
 # -- residual diagnostics -------------------------------------------------
 
 
-@dataclass
-class Eq1Record:
-    flow_identity_residual: float
-    cor2_identity_residual: float | None
+def verify_eq1(L: LcsForm, dom: DiffForm, stage: StageData,
+               h_int: np.ndarray) -> tuple[float, float | None]:
+    """Spectral residuals of the infinitesimal stability identities at one time.
 
-
-def verify_eq1(
-    F: FormFamily,
-    fields: Callable[[float], StageData],
-    flow: FlowState,
-) -> list[Eq1Record]:
-    """Spectral residuals of the infinitesimal stability identities.
-
-    At each time the flow recorded, flow_mis = d/dt omega + d_theta(i_X omega)
-    - h omega (h is the h-term of the exact path, 0 on the theorem path);
-    flow_mis = 0 makes d/dt (phi^* omega) = phi^*(rate * omega) hold, with
-    rate = theta(X) + h, and the success verdict gates on it.
+    With L = (omega, theta) and dom = d omega/dt at t, and the stage at t,
+    flow_mis = d/dt omega + d_theta(i_X omega) - h omega (h is the h-term of
+    the exact path, 0 on the theorem path); flow_mis = 0 makes d/dt
+    (phi^* omega) = phi^*(rate * omega) hold, with rate = theta(X) + h, and
+    the success verdict gates on it.  Returns (flow_identity, cor2):
     flow_identity = ||flow_mis|| relative to max(||d omega/dt||, ||omega||);
-    cor2 = ||e^g flow_mis||, g = -int_0^t h (the flow's h_integral), relative
-    to max(||e^g (d omega/dt - h omega)||, ||e^g omega||), is the identity of
-    the rescaled family e^g omega: d_{theta + dg}(e^g b) = e^g d_theta b
-    makes its weight pointwise.  cor2 is formed only where h is a grid
-    field (the exact path) and is None where h is the scalar 0.
+    cor2 = ||e^g flow_mis||, g = -int_0^t h (h_int, the flow's snapshot),
+    relative to max(||e^g (d omega/dt - h omega)||, ||e^g omega||), is the
+    identity of the rescaled family e^g omega: d_{theta + dg}(e^g b) = e^g
+    d_theta b makes its weight pointwise.  cor2 is formed only where h is a
+    grid field (the exact path) and is None where h is the scalar 0.
     """
-    grid = F.grid
+    grid = dom.grid
 
     def norm(comps: np.ndarray) -> float:
         return DiffForm(grid, 2, comps).norm()
 
-    out: list[Eq1Record] = []
-    for t, h_int in zip(flow.times, flow.h_integral):
-        L, st = F.omega_at(t), fields(t)
-        om, dom, h = L.omega.comps, F.derivative_at(t).comps, st.h_values
-        flow_mis = dom + d_theta(contract(st.x_form, L.omega), L.lee).comps - h * om
-        cor2 = None
-        if isinstance(h, np.ndarray):
-            eg = np.exp(-h_int)
-            cor2 = norm(eg * flow_mis) / max(norm(eg * (dom - h * om)), norm(eg * om))
-        out.append(Eq1Record(norm(flow_mis) / max(norm(dom), norm(om)), cor2))
-    return out
+    om, dom, h = L.omega.comps, dom.comps, stage.h_values
+    flow_mis = dom + d_theta(contract(stage.x_form, L.omega), L.lee).comps - h * om
+    cor2 = None
+    if isinstance(h, np.ndarray):
+        eg = np.exp(-h_int)
+        cor2 = norm(eg * flow_mis) / max(norm(eg * (dom - h * om)), norm(eg * om))
+    return norm(flow_mis) / max(norm(dom), norm(om)), cor2
 
 
 # -- reports --------------------------------------------------------------
@@ -803,22 +779,6 @@ def _assemble_report(
 # -- pipelines ------------------------------------------------------------
 
 
-def _checkpoint_compare(
-    om_t: DiffForm,
-    base: np.ndarray,
-    flow: FlowState,
-    t: float,
-) -> tuple[ConformalComparison, np.ndarray]:
-    pos, jac, logf = flow.at(t)
-    det = np.linalg.det(jac)
-    if not float(det.min()) > 0.0:
-        raise IsotopyDiverged(f"orientation lost at t={t}: min det J = {det.min():.3e}")
-    pb = pullback_form(om_t, flow, t)
-    if not float(np.min(np.abs(pfaffian_values(pb)))) >= NONDEG_THRESHOLD:
-        raise IsotopyDiverged(f"pullback degenerated at t={t}")
-    return conformal_compare(pb.comps, base), np.exp(logf)
-
-
 def _exact_provider(F: FormFamily, opts: PipelineOptions) -> ExactnessCertificate:
     """A supplied primitive, after checking its preconditions."""
     build = exact_stage_builder(F, opts)
@@ -853,7 +813,8 @@ def _run_moser(
     opts: PipelineOptions | None,
     provide: Callable[[FormFamily, PipelineOptions], ExactnessCertificate],
 ) -> MoserReport:
-    """The one driver: flow, identity residuals, checkpoint comparison."""
+    """The one driver: flow, then per checkpoint the identity residuals and
+    the pullback comparison, from one read of omega_t."""
     opts = opts or PipelineOptions()
     times = opts.checkpoint_times()
     cert = provide(F, opts)
@@ -862,26 +823,34 @@ def _run_moser(
     seeds = Fp.grid.nodes()[:: opts.seed_stride]
     flow = integrate_isotopy(Fp.grid, stages, opts.steps, record_times=times,
                              seeds=seeds)
-    eq1 = verify_eq1(Fp, stages, flow)
-    # the seeds are grid nodes, so omega_0 is read off its node values
-    om0 = Fp.omega_at(0.0).omega
-    base = om0.comps.reshape(len(om0.comps), -1)[:, ::opts.seed_stride]
 
-    records = []
-    positive = True
-    for i, t in enumerate(times):
-        cc, predicted = _checkpoint_compare(Fp.omega_at(t).omega, base, flow, t)
+    records, positive, base = [], True, None
+    for t, residual in zip(times, cert.residuals):
+        L, stage = Fp.omega_at(t), stages(t)
+        _, jac, logf, h_int = flow.snapshots[t]
+        flow_identity, cor2 = verify_eq1(L, Fp.derivative_at(t), stage, h_int)
+        det = np.linalg.det(jac)
+        if not float(det.min()) > 0.0:
+            raise IsotopyDiverged(f"orientation lost at t={t}: min det J = {det.min():.3e}")
+        pb = pullback_form(L.omega, flow, t)
+        if not float(np.min(np.abs(pfaffian_values(pb)))) >= NONDEG_THRESHOLD:
+            raise IsotopyDiverged(f"pullback degenerated at t={t}")
+        # t = 0 comes first; the seeds are grid nodes, so omega_0 is its node values
+        if base is None:
+            base = L.omega.comps.reshape(len(L.omega.comps), -1)[:, ::opts.seed_stride]
+        cc = conformal_compare(pb.comps, base)
+        predicted = np.exp(logf)
         positive = positive and cc.positive
         records.append(CheckpointRecord(
             t=t,
-            exactness_residual=cert.residuals[i],
-            harmonic_obstruction=cert.stages[t].obstruction,
+            exactness_residual=residual,
+            harmonic_obstruction=stage.obstruction,
             conformal_consistency_error=cc.consistency_error,
             factor_error=float(np.max(np.abs(cc.factor - predicted) / predicted)),
-            flow_identity_residual=eq1[i].flow_identity_residual,
+            flow_identity_residual=flow_identity,
             factor_min=float(cc.factor.min()),
             factor_max=float(cc.factor.max()),
-            cor2_identity_residual=eq1[i].cor2_identity_residual,
+            cor2_identity_residual=cor2,
         ))
     return _assemble_report(cert, F.label, opts, records, positive,
                             flow.max_speed, stages.max_solve_residual)

@@ -5,9 +5,11 @@ The package never applies them, so they live here: the flat Hodge star
 harmonic modes of a constant Lee form read off |mu(m)|^2 on the whole
 grid (for the closed form the Hodge solver uses instead), the vertex
 gauge transform of a simplicial local system (for the gauge invariance
-of the twisted Betti numbers) and the pullback of a form family by an
+of the twisted Betti numbers), the pullback of a form family by an
 axis permutation plus a roll by whole grid nodes (for the symmetry of
-the Moser pipeline under the isometries of the grid torus).
+the Moser pipeline under the isometries of the grid torus) and the
+closed-form isotopies of two built-in families (for the integrated flow
+against its true value).
 """
 
 import dataclasses
@@ -111,3 +113,34 @@ class GridIsometry:
         return dataclasses.replace(
             F, omega_at=omega_at, derivative_at=lambda t: self.form(F.derivative_at(t)),
             exact_data=ed, theta_h=theta_h)
+
+
+def contact_circle_flow(seeds: np.ndarray, t: float, s: float):
+    """The theorem-path isotopy of contact_circle_family at time t.
+
+    omega_t is omega_0 translated (u = 2 pi x1 + s t), and i_X omega for
+    X = -(s / 2 pi) e1 is mean-free and d_theta-coclosed, so it is the
+    Hodge primitive: phi_t(x) = x - (s t / 2 pi) e1, J = I, log factor 0.
+    Returns (positions in [0, 1)^n, Jacobians, log factors) at the seeds.
+    """
+    pos = seeds.copy()
+    pos[:, 0] -= s * t / (2.0 * np.pi)
+    n = seeds.shape[1]
+    jac = np.broadcast_to(np.eye(n), (len(seeds), n, n))
+    return np.mod(pos, 1.0), jac, np.zeros(len(seeds))
+
+
+def corollary_two_flow(seeds: np.ndarray, t: float, s: float, a: float):
+    """The exact-path isotopy of corollary_two_family (c = 1) at time t.
+
+    X = -(s / 2 pi) e1 - a sin(2 pi x2) e4 is constant along its own
+    trajectories: phi_t(x) = x - (s t / 2 pi) e1 - t a sin(2 pi x2) e4,
+    J = I - 2 pi t a cos(2 pi x2) e4 (x) e2, and the rate theta(X) + h =
+    -a sin(2 pi x2) + a sin(2 pi x2) vanishes, so the log factor is 0.
+    """
+    pos, jac, logf = contact_circle_flow(seeds, t, s)
+    x2 = seeds[:, 1]
+    pos[:, 3] = np.mod(pos[:, 3] - t * a * np.sin(2.0 * np.pi * x2), 1.0)
+    jac = jac.copy()
+    jac[:, 3, 1] = -2.0 * np.pi * t * a * np.cos(2.0 * np.pi * x2)
+    return pos, jac, logf

@@ -3,17 +3,19 @@ one back, and the runner accepts every config the benchmark builds.
 
 perfbench/tracing.py wraps package functions by name, so a renamed or
 deleted one makes ``install`` raise, and a traced call whose arguments
-its work function cannot read raises too; perfbench/checks.py reads gate
-tolerances from each report's echoed config.  These tests run all three
-in the tier-1 suite, which does not collect perfbench/.
+its work function cannot read raises too; the per-layer metrics count the
+spans of the traced moser phases and stage calls; perfbench/checks.py
+reads gate tolerances from each report's echoed config.  These tests run
+all four in the tier-1 suite, which does not collect perfbench/.
 """
 
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 
-from lcsflow import exactlinalg, moser, simplicial, twisted
+from lcsflow import exactlinalg, moser, runner, simplicial, twisted
 from lcsflow.runner import validate_config
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -72,3 +74,29 @@ def test_benchmark_configs_are_valid_and_echo_the_tolerances_checked(monkeypatch
             echo = validate_config(job.config)
             want = gate_keys.get(echo["scenario"], set())
             assert want <= set(echo.get("tolerances", {})), (name, job.name)
+
+
+def test_traced_moser_job_records_every_phase_and_stage_count(monkeypatch, tmp_path):
+    # one small T^2 theorem job through the runner, traced as the benchmark
+    # traces it: every phase span appears, each of the 2 steps + 1 stage
+    # times is built once, and the stage cache is asked once more at each
+    # checkpoint than it builds (the driver reads the kept stages again)
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+
+    steps, checkpoints = 4, 3
+    cfg = {"scenario": "moser", "generator": "area_interpolation",
+           "params": {"eps": 0.2, "n_times": 3}, "grid": {"n": 2, "N": 16},
+           "steps": steps, "checkpoints": checkpoints, "seed_stride": 1,
+           "path": "theorem", "output": {"json": "t2.json", "csv": "t2.csv"}}
+    tracer = tracing.Tracer()
+    patches = tracing.install(tracer)
+    try:
+        assert runner.run(cfg, out_dir=str(tmp_path), quiet=True) == 0
+    finally:
+        patches.undo()
+    calls = Counter(span[1] for span in tracer.pass_spans(None))
+    for phase in ("normalize", "certificate", "integrate", "eq1", "compare"):
+        assert calls[f"moser.phase.{phase}"] > 0, phase
+    assert calls["moser.stage_build"] == 2 * steps + 1
+    assert calls["moser.stage_cache"] - calls["moser.stage_build"] == checkpoints

@@ -5,7 +5,13 @@ import warnings
 import numpy as np
 import pytest
 
-from lcsflow.families import FormFamily, area_interpolation_family, contact_circle_family
+from lcsflow.families import (
+    FormFamily,
+    area_interpolation_family,
+    contact_circle_family,
+    corollary_two_family,
+    gcs_rescale_family,
+)
 from lcsflow.forms import DiffForm, GridSpec, form_from_components, index_sets
 from lcsflow.moser import (
     CheckpointRecord,
@@ -14,17 +20,21 @@ from lcsflow.moser import (
     IsotopyDiverged,
     NoValidComponents,
     PipelineOptions,
+    StageCache,
     StageData,
     StepCountTooSmall,
     conformal_compare,
+    exact_stage_builder,
     exactness_certificate,
     integrate_isotopy,
     moser_vector_field,
+    normalize_family,
     NotExact,
     _assemble_report,
     pullback_form,
 )
 from lcsflow.twisted import pfaffian_values
+from oracles import contact_circle_flow, corollary_two_flow
 
 TWO_PI = 2.0 * np.pi
 
@@ -79,8 +89,7 @@ def test_integrator_is_exact_on_a_shear_flow():
     seeds = np.array([[0.1, 0.3], [0.7, 0.05], [0.25, 0.8]])
     flow = integrate_isotopy(g, lambda t: stage, steps=7,
                              record_times=[0.0, 0.5 + 1 / 14, 1.0], seeds=seeds)
-    for t in flow.times:
-        pos, jac, logf = flow.at(t)
+    for t, (pos, jac, logf, _) in flow.snapshots.items():
         s2 = np.sin(TWO_PI * seeds[:, 1])
         c2 = np.cos(TWO_PI * seeds[:, 1])
         assert np.max(np.abs(pos[:, 0] - ((seeds[:, 0] + t * a * s2) % 1.0))) < 1e-13
@@ -99,8 +108,8 @@ def test_integrator_accumulates_the_rate_channel():
     stage = StageData(x, 0.7 * np.ones(g.shape), 0.0)
     flow = integrate_isotopy(g, lambda t: stage, steps=4, record_times=[0.0, 0.5, 1.0],
                              seeds=g.nodes())
-    assert np.max(np.abs(flow.at(0.5)[2] - 0.35)) < 1e-14
-    assert np.max(np.abs(flow.at(1.0)[2] - 0.7)) < 1e-14
+    assert np.max(np.abs(flow.snapshots[0.5][2] - 0.35)) < 1e-14
+    assert np.max(np.abs(flow.snapshots[1.0][2] - 0.7)) < 1e-14
 
 
 def test_integrator_sweeps_the_rate_integrals_by_simpson():
@@ -119,9 +128,9 @@ def test_integrator_sweeps_the_rate_integrals_by_simpson():
     for steps in (4, 8, 16):
         flow = integrate_isotopy(g, stage, steps=steps,
                                  record_times=[0.0, 0.25, 0.5, 1.0], seeds=g.nodes())
-        assert flow.times == [0.0, 0.25, 0.5, 1.0]
+        assert list(flow.snapshots) == [0.0, 0.25, 0.5, 1.0]
         bound = TWO_PI**4 * np.max(phi) / (180.0 * 16.0 * steps**4)
-        for t, h_int in zip(flow.times, flow.h_integral):
+        for t, (*_, h_int) in flow.snapshots.items():
             h_exact = (1.0 - np.cos(TWO_PI * t)) / TWO_PI * phi
             assert np.max(np.abs(h_int - h_exact)) <= t * bound + 1e-15
 
@@ -139,6 +148,45 @@ def test_integrator_asks_for_each_stage_time_once():
     steps = 6
     integrate_isotopy(g, fields, steps=steps, record_times=[1.0], seeds=g.nodes())
     assert sorted(asked) == [k / (2 * steps) for k in range(2 * steps + 1)]
+
+
+# Largest errors measured against the closed forms over these cases:
+# positions 6.7e-16 (wrapped), J 5.0e-15, log factor 2.0e-16.  Both fields
+# are constant along their trajectories, so RK4 is exact at any step count
+# and the bounds are ten times those values.
+KNOWN_ANSWER_BOUNDS = {"positions": 7e-15, "jacobians": 5e-14, "log_factor": 2e-15}
+
+
+@pytest.mark.parametrize("path, N, steps, stride", [
+    ("theorem", 8, 4, 1), ("theorem", 8, 20, 7), ("theorem", 16, 4, 7),
+    ("exact", 8, 4, 1), ("exact", 8, 12, 7)])
+def test_flow_matches_the_closed_form_isotopy(path, N, steps, stride):
+    # contact_circle on the theorem path and corollary_two on the exact
+    # path have closed-form isotopies (tests/oracles.py); every snapshot,
+    # one per step, is compared with them
+    g, s, a = GridSpec(4, N), np.pi / 4.0, 0.3
+    opts = PipelineOptions(steps=steps, checkpoints=3, seed_stride=stride)
+    if path == "theorem":
+        fam = contact_circle_family(g, s=s, n_times=3)
+        cert = exactness_certificate(normalize_family(fam, opts), opts)
+        fields = StageCache(cert.builder, cert.stages)
+    else:
+        fam = corollary_two_family(g, s=s, a=a, n_times=3)
+        fields = exact_stage_builder(fam, opts)
+    seeds = g.nodes()[::stride]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", StepCountTooSmall)
+        flow = integrate_isotopy(g, fields, steps, [k / steps for k in range(steps + 1)],
+                                 seeds)
+    assert list(flow.snapshots) == [k / steps for k in range(steps + 1)]
+    for t, (pos, jac, logf, _) in flow.snapshots.items():
+        want = (contact_circle_flow(seeds, t, s) if path == "theorem"
+                else corollary_two_flow(seeds, t, s, a))
+        errors = {"positions": np.abs((pos - want[0] + 0.5) % 1.0 - 0.5),
+                  "jacobians": np.abs(jac - want[1]),
+                  "log_factor": np.abs(logf - want[2])}
+        for name, err in errors.items():
+            assert float(np.max(err)) <= KNOWN_ANSWER_BOUNDS[name], (name, t)
 
 
 def test_pullback_at_time_zero_is_the_identity():
@@ -202,8 +250,9 @@ def test_absorption_certificate_matches_closed_form():
     # total area grows by (1 + sigma t): the gauge constant must be
     # c(t) = -log(1 + sigma t)
     sigma = 0.5
+    opts = PipelineOptions()
     fam = area_interpolation_family(GridSpec(2, 32), eps=0.1, sigma=sigma)
-    cert = exactness_certificate(fam, PipelineOptions())
+    cert = exactness_certificate(normalize_family(fam, opts), opts)
     assert cert.used_absorption
     for t in (0.25, 0.5, 1.0):
         assert abs(cert.c_at(t) + np.log1p(sigma * t)) < 1e-10
@@ -211,16 +260,24 @@ def test_absorption_certificate_matches_closed_form():
         assert abs(cert.c_at(t) + np.log1p(sigma * t)) < 1e-13
     assert max(cert.residuals) < 1e-9
     # mean-free interpolation needs no absorption at all
-    cert0 = exactness_certificate(area_interpolation_family(GridSpec(2, 32), eps=0.1))
+    fam0 = area_interpolation_family(GridSpec(2, 32), eps=0.1)
+    cert0 = exactness_certificate(normalize_family(fam0, opts), opts)
     assert not cert0.used_absorption
     assert abs(cert0.c_at(1.0)) < 1e-12
+
+
+def test_a_raw_generator_family_is_not_certified():
+    # only normalize_family sets theta_h, so the certificate refuses the
+    # un-gauged family instead of certifying it
+    with pytest.raises(ValueError, match="not normalized"):
+        exactness_certificate(gcs_rescale_family(GridSpec(2, 16)))
 
 
 def test_absorption_disabled_rejects_area_growth():
     fam = area_interpolation_family(GridSpec(2, 32), eps=0.1, sigma=0.5)
     opts = PipelineOptions(allow_scalar_absorption=False)
     with pytest.raises(NotExact):
-        exactness_certificate(fam, opts)
+        exactness_certificate(normalize_family(fam, opts), opts)
 
 
 def test_cfl_warning_on_coarse_stepping():

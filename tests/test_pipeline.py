@@ -165,7 +165,7 @@ def test_exact_path_builds_stages_only_at_rk4_stage_times(monkeypatch):
 
 def test_theorem_path_builds_each_stage_time_once(monkeypatch):
     # the certificate builds the checkpoint stages, the sweep builds the
-    # rest, verify_eq1 reads the checkpoint stages again: 2 steps + 1 = 11
+    # rest, the driver reads the checkpoint stages again: 2 steps + 1 = 11
     # stage times, each built and Hodge-solved once
     built = []
     make = moser.theorem_stage_builder
@@ -231,6 +231,23 @@ def test_theorem_path_extracts_each_lee_form_once(monkeypatch, make, steps,
         steps=steps, checkpoints=checkpoints, seed_stride=8))
     assert rep.success
     assert len(count) == calls
+
+
+@pytest.mark.parametrize("sample", [
+    lambda: form_from_components(GridSpec(2, 8), 2, {(0, 1): 1.0}),
+    lambda: contact_circle_family(GridSpec(4, 8)).omega_at(0.0).omega,
+])
+def test_a_constant_tabulated_family_is_certified(sample):
+    # five equal samples: the table's derivative is exactly zero, so the
+    # exactness gate sees no rounding-level rate and the factor is 1
+    om = sample()
+    fam = tabulated_family(om.grid, np.linspace(0.0, 1.0, 5), [om] * 5)
+    assert fam.derivative_at(0.0).norm() == fam.derivative_at(1.0).norm() == 0.0
+    rep = run_theorem_pipeline(fam, PipelineOptions(steps=4, checkpoints=3))
+    assert rep.success, rep.verdict
+    assert rep.max_factor_error < 1e-14
+    assert all(abs(r.factor_min - 1.0) < 1e-14 and abs(r.factor_max - 1.0) < 1e-14
+               for r in rep.records)
 
 
 def _sign_flip_family(grid):
@@ -326,7 +343,7 @@ def test_corrupted_primitive_is_rejected():
             fam.exact_data.h_at,
             lambda t: fam.exact_data.alpha_dot_at(t) * 1.01,
         ),
-        theta_h=fam.theta_h, label="bad_alpha",
+        label="bad_alpha",
     )
     with pytest.raises(NotExactFamily):
         run_exact_family(bad, PipelineOptions(steps=8, checkpoints=3))
@@ -342,7 +359,7 @@ def test_wrong_lee_rate_is_rejected():
             lambda t: 0.1 * np.sin(2.0 * np.pi * x1) * np.ones(fam.grid.shape),
             fam.exact_data.alpha_dot_at,
         ),
-        theta_h=fam.theta_h, label="bad_h",
+        label="bad_h",
     )
     with pytest.raises(InconsistentLeeDerivative):
         run_exact_family(bad, PipelineOptions(steps=8, checkpoints=3))
