@@ -102,11 +102,23 @@ BACKSUB_TOL = 1e-11     # back-substitution gate of moser_vector_field
 RESIDUAL_FLOOR = 1e-9   # exactness residuals are relative to at least this * ||omega||
 RATE_FLOOR = 1e-13      # absorption rates at or below this count as zero
 COMPARE_FLOOR = 1e-6    # conformal_compare skips components below this * max |b|
+LEE_DATA_TOL = 1e-6     # family Lee data may miss their extraction by this * max(1, |theta|)
 
 # gate tolerances, keyed as the runner's report echoes them; lee_match bounds
 # Lee-class drift and the exact path's primitive and Lee-derivative checks
 TOLERANCES = {"consistency": 1e-3, "factor": 1e-3, "eq1": 1e-6,
               "exactness": 1e-9, "lee_match": 1e-8, "cor2": 1e-8}
+
+# the report's gates: (report maximum, CheckpointRecord field, TOLERANCES key);
+# the cor2 field is None on the theorem path, which has no h-term
+GATES = (
+    ("max_exactness", "exactness_residual", "exactness"),
+    ("max_obstruction", "harmonic_obstruction", "exactness"),
+    ("max_consistency", "conformal_consistency_error", "consistency"),
+    ("max_factor_error", "factor_error", "factor"),
+    ("max_flow_identity", "flow_identity_residual", "eq1"),
+    ("max_cor2", "cor2_identity_residual", "cor2"),
+)
 
 
 @dataclass
@@ -162,7 +174,7 @@ def normalize_family(F: FormFamily, opts: PipelineOptions | None = None) -> Form
                           lee.potential - claimed.potential)
             dev = gap.one_form().norm()
             scale = max(1.0, claimed.one_form().norm())
-            if not dev <= 1e-6 * scale:
+            if not dev <= LEE_DATA_TOL * scale:
                 raise ValueError(
                     f"family Lee data inconsistent with extraction at t={t}: "
                     f"deviation {dev:.3e}"
@@ -339,7 +351,7 @@ def moser_vector_field(om: DiffForm, alpha: DiffForm) -> DiffForm:
     x = -contract_axes(alpha.comps, inv, grid.n, 2)
     resid = float(np.max(np.abs(contract_axes(x, om.comps, grid.n, 2) + alpha.comps)))
     ref = max(float(np.max(np.abs(alpha.comps))), 1e-300)
-    if resid / ref > BACKSUB_TOL:
+    if not resid / ref <= BACKSUB_TOL:
         raise DegenerateForm(
             f"back-substitution residual {resid / ref:.3e} above "
             f"{BACKSUB_TOL:.1e}: solve unreliable"
@@ -746,31 +758,18 @@ def _assemble_report(
     max_speed: float,
     stage_res: float,
 ) -> MoserReport:
-    # np.max, unlike max(), keeps a NaN record, so every gate below fails on it
-    max_ex, max_ob, max_cc, max_fe, max_fl = np.max(
-        [(r.exactness_residual, r.harmonic_obstruction, r.conformal_consistency_error,
-          r.factor_error, r.flow_identity_residual) for r in records], axis=0).tolist()
-    cor2s = [r.cor2_identity_residual for r in records
-             if r.cor2_identity_residual is not None]
-    max_c2 = float(np.max(cor2s)) if cor2s else None
-    ok = (
-        max_ex <= TOLERANCES["exactness"]
-        and max_ob <= TOLERANCES["exactness"]
-        and max_cc <= TOLERANCES["consistency"]
-        and max_fe <= TOLERANCES["factor"]
-        and max_fl <= TOLERANCES["eq1"]
-        and factor_positive
-        and (max_c2 is None or max_c2 <= TOLERANCES["cor2"])
-    )
+    # np.max, unlike max(), keeps a NaN record, so its gate fails on it
+    maxima, ok = {}, factor_positive
+    for name, field, key in GATES:
+        values = [v for r in records if (v := getattr(r, field)) is not None]
+        maxima[name] = float(np.max(values)) if values else None
+        ok = ok and (not values or maxima[name] <= TOLERANCES[key])
     grid = cert.family.grid
     return MoserReport(
         path=cert.path, label=label, grid=(grid.n, grid.N), steps=opts.steps,
-        records=records, max_exactness=max_ex, max_obstruction=max_ob,
-        max_consistency=max_cc, max_factor_error=max_fe,
-        max_flow_identity=max_fl, max_cor2=max_c2,
-        factor_positive=factor_positive, absorption_used=cert.used_absorption,
-        absorption_log_final=cert.c_at(1.0), max_speed=max_speed,
-        stage_solve_residual_max=stage_res, success=ok,
+        records=records, **maxima, factor_positive=factor_positive,
+        absorption_used=cert.used_absorption, absorption_log_final=cert.c_at(1.0),
+        max_speed=max_speed, stage_solve_residual_max=stage_res, success=ok,
         verdict=("certified_conformally_equivalent" if ok
                  else "not_certified_in_canonical_gauge"),
     )

@@ -241,7 +241,7 @@ def lee_form(omega: DiffForm) -> LeeForm:
     theta = DiffForm(grid, 1, theta)
     size = theta.norm()
     lcs_residual = ext_d(theta).norm() / max(size, 1.0)
-    if lcs_residual > LCS_TOL:
+    if not lcs_residual <= LCS_TOL:
         raise NotLcs(
             f"d theta residual {lcs_residual:.3e} > {LCS_TOL:.1e} at N = {grid.N}; "
             "an lcs form that is not band-limited at this N (such as e^g omega) "

@@ -75,6 +75,14 @@ def test_vector_field_degenerate_rejection():
         moser_vector_field(om, form_from_components(g, 1, {(0,): 1.0}))
 
 
+def test_vector_field_rejects_a_nan_primitive():
+    om = contact_circle_family(GridSpec(4, 8)).omega_at(0.0).omega
+    alpha = np.ones((4,) + om.grid.shape)
+    alpha[0, 1, 2, 3, 4] = np.nan
+    with pytest.raises(DegenerateForm, match="nan"):
+        moser_vector_field(om, DiffForm(om.grid, 1, alpha))
+
+
 def _shear_stage(g: GridSpec, a: float) -> StageData:
     x2 = g.coordinates()[1]
     x = form_from_components(g, 1, {(0,): a * np.sin(TWO_PI * x2) * np.ones(g.shape)})
@@ -299,6 +307,17 @@ def test_divergence_detection():
         with pytest.raises(IsotopyDiverged):
             integrate_isotopy(g, lambda t: stage, steps=4, record_times=[1.0],
                               seeds=g.nodes())
+
+
+def test_a_nan_stage_rate_is_kept_and_the_flow_diverges():
+    # the interpolator keeps non-finite modes rather than cutting them
+    g = GridSpec(2, 8)
+    rate = np.zeros(g.shape)
+    rate[3, 5] = np.nan
+    stage = StageData(form_from_components(g, 1, {(0,): 0.1}), rate, 0.0)
+    with pytest.raises(IsotopyDiverged, match="non-finite log factors after step 1$"):
+        integrate_isotopy(g, lambda t: stage, steps=4, record_times=[1.0],
+                          seeds=g.nodes())
 
 
 class _StageWithNaN:

@@ -20,8 +20,8 @@ from lcsflow.families import (
 from lcsflow import moser, twisted
 from lcsflow.forms import DiffForm, GridSpec, form_from_components, random_band_limited
 from lcsflow.moser import (
+    DegenerateForm,
     InconsistentLeeDerivative,
-    IsotopyDiverged,
     LeeClassDrift,
     NotExact,
     NotExactFamily,
@@ -475,11 +475,11 @@ def _with_nan_h(fam, bad_t):
 @pytest.mark.filterwarnings("ignore::lcsflow.moser.StepCountTooSmall")
 @pytest.mark.parametrize("bad_t, error, match", [
     (0.5, InconsistentLeeDerivative, r"by nan at t=0\.5"),
-    (0.25, IsotopyDiverged, "non-finite positions after step 1"),
+    (0.25, DegenerateForm, "back-substitution residual nan"),
 ], ids=["checkpoint", "stage"])
 def test_a_nan_h_on_the_exact_path_raises(bad_t, error, match):
     # at a checkpoint the d theta/dt = d h gate names it; at a stage time
-    # between checkpoints the NaN velocity is kept and the flow diverges
+    # between checkpoints the stage build refuses the NaN primitive beta
     fam = _with_nan_h(contact_circle_family(T4), bad_t)
     with pytest.raises(error, match=match):
         run_exact_family(fam, PipelineOptions(steps=4, checkpoints=3))

@@ -3,19 +3,20 @@
 import copy
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lcsflow import runner
 from lcsflow.runner import (
-    CSV_COLUMNS,
     ConfigError,
     UnknownFixture,
     emit_fixture,
@@ -254,6 +255,18 @@ def test_identities_can_fail_on_absurd_tolerance(tmp_path):
     assert _read_json(tmp_path / "report.json")["verdict"] == "fail"
 
 
+def test_identities_fail_on_nan_residuals(tmp_path):
+    # forms of amplitude 1e200 overflow every residual to NaN
+    cfg = {"scenario": "identities", "grid": {"n": 4, "N": 8},
+           "sweep": {"count": 2, "bandwidth": 1, "amplitude": 1e200}, "seed": 1}
+    with np.errstate(all="ignore"):
+        assert run(cfg, out_dir=str(tmp_path), quiet=True) == 1
+    rep = _read_json(tmp_path / "report.json")
+    assert rep["verdict"] == "fail"
+    for k in ("max_d_theta_squared", "max_chain_map", "max_adjointness"):
+        assert math.isnan(rep["result"][k])
+
+
 def test_torus_cohomology_scenario(tmp_path):
     cfg = {"scenario": "cohomology_torus", "grid": {"n": 4, "N": 8},
            "theta": [0.0, 0.0, 0.0, 0.0]}
@@ -345,7 +358,9 @@ def test_moser_scenario_writes_report_and_csv(tmp_path):
     assert rep["result"]["success"] is True
     with (tmp_path / "checkpoints.csv").open() as fh:
         rows = list(csv.reader(fh))
-    assert rows[0] == CSV_COLUMNS
+    assert rows[0] == ["t", "exactness_residual", "harmonic_obstruction",
+                       "conformal_consistency_error", "factor_error",
+                       "flow_identity_residual"]
     assert len(rows) == 1 + 3
     for row in rows[1:]:
         values = [float(v) for v in row]
@@ -544,6 +559,29 @@ def test_tabulated_times_off_the_unit_interval_exit_2(tmp_path, capsys):
     assert main(["run", "--config", str(cfg), "--out", str(out), "--quiet"]) == 2
     assert capsys.readouterr().err.startswith("config error: tabulated times")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("generator", ["area_interpolation", "gcs_rescale",
+                                       "lee_drift", "tabulated"])
+def test_exact_path_without_a_primitive_exits_2(generator, tmp_path, capsys):
+    extra = {}
+    if generator == "tabulated":
+        good = [{"component": [1, 2], "modes": [{"k": [0, 0], "re": 1.0}]}]
+        samples = tmp_path / "samples.json"
+        samples.write_text(json.dumps({"grid": {"n": 2, "N": 8},
+                                       "times": [0.0, 0.25, 0.5, 0.75, 1.0],
+                                       "samples": [good] * 5}))
+        extra = {"samples_file": str(samples)}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenario": "moser", "generator": generator,
+                               "path": "exact_family", "steps": 2,
+                               "checkpoints": 2, **extra}))
+    out = tmp_path / "out" / "sub"
+    assert main(["run", "--config", str(cfg), "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: path must be 'theorem'")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 def test_quiet_flag_suppresses_summary(tmp_path, capsys):

@@ -163,6 +163,17 @@ def test_lee_extraction_rejects_non_lcs():
         lee_form(w)
 
 
+def test_lee_extraction_rejects_an_overflowing_form():
+    # two components of 1e200 at one node overflow |theta| to inf, so the
+    # closedness residual is NaN; the gate must fail on it, as it does at 1e150
+    w = contact_like_form(GridSpec(4, 8))
+    for big in (1e150, 1e200):
+        comps = w.comps.copy()
+        comps[[0, 5], 0, 0, 0, 0] = big  # components (0, 1) and (2, 3)
+        with np.errstate(all="ignore"), pytest.raises(NotLcs):
+            lee_form(DiffForm(w.grid, 2, comps))
+
+
 @pytest.mark.parametrize("N", [8, 16, 32])
 def test_lee_extraction_rejects_non_lcs_at_every_resolution(N):
     # the same construction as above: its pointwise Lee form is far from
