@@ -30,7 +30,6 @@ from .forms import (
     contract,
     ext_d,
     form_from_components,
-    form_from_literal,
     l2_inner,
     random_band_limited,
     scalar_form,
@@ -107,7 +106,7 @@ __all__ = [
     "__version__",
     # forms
     "DiffForm", "GridSpec", "GridMismatch", "DegreeError", "contract",
-    "ext_d", "form_from_components", "form_from_literal", "l2_inner",
+    "ext_d", "form_from_components", "l2_inner",
     "random_band_limited", "scalar_form", "wedge",
     # twisted calculus
     "DegenerateForm", "LcsForm", "LeeForm", "NotLcs", "codifferential",

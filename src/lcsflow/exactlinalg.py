@@ -117,14 +117,3 @@ def integer_determinant(matrix) -> int:
     m = [[int(x) for x in row] for row in matrix]
     rank, sign, last_pivot = _bareiss(m)
     return sign * last_pivot if rank == len(m) else 0
-
-
-def fraction_from_string(s) -> Fraction:
-    """Parse "p/q" / "p" / int into an exact Fraction (floats rejected)."""
-    if isinstance(s, Fraction):
-        return s
-    if isinstance(s, int):
-        return Fraction(s)
-    if isinstance(s, str):
-        return Fraction(s.strip())
-    raise TypeError(f"cannot parse {s!r} as an exact rational")

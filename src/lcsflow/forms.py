@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from functools import cache, partial
 from itertools import combinations
 from math import comb
-from sys import float_info
 
 import numpy as np
 from scipy import fft as sfft
@@ -556,86 +555,6 @@ class ModeInterpolator:
             ph = self._phases(points[sl])
             out[:, sl] = self._weights @ np.concatenate((ph.real, ph.imag))
         return out
-
-
-# -- external form literals ----------------------------------------------
-
-
-def _literal_field(d, key: str, ok, default=None):
-    """d[key], or default when absent; ValueError unless ok accepts it."""
-    v = d.get(key, default) if isinstance(d, dict) else None
-    if not ok(v):
-        raise ValueError(f"literal {key} missing or malformed: {v!r} in {d!r}")
-    return v
-
-
-def _literal_keys(d, allowed: set) -> None:
-    """ValueError if the dict d has a key outside allowed."""
-    extra = set(d) - allowed if isinstance(d, dict) else set()
-    if extra:
-        raise ValueError(f"literal keys {sorted(extra)} unknown in {d!r}")
-
-
-def _is_ints(v) -> bool:
-    return isinstance(v, list) and all(type(x) is int for x in v)  # bools fail
-
-
-def _is_finite(v) -> bool:
-    # not a bool, nan, inf or an int too large for a float
-    return (isinstance(v, (int, float)) and not isinstance(v, bool)
-            and abs(v) <= float_info.max)
-
-
-def form_from_literal(grid: GridSpec, degree: int, literal: list) -> DiffForm:
-    """Build a form from the spectral literal format used in config files.
-
-    literal is a list of {"component": [1-based axes], "modes": [{"k": [m..],
-    "re": .., "im": ..}]}.  Each listed mode m contributes
-    (re + i*im) e^{2 pi i m.x} plus the conjugate at -m; Hermitian symmetry is
-    enforced, so listing both m and -m requires conjugate-consistent values.
-    A malformed literal (missing or unknown key, wrong type, non-integer
-    axis or mode, non-finite value) raises ValueError.
-    """
-    if not isinstance(literal, list):
-        raise ValueError(f"literal must be a list, got {literal!r}")
-    sets = index_sets(grid.n, degree)
-    spec = np.zeros((len(sets),) + grid.shape, dtype=complex)
-    seen: dict = {}
-    for entry in literal:
-        _literal_keys(entry, {"component", "modes"})
-        comp = _literal_field(entry, "component", _is_ints)
-        s = tuple(sorted(i - 1 for i in comp))
-        if len(s) != degree or s not in sets:
-            raise ValueError(f"bad component {comp} for degree {degree}")
-        ci = sets.index(s)
-        for mode in _literal_field(entry, "modes", lambda v: isinstance(v, list)):
-            _literal_keys(mode, {"k", "re", "im"})
-            m = tuple(_literal_field(mode, "k", _is_ints))
-            if len(m) != grid.n:
-                raise ValueError(f"mode {m} has wrong length for T^{grid.n}")
-            if any(abs(v) >= grid.N // 2 for v in m):
-                raise ValueError(
-                    f"mode {m} outside the representable band |m_j| < N/2 = {grid.N // 2}"
-                )
-            c = complex(*(_literal_field(mode, key, _is_finite, 0.0) for key in ("re", "im")))
-            if all(v == 0 for v in m):
-                if abs(c.imag) > 1e-12 * max(1.0, abs(c.real)):
-                    raise ValueError("zero mode must be real")
-                c = complex(c.real, 0.0)
-            key_p, key_m = (ci, m), (ci, tuple(-v for v in m))
-            if key_p in seen and abs(seen[key_p] - c) > 1e-9 * max(1.0, abs(c)):
-                raise ValueError(f"conflicting entries for component {s} mode {m}")
-            if key_m in seen and abs(seen[key_m] - c.conjugate()) > 1e-9 * max(1.0, abs(c)):
-                raise ValueError(
-                    f"entries for component {s} modes {m} break Hermitian symmetry"
-                )
-            seen[key_p] = c
-            seen[key_m] = c.conjugate()
-    scale = grid.num_nodes
-    for (ci, m), c in seen.items():
-        idx = tuple(v % grid.N for v in m)
-        spec[(ci,) + idx] = c * scale
-    return DiffForm.from_spectra(grid, degree, spec)
 
 
 # -- random band-limited forms (tests, identity sweeps) -------------------

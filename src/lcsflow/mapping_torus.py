@@ -21,11 +21,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .exactlinalg import (
-    fraction_from_string,
-    integer_determinant,
-    rational_rank,
-)
+from .exactlinalg import integer_determinant, rational_rank
 from .simplicial import TwistedBettiResult
 
 SVD_NULL_THRESHOLD = 1e-9
@@ -109,7 +105,7 @@ def mapping_torus_betti(matrix, t0) -> TwistedBettiResult:
     if abs(integer_determinant(m)) != 1:
         raise ValueError("matrix is not invertible over the integers")
     exact = not isinstance(t0, float)
-    t0_val = fraction_from_string(t0) if exact else float(t0)
+    t0_val = Fraction(t0) if exact else float(t0)
     if not 0 < t0_val < np.inf:
         raise ValueError(f"t0 must be positive and finite, got {t0_val}")
     at = [list(col) for col in zip(*m)]

@@ -193,14 +193,11 @@ def normalize_family(F: FormFamily, opts: PipelineOptions | None = None) -> Form
             )
 
     theta_h = snap_lee(c0, grid)
-    if not any(lee.potential.any() for lee in sample_lees):
-        # a fresh LeeForm per sample: one shared for the whole run would keep
-        # its N^n zero potential resident (about 1 MB of peak RSS at T^4 N = 16)
-        return FormFamily(
-            grid, lambda t: LcsForm(F.omega_at(t).omega, LeeForm.constant(grid, theta_h)),
-            F.derivative_at, F.times, exact_data=F.exact_data, theta_h=theta_h)
-
     lee_const = LeeForm.constant(grid, theta_h)
+    if not any(lee.potential.any() for lee in sample_lees):
+        return FormFamily(grid, lambda t: LcsForm(F.omega_at(t).omega, lee_const),
+                          F.derivative_at, F.times, exact_data=F.exact_data,
+                          theta_h=theta_h)
 
     def omega_n_at(t: float) -> LcsForm:
         L = F.omega_at(t)

@@ -41,7 +41,7 @@ from .forms import (
     DiffForm,
     GridSpec,
     ext_d,
-    form_from_literal,
+    index_sets,
     l2_inner,
     random_band_limited,
     scalar_form,
@@ -202,9 +202,51 @@ def _grid(cfg: dict, default: tuple) -> dict:
 def _weight(spec, where: str):
     _need(isinstance(spec, dict) and set(spec) == {"edge", "w"}, where,
           'an object {"edge": [a, b], "w": "p/q"}', spec)
-    _ints(spec["edge"], f"{where}.edge")
+    _need(len(_ints(spec["edge"], f"{where}.edge")) == 2, f"{where}.edge",
+          "a list of two vertices", spec["edge"])
     _need(type(spec["w"]) in (int, str), f"{where}.w",
           "an integer or a 'p/q' string", spec["w"])
+
+
+def _form_literal(grid: GridSpec, literal, where: str) -> DiffForm:
+    """The 2-form a spectral literal names.
+
+    literal is a list of {"component": [1-based axes], "modes": [{"k": [m..],
+    "re": .., "im": ..}]}.  Each listed mode m contributes
+    (re + i*im) e^{2 pi i m.x} plus the conjugate at -m, so listing both m
+    and -m requires conjugate values; a zero mode is real.
+    """
+    sets = index_sets(grid.n, 2)
+    seen: dict = {}
+    for i, entry in enumerate(_list(literal, where)):
+        at = f"{where}[{i}]"
+        _need(isinstance(entry, dict) and set(entry) <= {"component", "modes"}, at,
+              'an object with keys "component" and "modes"', entry)
+        comp = _ints(entry.get("component"), f"{at}.component")
+        s = tuple(sorted(a - 1 for a in comp))
+        _need(s in sets, f"{at}.component", f"two distinct axes in 1..{grid.n}", comp)
+        for j, mode in enumerate(_list(entry.get("modes"), f"{at}.modes")):
+            at_m = f"{at}.modes[{j}]"
+            _need(isinstance(mode, dict) and set(mode) <= {"k", "re", "im"}, at_m,
+                  'an object with keys from "k", "re" and "im"', mode)
+            m = tuple(_ints(mode.get("k"), f"{at_m}.k"))
+            _need(len(m) == grid.n and all(abs(v) < grid.N // 2 for v in m), f"{at_m}.k",
+                  f"{grid.n} integers with |k_j| < N/2 = {grid.N // 2}", list(m))
+            c = complex(*(_number(mode.get(key, 0.0), f"{at_m}.{key}")
+                          for key in ("re", "im")))
+            if not any(m):
+                _need(abs(c.imag) <= 1e-12 * max(1.0, abs(c.real)), f"{at_m}.im",
+                      "0 at the zero mode", c.imag)
+                c = complex(c.real, 0.0)
+            tol = 1e-9 * max(1.0, abs(c))
+            for key, val in (((s, m), c), ((s, tuple(-v for v in m)), c.conjugate())):
+                _need(key not in seen or abs(seen[key] - val) <= tol, at_m,
+                      "consistent with the modes before it (conjugate at -k)", mode)
+                seen[key] = val
+    spec = np.zeros((len(sets),) + grid.shape, dtype=complex)
+    for (s, m), c in seen.items():
+        spec[(sets.index(s),) + tuple(v % grid.N for v in m)] = c * grid.num_nodes
+    return DiffForm.from_spectra(grid, 2, spec)
 
 
 def validate_config(cfg: dict) -> dict:
@@ -346,7 +388,7 @@ def _scenario_cohomology_simplicial(cfg: dict) -> tuple[dict, bool]:
         else:
             body = cfg["complex"]
             comp, specs = build_complex(body["top_simplices"]), body.get("weights")
-        system = local_system(comp, specs or [])
+        system = local_system(comp, [(tuple(w["edge"]), w["w"]) for w in specs or []])
     result = twisted_betti(system)
     ok = result.euler_alternating_sum == result.chi
     out = result.as_dict()
@@ -375,8 +417,8 @@ def _build_family(cfg: dict) -> FormFamily:
     _check_keys(blob, {"grid", "times", "samples", "comment"}, "samples file")
     grid = GridSpec(**_grid(blob, (None, None)))
     times = _list(blob.get("times"), "times", _number)
-    samples = [form_from_literal(grid, 2, lit)
-               for lit in _list(blob.get("samples"), "samples")]
+    samples = [_form_literal(grid, lit, f"samples[{i}]")
+               for i, lit in enumerate(_list(blob.get("samples"), "samples"))]
     return tabulated_family(grid, times, samples)
 
 
@@ -420,9 +462,13 @@ def _jsonable(x):
     return x.item() if isinstance(x, np.generic) else x
 
 
-def _output_dir(out_dir: str) -> list[Path]:
-    """Create out_dir (ConfigError if it cannot be); the directories made."""
+def _output_dir(out_dir: str, names) -> list[Path]:
+    """Create out_dir to hold the files names (ConfigError if it cannot);
+    the directories made."""
     out = Path(out_dir)
+    for path in (out / name for name in names):
+        if path.is_dir():
+            raise ConfigError(f"cannot use output directory: {path} is a directory")
     made = [p for p in (*reversed(out.parents), out) if not p.exists()]
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -498,7 +544,8 @@ def run(config, out_dir: str = ".", overrides: dict | None = None,
     overrides = overrides or {}
     cfg = validate_config(_with_overrides(config, overrides.get("steps"),
                                           overrides.get("grid")))
-    made = _output_dir(out_dir)
+    names = ("json", "csv") if cfg["scenario"] == "moser" else ("json",)
+    made = _output_dir(out_dir, [cfg["output"][k] for k in names])
     report: dict = {"schema_version": SCHEMA_VERSION, "config": _jsonable(cfg)}
     t0 = time.perf_counter()
     try:
@@ -593,13 +640,14 @@ def _fixture_catalog() -> dict[str, dict]:
 
 
 def emit_fixture(name: str, out_dir: str = ".") -> Path:
-    """Write one of the built-in ready-to-run configs; returns its path."""
+    """Write one of the built-in ready-to-run configs; returns its path.
+
+    ConfigError if out_dir cannot hold it."""
     catalog = _fixture_catalog()
     if name not in catalog:
         raise UnknownFixture(f"unknown fixture {name!r}; available: {sorted(catalog)}")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / f"{name}.json"
+    path = Path(out_dir) / f"{name}.json"
+    _output_dir(out_dir, [path.name])
     path.write_text(json.dumps(_jsonable(catalog[name]), indent=2,
                                sort_keys=True) + "\n")
     return path
@@ -640,7 +688,7 @@ def main(argv: list[str] | None = None) -> int:
             return 0
         try:
             path = emit_fixture(args.name, args.out)
-        except UnknownFixture as e:
+        except (UnknownFixture, ConfigError) as e:
             print(f"error: {e.args[0]}", file=sys.stderr)
             return 2
         print(path)

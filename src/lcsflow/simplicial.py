@@ -20,7 +20,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .exactlinalg import fraction_from_string, rational_rank
+from .exactlinalg import rational_rank
 
 
 class CocycleViolation(ValueError):
@@ -112,21 +112,19 @@ class LocalSystem:
 def local_system(complex: SimplicialComplex, weight_specs) -> LocalSystem:
     """Build a local system from weights on a generating edge set.
 
-    weight_specs: iterable of ((a, b), weight) or {"edge": [a, b], "w": "p/q"}
-    dicts.  Weights on edges not listed are inferred from the triangle rule
+    weight_specs: iterable of ((a, b), weight), the weight a Fraction, an
+    int or a "p/q" string; a float is refused (TypeError), since it is not
+    exact.  Weights on edges not listed are inferred from the triangle rule
     where forced, and default to 1 otherwise; the cocycle condition is then
     verified exactly on every 2-simplex.
     """
     edges = complex.simplices.get(1, [])
     edge_set = set(edges)
     weights: dict[tuple[int, int], Fraction] = {}
-    for spec in weight_specs:
-        if isinstance(spec, dict):
-            a, b = (int(v) for v in spec["edge"])
-            w = fraction_from_string(spec["w"])
-        else:
-            (a, b), w = spec
-            w = fraction_from_string(w)
+    for (a, b), w in weight_specs:
+        if isinstance(w, float):
+            raise TypeError(f"edge weight {w!r} on {(a, b)} is not exact")
+        w = Fraction(w)
         if a > b:
             a, b, w = b, a, 1 / w
         if (a, b) not in edge_set:

@@ -73,7 +73,8 @@ class LeeForm:
     def constant(cls, grid: GridSpec, coeffs) -> "LeeForm":
         c = np.zeros(grid.n)
         c[:] = np.asarray(coeffs, dtype=float)
-        return cls(grid, c, np.zeros(grid.shape))
+        # a read-only zero potential that holds no N^n array
+        return cls(grid, c, np.broadcast_to(0.0, grid.shape))
 
     @classmethod
     def zero(cls, grid: GridSpec) -> "LeeForm":
@@ -261,10 +262,6 @@ class LcsForm:
 
     omega: DiffForm
     lee: LeeForm
-
-    @property
-    def grid(self) -> GridSpec:
-        return self.omega.grid
 
 
 # -- per-mode Hodge solver (constant Lee form) ---------------------------

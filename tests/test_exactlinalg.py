@@ -12,7 +12,6 @@ from lcsflow.exactlinalg import (
     PRIME,
     _bareiss,
     _clear_rows,
-    fraction_from_string,
     integer_determinant,
     rational_rank,
 )
@@ -175,15 +174,3 @@ def test_determinant_hand_and_random():
         det_a, det_b = integer_determinant(a.tolist()), integer_determinant(b.tolist())
         assert det_ab == det_a * det_b
         assert (det_ab == 0) == (rational_rank((a @ b).tolist()) < n)
-
-
-def test_fraction_parsing():
-    assert fraction_from_string("3/7") == Fraction(3, 7)
-    assert fraction_from_string("-2") == Fraction(-2)
-    assert fraction_from_string(" 5/10 ") == Fraction(1, 2)
-    assert fraction_from_string(4) == Fraction(4)
-    assert fraction_from_string(Fraction(9, 4)) == Fraction(9, 4)
-    with pytest.raises(TypeError):
-        fraction_from_string(0.5)
-    with pytest.raises(ZeroDivisionError):
-        fraction_from_string("1/0")

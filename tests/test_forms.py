@@ -19,7 +19,6 @@ from lcsflow.forms import (
     downsample_values,
     ext_d,
     form_from_components,
-    form_from_literal,
     index_sets,
     l2_inner,
     merge_sign,
@@ -490,34 +489,6 @@ def test_spectral_operators_use_only_the_counted_fft_entry_points(monkeypatch):
         assert "fftn" in calls
     finally:
         forms.sfft = original
-
-
-def test_form_literal_round_trip():
-    g = GridSpec(2, 8)
-    lit = [{"component": [1, 2],
-            "modes": [{"k": [0, 0], "re": 2.0},
-                      {"k": [1, 0], "re": 0.25, "im": -0.5}]}]
-    w = form_from_literal(g, 2, lit)
-    x1, _ = g.coordinates()
-    want = 2.0 + 0.5 * np.cos(TWO_PI * x1) + 1.0 * np.sin(TWO_PI * x1)
-    np.testing.assert_allclose(w.comps[0], want, atol=1e-13)
-
-
-def test_form_literal_rejections():
-    g = GridSpec(2, 8)
-    with pytest.raises(ValueError):
-        form_from_literal(g, 2, [{"component": [1, 1], "modes": []}])
-    with pytest.raises(ValueError):
-        form_from_literal(g, 2, [{"component": [1, 2],
-                                  "modes": [{"k": [4, 0], "re": 1.0}]}])
-    with pytest.raises(ValueError):
-        form_from_literal(g, 2, [{"component": [1, 2],
-                                  "modes": [{"k": [0, 0], "im": 1.0}]}])
-    bad = [{"component": [1, 2], "modes": [{"k": [1, 0], "re": 1.0},
-                                           {"k": [-1, 0], "re": 1.0,
-                                            "im": 0.5}]}]
-    with pytest.raises(ValueError):
-        form_from_literal(g, 2, bad)
 
 
 def test_norm_and_arithmetic():

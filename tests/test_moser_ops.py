@@ -355,7 +355,7 @@ def test_checkpoint_times_snap_to_step_grid():
 
 def test_constant_family_certificate_is_trivial():
     base = contact_circle_family(GridSpec(4, 8)).omega_at(0.0)
-    g = base.grid
+    g = base.omega.grid
     fam = FormFamily(g, lambda t: base, lambda t: DiffForm(g, 2), np.linspace(0, 1, 11),
                      theta_h=base.lee.harmonic.copy())
     cert = exactness_certificate(fam, PipelineOptions())

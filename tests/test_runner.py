@@ -12,10 +12,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lcsflow import runner
+from lcsflow.forms import GridSpec
 from lcsflow.runner import (
     ConfigError,
     UnknownFixture,
@@ -95,6 +96,9 @@ BAD_CONFIGS = [
      "output": {"json": "checkpoints.csv"}},
     # an integer too large for a float
     {"scenario": "identities", "sweep": {"amplitude": 10**400}},
+    # a weight is exact: an integer or a "p/q" string
+    {"scenario": "cohomology_simplicial", "fixture": "circle",
+     "weights": [{"edge": [0, 1], "w": 0.5}]},
 ]
 
 
@@ -114,6 +118,8 @@ LIBRARY_REJECTED = [
     {"scenario": "cohomology_simplicial", "fixture": "disk",
      "weights": [{"edge": [0, 5], "w": "2"}]},
     {"scenario": "cohomology_simplicial", "complex": {"top_simplices": [[0, 0]]}},
+    {"scenario": "cohomology_simplicial", "fixture": "circle",
+     "weights": [{"edge": [0, 1], "w": "1/0"}]},
     # a float t0 times an entry too large for a float
     {"scenario": "cohomology_mapping_torus", "matrix": [[1, 10**400], [0, 1]], "t0": 0.5},
 ]
@@ -299,6 +305,26 @@ def test_simplicial_scenario_fixture_and_inline(tmp_path):
     assert rep["result"]["trivial_system"] is False
 
 
+def test_simplicial_weight_strings_are_read_as_fractions(tmp_path):
+    dims = []
+    for w in (" 5/10 ", "1/2"):
+        cfg = {"scenario": "cohomology_simplicial", "fixture": "circle",
+               "weights": [{"edge": [0, 5], "w": w}]}
+        assert run(cfg, out_dir=str(tmp_path), quiet=True) == 0
+        dims.append(_read_json(tmp_path / "report.json")["result"]["dims"])
+    assert dims[0] == dims[1] == [0, 0]
+
+
+def test_a_weight_on_three_vertices_names_its_edge(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"scenario": "cohomology_simplicial", "fixture": "disk",
+                                "weights": [{"edge": [0, 1, 2], "w": "2"}]}))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out), "--quiet"]) == 2
+    assert capsys.readouterr().err.startswith("config error: weights[0].edge must be")
+    assert not out.exists()
+
+
 def test_simplicial_cocycle_violation_is_a_clean_failure(tmp_path):
     cfg = {
         "scenario": "cohomology_simplicial",
@@ -436,6 +462,33 @@ def test_unusable_out_exits_2_before_the_scenario_runs(out, tmp_path, capsys,
     assert (tmp_path / "taken").read_text() == "kept"
 
 
+@pytest.mark.parametrize("out", ["taken", "taken/sub", "dir"])
+def test_emit_fixture_to_an_unusable_out_exits_2(out, tmp_path, capsys):
+    (tmp_path / "taken").write_text("kept")
+    (tmp_path / "dir" / "contact_circle.json").mkdir(parents=True)
+    assert main(["emit-fixture", "contact_circle", "--out", str(tmp_path / out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot use output directory")
+    assert captured.err.count("\n") == 1
+    assert (tmp_path / "taken").read_text() == "kept"
+
+
+def test_a_directory_at_the_report_path_exits_2_before_the_scenario_runs(
+        tmp_path, capsys, monkeypatch):
+    assert main(["emit-fixture", "anosov_mapping_torus", "--out", str(tmp_path)]) == 0
+    (tmp_path / "out" / "report.json").mkdir(parents=True)
+    capsys.readouterr()
+    monkeypatch.setitem(runner._SCENARIOS, "cohomology_mapping_torus",
+                        lambda cfg: pytest.fail("the scenario ran"))
+    code = main(["run", "--config", str(tmp_path / "anosov_mapping_torus.json"),
+                 "--out", str(tmp_path / "out"), "--quiet"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot use output directory")
+    assert err.count("\n") == 1
+
+
 def test_command_line_rejects_a_malformed_config_without_a_traceback(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"scenario": ["moser"]}))
@@ -515,6 +568,17 @@ def test_main_cli_surface(tmp_path, capsys):
     assert main(["run", "--config", str(bad), "--quiet"]) == 2
 
 
+def test_form_literal_round_trip():
+    g = GridSpec(2, 8)
+    lit = [{"component": [1, 2],
+            "modes": [{"k": [0, 0], "re": 2.0},
+                      {"k": [1, 0], "re": 0.25, "im": -0.5}]}]
+    w = runner._form_literal(g, lit, "samples[0]")
+    x1, _ = g.coordinates()
+    want = 2.0 + 0.5 * np.cos(2 * np.pi * x1) + 1.0 * np.sin(2 * np.pi * x1)
+    np.testing.assert_allclose(w.comps[0], want, atol=1e-13)
+
+
 MALFORMED_LITERALS = [
     [{"component": [1, 2]}],
     [{"component": [1, 2], "modes": [{"re": 1.0}]}],
@@ -526,6 +590,13 @@ MALFORMED_LITERALS = [
     {"component": [1, 2], "modes": []},
     [{"component": [1, 2], "modes": [{"k": [1, 0], "Re": 1.0}]}],
     [{"component": [1, 2], "mode": [], "modes": [{"k": [1, 0], "re": 1.0}]}],
+    # a repeated axis, a mode on the Nyquist bucket, an imaginary zero mode,
+    # and k / -k entries that are not conjugate
+    [{"component": [1, 1], "modes": []}],
+    [{"component": [1, 2], "modes": [{"k": [4, 0], "re": 1.0}]}],
+    [{"component": [1, 2], "modes": [{"k": [0, 0], "im": 1.0}]}],
+    [{"component": [1, 2], "modes": [{"k": [1, 0], "re": 1.0},
+                                     {"k": [-1, 0], "re": 1.0, "im": 0.5}]}],
 ]
 
 
@@ -541,8 +612,41 @@ def test_malformed_samples_literal_exits_2(literal, tmp_path, capsys):
                                "samples_file": str(samples)}))
     out = tmp_path / "out"
     assert main(["run", "--config", str(cfg), "--out", str(out), "--quiet"]) == 2
-    assert capsys.readouterr().err.startswith("config error: literal")
+    assert capsys.readouterr().err.startswith("config error: samples[0]")
     assert not out.exists()
+
+
+# a valid samples file that varies in t; the property below breaks one field
+SAMPLES_BLOB = {
+    "grid": {"n": 2, "N": 8},
+    "times": [0.0, 0.25, 0.5, 0.75, 1.0],
+    "samples": [[{"component": [1, 2],
+                  "modes": [{"k": [0, 0], "re": 1.0},
+                            {"k": [1, 0], "re": 0.05 * i, "im": 0.02}]}]
+                for i in range(5)],
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_any_json_in_a_samples_file_runs_or_exits_2(data):
+    """What the samples file reader lets through, the flow can read."""
+    blob = _draw_broken(data, SAMPLES_BLOB)
+    grid = blob.get("grid")
+    # a valid larger grid is a real run of that size, not a malformed file
+    assume(not (isinstance(grid, dict) and type(grid.get("N")) is int
+                and grid["N"] > 64))
+    with tempfile.TemporaryDirectory() as tmp:
+        samples = Path(tmp) / "samples.json"
+        samples.write_text(json.dumps(blob))
+        cfg = {"scenario": "moser", "generator": "tabulated",
+               "samples_file": str(samples), "steps": 2, "checkpoints": 2}
+        out = Path(tmp) / "out"
+        out.mkdir()
+        try:
+            assert run(cfg, out_dir=str(out), quiet=True) in (0, 1)
+        except ConfigError:
+            assert not os.listdir(out)
 
 
 def test_tabulated_times_off_the_unit_interval_exit_2(tmp_path, capsys):

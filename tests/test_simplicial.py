@@ -186,7 +186,7 @@ def test_cocycle_violation_detected():
 
 def test_reverse_orientation_spec_inverts_weight():
     fx = circle_complex()
-    sys = local_system(fx.complex, [{"edge": [5, 0], "w": "1/2"}])
+    sys = local_system(fx.complex, [((5, 0), "1/2")])
     assert sys.weights[(0, 5)] == Fraction(2)
     assert sys.transport(5, 0) == Fraction(1, 2)
 
