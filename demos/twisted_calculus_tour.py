@@ -64,4 +64,4 @@ print(f"  primitive of the exact part: residual {sol.residual:.2e}, "
 # the global effect: any nonzero constant Lee form kills all cohomology
 print("\ntwisted Betti numbers of T^4:")
 for cc in (np.zeros(4), c, np.array([0.25, 0.0, 0.0, 0.0])):
-    print(f"  theta = {cc} -> {torus_twisted_betti(cc, grid)}")
+    print(f"  theta = {cc} -> {torus_twisted_betti(cc)}")

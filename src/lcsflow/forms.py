@@ -7,7 +7,9 @@ cached spectra stay valid.  The signs of this component order live in one
 place, ``product_table``; wedge, contraction, d and d* all read them from
 there.
 
-Derivatives are exact on band-limited data (FFT modes multiplied by
+Spectra are Fourier coefficients, c_m = N^-n sum_x f(x) e^{-2 pi i m.x}
+(norm="forward", as on the de-aliasing grid), and only this module
+transforms.  Derivatives are exact on band-limited data (coefficients times
 2*pi*i*m, Nyquist bucket zeroed).  A pointwise product (wedge, contraction)
 of operands whose per-axis bands add up to less than N/2 is taken directly
 on the grid.  Any other product is evaluated on a de-aliasing grid of
@@ -217,16 +219,17 @@ class DiffForm:
     # -- bookkeeping ----------------------------------------------------
 
     def spectra(self) -> np.ndarray:
-        """FFT of every component (cached and read-only, like the components)."""
+        """Fourier coefficients of every component (cached, read-only like comps)."""
         if self._spec_cache is None:
-            spec = sfft.fftn(self.comps, axes=tuple(range(1, self.grid.n + 1)))
+            spec = sfft.fftn(self.comps, axes=tuple(range(1, self.grid.n + 1)),
+                             norm="forward")
             spec.flags.writeable = False
             self._spec_cache = spec
         return self._spec_cache
 
     @classmethod
     def from_spectra(cls, grid: GridSpec, degree: int, spec: np.ndarray) -> "DiffForm":
-        vals = sfft.ifftn(spec, axes=tuple(range(1, grid.n + 1)))
+        vals = sfft.ifftn(spec, axes=tuple(range(1, grid.n + 1)), norm="forward")
         # a real contiguous copy, so the complex transform is freed on return
         return cls(grid, degree, vals.real.copy())
 
@@ -341,8 +344,6 @@ def upsample_values(vals: np.ndarray, grid: GridSpec) -> np.ndarray:
     lead = vals.shape[:vals.ndim - grid.n]
     stack = vals.reshape((-1,) + grid.shape)
     axes = tuple(range(1, grid.n + 1))
-    # norm="forward" puts 1/nodes on the forward transforms only, so the
-    # Fourier coefficients move between grids without a rescale
     spec = sfft.fftn(_pack_pairs(stack), axes=axes, norm="forward", overwrite_x=True)
     for ax in reversed(axes):
         spec = sfft.ifftn(_pad_axis(spec, ax, grid.N, grid.fine_N), axes=(ax,),
@@ -469,13 +470,13 @@ def l2_inner(a: DiffForm, b: DiffForm) -> float:
 class ModeInterpolator:
     """Evaluate several grid scalars at arbitrary points by trig interpolation.
 
-    spectra is the (channels, *grid.shape) FFT stack.  Channel c at a point
-    x is Re sum_m c_m e^{2 pi i m.x} over the kept modes m, c_m being the
-    FFT coefficient divided by the node count.  Modes at or below rel_tol *
-    max|finite coeff| in every channel are dropped, non-finite ones kept: a
-    small rel_tol (1e-14) is what the flow integrator uses on analytically
-    decaying spectra, and rel_tol = 0 keeps every nonzero mode, which is
-    exact trigonometric interpolation of the node values.
+    spectra is the (channels, *grid.shape) stack of Fourier coefficients c_m
+    that DiffForm.spectra holds; channel c at a point x is
+    Re sum_m c_m e^{2 pi i m.x} over the kept modes m.  Modes at or below
+    rel_tol * max|finite coeff| in every channel are dropped, non-finite
+    ones kept: a small rel_tol (1e-14) is what the flow integrator uses on
+    analytically decaying spectra, and rel_tol = 0 keeps every nonzero
+    mode, which is exact trigonometric interpolation of the node values.
 
     The Nyquist bucket is split the way upsample_values splits it: a -N/2
     component m_j stands for half the mode at -N/2 and half at +N/2, so it
@@ -517,9 +518,10 @@ class ModeInterpolator:
         paired = keep[neg] & (neg != active)
         # each pair is represented by its member with the lower flat index
         rep = ~(paired & (neg < active))
-        coeffs = flat[:, active[rep]] / grid.num_nodes
+        # a fancy-indexed copy: the fold below never writes into spectra
+        coeffs = flat[:, active[rep]]
         fold = paired[rep]
-        coeffs[:, fold] += flat[:, neg[rep][fold]].conj() / grid.num_nodes
+        coeffs[:, fold] += flat[:, neg[rep][fold]].conj()
         self.grid = grid
         self.modes = freqs[:, rep].T
         self.nf = nf
@@ -571,12 +573,11 @@ def random_band_limited(
     if bandwidth >= grid.N // 2:
         raise ValueError("bandwidth must stay below the Nyquist band")
     vals = rng.standard_normal((comb(grid.n, degree),) + grid.shape)
-    spec = sfft.fftn(vals, axes=tuple(range(1, grid.n + 1)))
     mask = np.ones(grid.shape, dtype=bool)
     for j in range(grid.n):
         mj = np.abs(grid.mode_axis(j))
         mask &= np.broadcast_to(mj <= bandwidth, grid.shape)
-    spec *= mask
+    spec = DiffForm(grid, degree, vals).spectra() * mask
     out = DiffForm.from_spectra(grid, degree, spec)
     nrm = out.norm()
     if nrm > 0:

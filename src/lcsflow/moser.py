@@ -192,12 +192,11 @@ def normalize_family(F: FormFamily, opts: PipelineOptions | None = None) -> Form
                 "can connect the family"
             )
 
-    theta_h = snap_lee(c0, grid)
+    theta_h = snap_lee(c0, grid.n)
     lee_const = LeeForm.constant(grid, theta_h)
     if not any(lee.potential.any() for lee in sample_lees):
         return FormFamily(grid, lambda t: LcsForm(F.omega_at(t).omega, lee_const),
-                          F.derivative_at, F.times, exact_data=F.exact_data,
-                          theta_h=theta_h)
+                          F.derivative_at, F.times, theta_h=theta_h)
 
     def omega_n_at(t: float) -> LcsForm:
         L = F.omega_at(t)
@@ -625,7 +624,6 @@ def pullback_form(
 class ConformalComparison:
     factor: np.ndarray
     consistency_error: float
-    positive: bool
 
 
 def conformal_compare(av: np.ndarray, bv: np.ndarray) -> ConformalComparison:
@@ -657,7 +655,6 @@ def conformal_compare(av: np.ndarray, bv: np.ndarray) -> ConformalComparison:
     return ConformalComparison(
         factor=factor,
         consistency_error=float(np.max(spread)) / mean_f,
-        positive=bool(np.all(factor > 0.0)),
     )
 
 
@@ -751,11 +748,12 @@ def _assemble_report(
     label: str,
     opts: PipelineOptions,
     records: list[CheckpointRecord],
-    factor_positive: bool,
     max_speed: float,
     stage_res: float,
 ) -> MoserReport:
-    # np.max, unlike max(), keeps a NaN record, so its gate fails on it
+    # a NaN factor_min fails the sign test, and np.max, unlike max(), keeps
+    # a NaN record, so its gate fails on it
+    factor_positive = all(r.factor_min > 0.0 for r in records)
     maxima, ok = {}, factor_positive
     for name, field, key in GATES:
         values = [v for r in records if (v := getattr(r, field)) is not None]
@@ -820,7 +818,7 @@ def _run_moser(
     flow = integrate_isotopy(Fp.grid, stages, opts.steps, record_times=times,
                              seeds=seeds)
 
-    records, positive, base = [], True, None
+    records, base = [], None
     for t, residual in zip(times, cert.residuals):
         L, stage = Fp.omega_at(t), stages(t)
         _, jac, logf, h_int = flow.snapshots[t]
@@ -836,7 +834,6 @@ def _run_moser(
             base = L.omega.comps.reshape(len(L.omega.comps), -1)[:, ::opts.seed_stride]
         cc = conformal_compare(pb.comps, base)
         predicted = np.exp(logf)
-        positive = positive and cc.positive
         records.append(CheckpointRecord(
             t=t,
             exactness_residual=residual,
@@ -848,8 +845,8 @@ def _run_moser(
             factor_max=float(cc.factor.max()),
             cor2_identity_residual=cor2,
         ))
-    return _assemble_report(cert, F.label, opts, records, positive,
-                            flow.max_speed, stages.max_solve_residual)
+    return _assemble_report(cert, F.label, opts, records, flow.max_speed,
+                            stages.max_solve_residual)
 
 
 def run_theorem_pipeline(

@@ -102,7 +102,7 @@ _COMMON_KEYS = {"scenario", "comment", "expected_verdict", "seed", "output"}
 
 _SCENARIO_KEYS = {
     "identities": {"grid", "sweep", "tolerances"},
-    "cohomology_torus": {"grid", "theta"},
+    "cohomology_torus": {"theta"},
     "cohomology_simplicial": {"fixture", "complex", "weights"},
     "cohomology_mapping_torus": {"matrix", "t0"},
     "moser": {"generator", "params", "grid", "steps", "checkpoints",
@@ -245,7 +245,7 @@ def _form_literal(grid: GridSpec, literal, where: str) -> DiffForm:
                 seen[key] = val
     spec = np.zeros((len(sets),) + grid.shape, dtype=complex)
     for (s, m), c in seen.items():
-        spec[(sets.index(s),) + tuple(v % grid.N for v in m)] = c * grid.num_nodes
+        spec[(sets.index(s),) + tuple(v % grid.N for v in m)] = c
     return DiffForm.from_spectra(grid, 2, spec)
 
 
@@ -284,9 +284,8 @@ def validate_config(cfg: dict) -> dict:
             _number(v, f"tolerances.{k}", positive=True)
         out["tolerances"] = {**_IDENTITY_TOL_DEFAULTS, **tols}
     elif scenario == "cohomology_torus":
-        grid = out["grid"] = _grid(cfg, (4, 16))
-        theta = _list(cfg.get("theta", [0.0] * grid["n"]), "theta", _number)
-        _need(len(theta) == grid["n"], "theta", f"a list of length n = {grid['n']}", theta)
+        theta = _list(cfg.get("theta", [0.0] * 4), "theta", _number)
+        _need(2 <= len(theta) <= 4, "theta", "a list of 2 to 4 numbers", theta)
         out["theta"] = [float(v) for v in theta]
     elif scenario == "cohomology_simplicial":
         if ("fixture" in cfg) == ("complex" in cfg):
@@ -373,12 +372,9 @@ def _scenario_identities(cfg: dict) -> tuple[dict, bool]:
 
 
 def _scenario_cohomology_torus(cfg: dict) -> tuple[dict, bool]:
-    theta = np.array(cfg["theta"])
-    dims = torus_twisted_betti(theta, GridSpec(**cfg["grid"]))
+    dims = torus_twisted_betti(cfg["theta"])
     alt = sum((-1) ** k * d for k, d in enumerate(dims))
-    result = {"dims": list(dims), "alternating_sum": alt,
-              "theta": list(theta)}
-    return result, alt == 0
+    return {"dims": list(dims), "alternating_sum": alt, "theta": cfg["theta"]}, alt == 0
 
 
 def _scenario_cohomology_simplicial(cfg: dict) -> tuple[dict, bool]:
@@ -531,7 +527,7 @@ def _with_overrides(cfg, steps: int | None, N: int | None):
     if steps is not None and cfg.get("scenario") == "moser":
         cfg["steps"] = steps
     if (N is not None and isinstance(grid, dict) and cfg.get("generator") != "tabulated"
-            and cfg.get("scenario") in ("identities", "cohomology_torus", "moser")):
+            and cfg.get("scenario") in ("identities", "moser")):
         cfg["grid"] = {**grid, "N": N}
     return cfg
 

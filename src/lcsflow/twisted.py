@@ -82,10 +82,11 @@ class LeeForm:
 
     def one_form(self) -> DiffForm:
         """theta = harmonic + d(potential) as a degree-1 form."""
-        n = self.grid.n
-        dg = ext_d(scalar_form(self.grid, self.potential))
-        return DiffForm(self.grid, 1,
-                        dg.comps + self.harmonic.reshape((n,) + (1,) * n))
+        n, shape = self.grid.n, self.grid.shape
+        theta = np.broadcast_to(self.harmonic.reshape((n,) + (1,) * n), (n,) + shape)
+        if self.potential.any():
+            theta = theta + ext_d(scalar_form(self.grid, self.potential)).comps
+        return DiffForm(self.grid, 1, theta)
 
 
 def _as_theta(theta, grid: GridSpec):
@@ -153,11 +154,11 @@ def component_means(a: DiffForm) -> np.ndarray:
     return np.array([float(np.mean(comp)) for comp in a.comps])
 
 
-def snap_lee(theta, grid: GridSpec) -> np.ndarray:
+def snap_lee(theta, n: int) -> np.ndarray:
     """The n constant Lee coefficients, |c_j| <= HARMONIC_SNAP set to 0."""
     c = np.array(theta, dtype=float)
-    if c.shape != (grid.n,):
-        raise ValueError(f"need {grid.n} constant coefficients")
+    if c.shape != (n,):
+        raise ValueError(f"need {n} constant coefficients")
     c[np.abs(c) <= HARMONIC_SNAP] = 0.0
     return c
 
@@ -165,7 +166,7 @@ def snap_lee(theta, grid: GridSpec) -> np.ndarray:
 def _harmonic_and_potential(theta: DiffForm):
     """Snapped component means and the mean-zero g solving d*dg = d*theta."""
     grid = theta.grid
-    c = snap_lee(component_means(theta), grid)
+    c = snap_lee(component_means(theta), grid.n)
     mult = [grid.derivative_multiplier(j) for j in range(grid.n)]
     k2 = sum(np.abs(m) ** 2 for m in mult)
     g_spec = contract_axes([np.conj(m) for m in mult], theta.spectra(), grid.n, 1)
@@ -189,8 +190,8 @@ def pfaffian_values(omega) -> np.ndarray:
     if grid.n == 2:
         return omega.comps[0].copy()
     if grid.n == 4:
-        c = omega.comps  # order: 01, 02, 03, 12, 13, 23
-        return c[0] * c[5] - c[1] * c[4] + c[2] * c[3]
+        c = omega.comps  # omega ^ omega = 2 Pf dx_0123: each pair a < b once
+        return sum(s * c[a] * c[b] for a, b, _, s in product_table(4, 2, 2) if a < b)
     raise DegenerateForm(f"no nondegenerate 2-forms on T^{grid.n} (odd dimension)")
 
 
@@ -234,11 +235,12 @@ def lee_form(omega: DiffForm) -> LeeForm:
     if omega.degree != 2:
         raise DegreeError("Lee form extraction expects a 2-form")
     inv = pfaffian_inverse(omega, NONDEG_THRESHOLD)
+    if grid.n == 2:
+        return LeeForm.zero(grid)
     theta = np.zeros((grid.n,) + grid.shape)
-    if grid.n == 4:
-        domega = ext_d(omega).comps
-        for ab, j, abj, sign in product_table(4, 2, 1):
-            theta[j] -= sign * inv[ab] * domega[abj]
+    domega = ext_d(omega).comps
+    for ab, j, abj, sign in product_table(4, 2, 1):
+        theta[j] -= sign * inv[ab] * domega[abj]
     theta = DiffForm(grid, 1, theta)
     size = theta.norm()
     lcs_residual = ext_d(theta).norm() / max(size, 1.0)
@@ -283,8 +285,8 @@ class _ModeOps:
         self.inv = 1.0 / mu2
 
 
-def _spec_norm(spec: np.ndarray, grid: GridSpec) -> float:
-    return float(np.sqrt(np.sum(np.abs(spec) ** 2))) / grid.num_nodes
+def _spec_norm(spec: np.ndarray) -> float:
+    return float(np.sqrt(np.sum(np.abs(spec) ** 2)))
 
 
 @dataclass
@@ -304,7 +306,7 @@ def hodge_decompose(a: DiffForm, theta) -> tuple[DiffForm, DiffForm, DiffForm]:
     im d_theta*).
     """
     grid = a.grid
-    ops = _ModeOps(grid, snap_lee(theta, grid))
+    ops = _ModeOps(grid, snap_lee(theta, grid.n))
     spec = a.spectra()
     n, k = grid.n, a.degree
     zero = (slice(None),) + (0,) * n
@@ -333,23 +335,26 @@ def solve_primitive(target: DiffForm, theta) -> HodgeSolveResult:
     grid = target.grid
     if target.degree == 0:
         raise DegreeError("a 0-form has no primitive")
-    ops = _ModeOps(grid, snap_lee(theta, grid))
+    ops = _ModeOps(grid, snap_lee(theta, grid.n))
     k = target.degree
     t_spec = target.spectra()
     alpha_spec = contract_axes(ops.mubar, t_spec, grid.n, k) * ops.inv
     alpha = DiffForm.from_spectra(grid, k - 1, alpha_spec)
     recon = wedge_axes(ops.mu, alpha_spec, grid.n, k - 1)
-    residual = _spec_norm(recon - t_spec, grid) / max(_spec_norm(t_spec, grid), 1e-300)
-    harm = _spec_norm(t_spec[(slice(None),) + (0,) * grid.n], grid) * ops.harmonic
+    residual = _spec_norm(recon - t_spec) / max(_spec_norm(t_spec), 1e-300)
+    harm = _spec_norm(t_spec[(slice(None),) + (0,) * grid.n]) * ops.harmonic
     return HodgeSolveResult(alpha, residual, harm)
 
 
-def torus_twisted_betti(theta, grid: GridSpec) -> tuple[int, ...]:
-    """Twisted Betti numbers of T^n for a constant Lee form.
+def torus_twisted_betti(theta) -> tuple[int, ...]:
+    """Twisted Betti numbers of T^n, n = len(theta) in 2..4, for a constant Lee form.
 
     Per Fourier mode the twisted complex is a Koszul complex, acyclic
     unless mu(m) = 0, which happens only at m = 0 with theta = 0 (snapped):
     b_k = C(n, k) then, and any nonzero constant Lee form kills all of it.
     """
-    h = int(not snap_lee(theta, grid).any())
-    return tuple(comb(grid.n, k) * h for k in range(grid.n + 1))
+    n = np.size(theta)
+    if not 2 <= n <= 4:
+        raise ValueError(f"need 2 to 4 constant Lee coefficients, got {n}")
+    h = int(not snap_lee(theta, n).any())
+    return tuple(comb(n, k) * h for k in range(n + 1))

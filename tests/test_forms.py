@@ -29,7 +29,7 @@ from lcsflow.forms import (
     wedge,
 )
 from lcsflow.moser import StageData
-from lcsflow.twisted import lee_form
+from lcsflow.twisted import component_means, lee_form
 from oracles import hodge_star
 
 TWO_PI = 2.0 * np.pi
@@ -217,6 +217,21 @@ def test_components_and_spectra_are_read_only():
         b.comps[1, 0, 0, 0] = 2.0
 
 
+@pytest.mark.parametrize("n", [2, 4])
+def test_spectra_are_fourier_coefficients(n):
+    # c_m = N^-n sum_x f(x) e^{-2 pi i m.x}: the zero mode is the mean, a
+    # cosine puts 1/2 on each of its two modes, and from_spectra inverts it
+    g = GridSpec(n, 8)
+    a = random_band_limited(g, 2, 2, np.random.default_rng(12))
+    zero = (slice(None),) + (0,) * n
+    np.testing.assert_allclose(a.spectra()[zero], component_means(a), rtol=0, atol=1e-15)
+    cosine = scalar_form(g, np.cos(TWO_PI * g.coordinates()[0])).spectra()[0]
+    assert abs(cosine[(1,) + (0,) * (n - 1)] - 0.5) <= 1e-15
+    assert abs(cosine[(-1,) + (0,) * (n - 1)] - 0.5) <= 1e-15
+    back = DiffForm.from_spectra(g, 2, a.spectra())
+    np.testing.assert_allclose(back.comps, a.comps, rtol=0, atol=1e-14)
+
+
 def test_hodge_star_involution_sign():
     rng = np.random.default_rng(4)
     for n, N in ((2, 8), (4, 8)):
@@ -316,7 +331,7 @@ def _dense_mode_sum(grid, spectra, rel_tol, points):
     nyquist = modes == -grid.N // 2
     phases = np.exp(2j * np.pi * (points @ np.where(nyquist, 0.0, modes).T))
     cosines = np.where(nyquist[None], np.cos(np.pi * grid.N * points[:, None, :]), 1.0)
-    coeffs = flat[:, active] / grid.num_nodes
+    coeffs = flat[:, active]
     return (coeffs @ (phases * cosines.prod(axis=-1)).T).real
 
 
@@ -360,7 +375,7 @@ def test_mode_interpolator_matches_dense_sum(n, kind, rel_tol, npts, seed):
     # phases 2 pi m.x then carry ~1e-15 rounding instead of ~1e-13 at |x| = 10
     want = _dense_mode_sum(g, spec, rel_tol, np.mod(points, 1.0))
     # the scale is each channel's RMS over the torus, sqrt(sum |c_m|^2)
-    scale = np.sqrt((np.abs(spec.reshape(3, -1)) ** 2).sum(axis=1)).max() / g.num_nodes
+    scale = np.sqrt((np.abs(spec.reshape(3, -1)) ** 2).sum(axis=1)).max()
     assert got.shape == (3, npts)
     assert np.abs(got - want).max() <= 1e-13 * scale
 
@@ -377,7 +392,7 @@ def test_mode_interpolator_spans_many_chunks():
     got = interp(points)
     want = np.concatenate([_dense_mode_sum(g, spec, 0.0, points[lo:lo + 8])
                            for lo in range(0, len(points), 8)], axis=1)
-    scale = np.sqrt((np.abs(spec) ** 2).sum()) / g.num_nodes
+    scale = np.sqrt((np.abs(spec) ** 2).sum())
     assert got.shape == (1, 203)
     assert np.abs(got - want).max() <= 1e-13 * scale
 

@@ -25,6 +25,11 @@ The fields of a package dataclass are the parameters of its generated
 A tuple that holds a function name next to a set of strings (the
 runner's generator table, whose config keys reach the builder through
 ``**``) passes those strings as keywords to that function.
+
+Only ``forms`` knows how a form is stored.  A spectrum is a form's Fourier
+coefficients, so no package module rescales one by the node count (reads
+``num_nodes``), and no module but ``forms`` names an FFT: ``scipy.fft``,
+``numpy.fft`` or any identifier containing ``fft``.
 """
 
 import ast
@@ -212,3 +217,35 @@ def test_no_unused_imports():
 
 def test_every_default_is_overridden_by_some_call():
     assert unpassed_defaults() == []
+
+
+def _identifiers(tree):
+    """Every name a module reads, imports or defines an alias for."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield from node.name.split(".")
+            if node.asname:
+                yield node.asname
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            yield from node.module.split(".")
+
+
+def storage_leaks() -> list[str]:
+    """Package modules that read num_nodes, and modules other than forms
+    that import or call an FFT."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        names = set(_identifiers(ast.parse(path.read_text())))
+        if "num_nodes" in names:
+            found.append(f"{path.name}:num_nodes")
+        if path.name != "forms.py":
+            found += [f"{path.name}:{name}" for name in sorted(names) if "fft" in name]
+    return found
+
+
+def test_only_forms_knows_how_a_form_is_stored():
+    assert storage_leaks() == []

@@ -39,7 +39,7 @@ BAD_CONFIGS = [
     {"scenario": "identities", "sweep": {"count": 0}},
     {"scenario": "identities", "tolerances": {"chain_map": -1.0}},
     {"scenario": "identities", "tolerances": {"nonsense": 1.0}},
-    {"scenario": "cohomology_torus", "grid": {"n": 4, "N": 16}, "theta": [1.0]},
+    {"scenario": "cohomology_torus", "theta": [1.0]},
     {"scenario": "cohomology_simplicial"},
     {"scenario": "cohomology_simplicial", "fixture": "torus",
      "complex": {"top_simplices": [[0, 1]]}},
@@ -76,7 +76,7 @@ BAD_CONFIGS = [
     {"scenario": "moser", "generator": ["x"]},
     {"scenario": "cohomology_simplicial", "fixture": ["torus"]},
     {"scenario": "cohomology_torus", "theta": 5},
-    {"scenario": "cohomology_torus", "grid": {"n": 2, "N": 8}, "theta": ["a", "b"]},
+    {"scenario": "cohomology_torus", "theta": ["a", "b"]},
     {"scenario": "identities", "grid": {"n": 4, "N": 8}, "sweep": {"bandwidth": 9}},
     {"scenario": "identities", "output": "x"},
     {"scenario": "moser", "generator": "area_interpolation", "params": [1]},
@@ -99,6 +99,9 @@ BAD_CONFIGS = [
     # a weight is exact: an integer or a "p/q" string
     {"scenario": "cohomology_simplicial", "fixture": "circle",
      "weights": [{"edge": [0, 1], "w": 0.5}]},
+    # the torus Betti numbers take a covector of length 2 to 4 and no grid
+    {"scenario": "cohomology_torus", "theta": [0.0] * 5},
+    {"scenario": "cohomology_torus", "grid": {"n": 2, "N": 8}, "theta": [0.0, 0.0]},
 ]
 
 
@@ -142,8 +145,8 @@ VALID_CONFIGS = {
         "tolerances": {"chain_map": 1e-2, "adjointness": 1e-10},
         "comment": "c", "expected_verdict": "pass",
         "output": {"json": "r.json", "csv": "r.csv"}},
-    "torus": {"scenario": "cohomology_torus", "grid": {"n": 2, "N": 8},
-              "theta": [0.0, 0.7], "output": {"json": "t.json", "csv": "t.csv"}},
+    "torus": {"scenario": "cohomology_torus", "theta": [0.0, 0.7],
+              "output": {"json": "t.json", "csv": "t.csv"}},
     "simplicial_fixture": {"scenario": "cohomology_simplicial", "fixture": "torus",
                            "weights": [{"edge": [0, 1], "w": "2"}]},
     "simplicial_inline": {
@@ -274,15 +277,24 @@ def test_identities_fail_on_nan_residuals(tmp_path):
 
 
 def test_torus_cohomology_scenario(tmp_path):
-    cfg = {"scenario": "cohomology_torus", "grid": {"n": 4, "N": 8},
-           "theta": [0.0, 0.0, 0.0, 0.0]}
+    cfg = {"scenario": "cohomology_torus"}
     assert run(cfg, out_dir=str(tmp_path), quiet=True) == 0
     rep = _read_json(tmp_path / "report.json")
+    assert rep["config"]["theta"] == [0.0, 0.0, 0.0, 0.0]
     assert rep["result"]["dims"] == [1, 4, 6, 4, 1]
     cfg["theta"] = [0.0, 0.0, 0.0, 0.7]
     assert run(cfg, out_dir=str(tmp_path), quiet=True) == 0
     rep = _read_json(tmp_path / "report.json")
     assert rep["result"]["dims"] == [0, 0, 0, 0, 0]
+    cfg["theta"] = [0.0, 1e-13, 0.0]
+    assert run(cfg, out_dir=str(tmp_path), quiet=True) == 0
+    rep = _read_json(tmp_path / "report.json")
+    assert rep["result"]["dims"] == [1, 3, 3, 1]
+    # the Betti numbers read only the covector, so a grid is no field of it
+    with pytest.raises(ConfigError, match="unknown field.*grid"):
+        run({**cfg, "grid": {"n": 3, "N": 8}}, out_dir=str(tmp_path), quiet=True)
+    assert run(cfg, out_dir=str(tmp_path), overrides={"grid": 16}, quiet=True) == 0
+    assert "grid" not in _read_json(tmp_path / "report.json")["config"]
 
 
 def test_simplicial_scenario_fixture_and_inline(tmp_path):
@@ -449,8 +461,7 @@ def test_moser_tolerances_are_not_config(tmp_path, capsys):
 def test_unusable_out_exits_2_before_the_scenario_runs(out, tmp_path, capsys,
                                                        monkeypatch):
     path = tmp_path / "torus.json"
-    path.write_text(json.dumps({"scenario": "cohomology_torus",
-                                "grid": {"n": 2, "N": 8}}))
+    path.write_text(json.dumps({"scenario": "cohomology_torus"}))
     (tmp_path / "taken").write_text("kept")
     monkeypatch.setitem(runner._SCENARIOS, "cohomology_torus",
                         lambda cfg: pytest.fail("the scenario ran"))
@@ -689,8 +700,7 @@ def test_exact_path_without_a_primitive_exits_2(generator, tmp_path, capsys):
 
 
 def test_quiet_flag_suppresses_summary(tmp_path, capsys):
-    cfg = {"scenario": "cohomology_torus", "grid": {"n": 2, "N": 8},
-           "theta": [0.0, 0.0]}
+    cfg = {"scenario": "cohomology_torus", "theta": [0.0, 0.0]}
     run(cfg, out_dir=str(tmp_path), quiet=True)
     assert capsys.readouterr().out == ""
     run(cfg, out_dir=str(tmp_path), quiet=False)

@@ -233,10 +233,12 @@ def test_lee_form_and_normalize_family_round_trip():
 
 
 def test_torus_twisted_betti():
-    g4 = GridSpec(4, 8)
-    assert torus_twisted_betti(np.zeros(4), g4) == (1, 4, 6, 4, 1)
-    assert torus_twisted_betti(np.array([0.0, 0.0, 0.3, 0.0]), g4) == (0, 0, 0, 0, 0)
-    g2 = GridSpec(2, 8)
-    assert torus_twisted_betti(np.zeros(2), g2) == (1, 2, 1)
+    assert torus_twisted_betti(np.zeros(4)) == (1, 4, 6, 4, 1)
+    assert torus_twisted_betti(np.array([0.0, 0.0, 0.3, 0.0])) == (0, 0, 0, 0, 0)
+    assert torus_twisted_betti(np.zeros(2)) == (1, 2, 1)
+    assert torus_twisted_betti([0.0, 1e-13, 0.0]) == (1, 3, 3, 1)
     # 2 pi i m never cancels a real constant, so any nonzero theta kills H*
-    assert torus_twisted_betti(np.array([1e-3, 0.0]), g2) == (0, 0, 0)
+    assert torus_twisted_betti(np.array([1e-3, 0.0])) == (0, 0, 0)
+    for bad in ([0.0], [0.0] * 5, np.zeros((2, 2))):
+        with pytest.raises(ValueError):
+            torus_twisted_betti(bad)
