@@ -751,8 +751,7 @@ def _assemble_report(
     max_speed: float,
     stage_res: float,
 ) -> MoserReport:
-    # a NaN factor_min fails the sign test, and np.max, unlike max(), keeps
-    # a NaN record, so its gate fails on it
+    # a NaN fails the sign test, and its gate through np.max (max() may skip it)
     factor_positive = all(r.factor_min > 0.0 for r in records)
     maxima, ok = {}, factor_positive
     for name, field, key in GATES:

@@ -81,9 +81,10 @@ class LeeForm:
         return cls.constant(grid, np.zeros(grid.n))
 
     def one_form(self) -> DiffForm:
-        """theta = harmonic + d(potential) as a degree-1 form."""
+        """theta = harmonic + d(potential) as a degree-1 form that owns its
+        data: a later write to harmonic does not reach it."""
         n, shape = self.grid.n, self.grid.shape
-        theta = np.broadcast_to(self.harmonic.reshape((n,) + (1,) * n), (n,) + shape)
+        theta = np.broadcast_to(self.harmonic.reshape((n,) + (1,) * n).copy(), (n,) + shape)
         if self.potential.any():
             theta = theta + ext_d(scalar_form(self.grid, self.potential)).comps
         return DiffForm(self.grid, 1, theta)

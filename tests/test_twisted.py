@@ -212,6 +212,23 @@ def test_lee_form_on_t2_is_zero_by_convention():
     assert not lee.potential.any() and not lee.harmonic.any()
 
 
+def test_constant_lee_data_need_no_transform(monkeypatch):
+    # a constant Lee form is its harmonic part, and theta = 0 on T^2: no
+    # transform of an all-zero field, and the returned form owns its data
+    g = GridSpec(3, 8)
+    lee = LeeForm.constant(g, [0.5, 0.0, -2.0])
+    monkeypatch.setattr(twisted, "ext_d", lambda a: pytest.fail("transformed zeros"))
+    theta = lee.one_form()
+    lee.harmonic[0] = 9.0
+    np.testing.assert_array_equal(theta.comps, np.broadcast_to(
+        np.array([0.5, 0.0, -2.0])[:, None, None, None], (3,) + g.shape))
+    with pytest.raises(ValueError):
+        theta.comps[0, 0, 0, 0] = 1.0
+    g2 = GridSpec(2, 8)
+    lee2 = lee_form(form_from_components(g2, 2, {(0, 1): 1.0 + g2.coordinates()[0]}))
+    assert not lee2.potential.any() and not lee2.harmonic.any()
+
+
 def test_lee_form_and_normalize_family_round_trip():
     # e^g omega0 has Lee form dx3 + dg; normalize_family rescales it by
     # e^{-g} pointwise, back to omega0 (g has mean zero on the grid)
