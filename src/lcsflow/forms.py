@@ -90,7 +90,10 @@ class GridSpec:
 
     def derivative_multiplier(self, j: int) -> np.ndarray:
         """Spectral d/dx_j multiplier 2*pi*i*m_j with the Nyquist bucket zeroed."""
-        m = self.mode_axis(j)
+        return self.multiplier_of(self.mode_axis(j))
+
+    def multiplier_of(self, m: np.ndarray) -> np.ndarray:
+        """2*pi*i*m for integer modes m, 0 where |m| = N/2 (the Nyquist bucket)."""
         return 2j * np.pi * np.where(2 * np.abs(m) == self.N, 0, m)
 
 
@@ -472,11 +475,19 @@ class ModeInterpolator:
 
     spectra is the (channels, *grid.shape) stack of Fourier coefficients c_m
     that DiffForm.spectra holds; channel c at a point x is
-    Re sum_m c_m e^{2 pi i m.x} over the kept modes m.  Modes at or below
-    rel_tol * max|finite coeff| in every channel are dropped, non-finite
-    ones kept: a small rel_tol (1e-14) is what the flow integrator uses on
-    analytically decaying spectra, and rel_tol = 0 keeps every nonzero
-    mode, which is exact trigonometric interpolation of the node values.
+    Re sum_m c_m e^{2 pi i m.x} over the kept modes m.  The first
+    ``gradients`` channels also give their spatial derivatives: the output
+    channels are those leading channels, then d/dx_j of channel i at index
+    gradients + i n + j (coefficients c_m times derivative_multiplier(j)),
+    then the remaining input channels.  ``nf`` counts every output channel.
+
+    Modes at or below rel_tol * max|finite coeff| in every output channel
+    are dropped, non-finite ones kept: a small rel_tol (1e-14) is what the
+    flow integrator uses on analytically decaying spectra, and rel_tol = 0
+    keeps every nonzero mode, which is exact trigonometric interpolation of
+    the node values.  A derivative channel (i, j) is measured as
+    |c_i(m)| |2 pi m_j| (Nyquist bucket 0), so the derivatives enter the
+    rule through max_i |c_i(m)| times the largest |2 pi m_j|, one grid array.
 
     The Nyquist bucket is split the way upsample_values splits it: a -N/2
     component m_j stands for half the mode at -N/2 and half at +N/2, so it
@@ -488,7 +499,8 @@ class ModeInterpolator:
     whose components are all 0 or -N/2 are their own partners, and modes
     whose partner was dropped stay unpaired.  ``modes`` is the (F, n)
     integer array of these folded representatives, about half the kept
-    modes.
+    modes.  Derivative coefficients are formed only on them, as
+    c_m mult_j(m) + conj(c_-m mult_j(-m)).
 
     A call builds, per axis, the powers e^{2 pi i k x_j} for |k| up to the
     largest kept |m_j| from one complex exponential per point, multiplies
@@ -496,21 +508,33 @@ class ModeInterpolator:
     contracts its real and imaginary parts with the coefficients in one
     real matrix product.
 
-    Memory: points go in chunks whose transient arrays (axis tables, the
-    phase block, its gather temporary and its real/imaginary copy, the
-    product) hold about 2**17 complex entries, 2 MB, so the work stays in
-    cache.  A chunk has at least 64 points, so the transient peak is at
-    most max(2 MB, 64 points x (table rows + 3 F + channels) x 16 B), about
+    Memory: a build holds the input stack, its real magnitudes and
+    (channels, F) coefficients, never a full-grid derivative channel.
+    Points go in chunks whose transient arrays (axis tables, the phase
+    block, its gather temporary and its real/imaginary copy, the product)
+    hold about 2**17 complex entries, 2 MB, so the work stays in cache.  A
+    chunk has at least 64 points, so the transient peak is at most
+    max(2 MB, 64 points x (table rows + 3 F + channels) x 16 B), about
     120 MB with every mode of a T^4 N = 16 grid kept.
     """
 
-    def __init__(self, grid: GridSpec, spectra: np.ndarray, rel_tol: float):
+    def __init__(self, grid: GridSpec, spectra: np.ndarray, rel_tol: float,
+                 gradients: int = 0):
         spectra = np.asarray(spectra, dtype=complex)
-        nf = spectra.shape[0]
-        flat = spectra.reshape(nf, -1)
+        flat = spectra.reshape(spectra.shape[0], -1)
         mags = np.abs(flat)
         top = mags.max(where=np.isfinite(mags), initial=0.0)
+        if gradients:
+            reach = np.zeros(grid.shape)
+            for j in range(grid.n):
+                reach = np.maximum(reach, np.abs(grid.derivative_multiplier(j)))
+            lead = mags[:gradients]
+            dmag = lead.max(axis=0, where=np.isfinite(lead), initial=0.0) * reach.ravel()
+            top = max(top, dmag.max(where=np.isfinite(dmag), initial=0.0))
         keep = ~(mags <= rel_tol * top).all(axis=0)
+        if gradients:
+            # dmag skips non-finite coefficients: their own channel keeps the mode
+            keep |= dmag > rel_tol * top
         active = np.nonzero(keep)[0]
         idx = np.array(np.unravel_index(active, grid.shape))
         freqs = np.fft.fftfreq(grid.N, 1.0 / grid.N).astype(int)[idx]
@@ -521,10 +545,19 @@ class ModeInterpolator:
         # a fancy-indexed copy: the fold below never writes into spectra
         coeffs = flat[:, active[rep]]
         fold = paired[rep]
-        coeffs[:, fold] += flat[:, neg[rep][fold]].conj()
+        partner = neg[rep][fold]
+        coeffs[:, fold] += flat[:, partner].conj()
         self.grid = grid
         self.modes = freqs[:, rep].T
-        self.nf = nf
+        if gradients:
+            m = self.modes.T
+            grads = flat[:gradients, None, active[rep]] * grid.multiplier_of(m)
+            grads[:, :, fold] += (flat[:gradients, None, partner]
+                                  * grid.multiplier_of(-m[:, fold])).conj()
+            coeffs = np.concatenate((coeffs[:gradients],
+                                     grads.reshape(gradients * grid.n, -1),
+                                     coeffs[gradients:]))
+        self.nf = coeffs.shape[0]
         self._weights = np.hstack([coeffs.real, -coeffs.imag])
         kmax = np.abs(self.modes).max(axis=0, initial=0)
         # an axis on which every kept mode is 0 contributes a factor of 1

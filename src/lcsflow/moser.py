@@ -361,10 +361,11 @@ def moser_vector_field(om: DiffForm, alpha: DiffForm) -> DiffForm:
 class StageData:
     """Velocity, velocity Jacobian and log-factor rate at one stage time.
 
-    Point evaluation shares a single trigonometric interpolator holding
-    n + n^2 + 1 channels (X, grad X, rate); rate_values = theta(X) + h is a
-    grid field, and h_values is the h-term of the exact path (0 on the
-    theorem path).
+    Point evaluation shares a single trigonometric interpolator built from
+    the spectra of X and of rate_values = theta(X) + h, a grid field; it
+    forms the n^2 gradient coefficients of X on its kept modes only, so
+    eval returns X, grad X and the rate.  h_values is the h-term of the
+    exact path (0 on the theorem path).
     solve_residual / obstruction are the Hodge solve's relative residual
     and harmonic obstruction (zero on the exact path, which solves nothing).
     """
@@ -374,21 +375,15 @@ class StageData:
                  obstruction: float = 0.0):
         grid = x_form.grid
         n = grid.n
-        xhat = x_form.spectra()
-        channels = [xhat]
-        grads = np.empty((n * n,) + grid.shape, dtype=complex)
-        for i in range(n):
-            for j in range(n):
-                grads[i * n + j] = xhat[i] * grid.derivative_multiplier(j)
-        channels.append(grads)
-        channels.append(scalar_form(grid, rate_values).spectra())
+        rate = scalar_form(grid, rate_values).spectra()
         self.n = n
         self.x_form = x_form
         self.h_values = h_values
         self.solve_residual = solve_residual
         self.obstruction = obstruction
         self.max_speed = float(x_form.max_abs())
-        self._interp = ModeInterpolator(grid, np.concatenate(channels), INTERP_REL_TOL)
+        self._interp = ModeInterpolator(grid, np.concatenate((x_form.spectra(), rate)),
+                                        INTERP_REL_TOL, gradients=n)
 
     def eval(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(velocity (P,n), velocity Jacobian (P,n,n), rate (P,))."""
@@ -439,7 +434,8 @@ def theorem_stage_builder(
     def build(t: float) -> StageData:
         om, dom = F.omega_at(t).omega, F.derivative_at(t)
         sol = solve_primitive(dom, theta_h)
-        den = max(dom.norm(), RESIDUAL_FLOOR * om.norm())
+        dom_norm = dom.norm()
+        den = max(dom_norm, RESIDUAL_FLOOR * om.norm())
         obstruction = sol.harmonic_part_norm / den
         if not obstruction <= tol:
             raise NotExact(
@@ -448,7 +444,7 @@ def theorem_stage_builder(
                 "family not certified in the canonical gauge")
         x = moser_vector_field(om, sol.primitive)
         rate = np.tensordot(theta_h, x.comps, axes=1)
-        return StageData(x, rate, 0.0, solve_residual=sol.residual * dom.norm() / den,
+        return StageData(x, rate, 0.0, solve_residual=sol.residual * dom_norm / den,
                          obstruction=obstruction)
 
     return build

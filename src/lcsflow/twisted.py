@@ -156,10 +156,15 @@ def component_means(a: DiffForm) -> np.ndarray:
 
 
 def snap_lee(theta, n: int) -> np.ndarray:
-    """The n constant Lee coefficients, |c_j| <= HARMONIC_SNAP set to 0."""
+    """The n constant Lee coefficients, |c_j| <= HARMONIC_SNAP set to 0.
+
+    A non-finite coefficient is refused: it is neither zero nor a Lee form.
+    """
     c = np.array(theta, dtype=float)
     if c.shape != (n,):
         raise ValueError(f"need {n} constant coefficients")
+    if not np.isfinite(c).all():
+        raise ValueError(f"non-finite constant Lee coefficients {c.tolist()}")
     c[np.abs(c) <= HARMONIC_SNAP] = 0.0
     return c
 

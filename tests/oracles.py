@@ -7,9 +7,10 @@ grid (for the closed form the Hodge solver uses instead), the vertex
 gauge transform of a simplicial local system (for the gauge invariance
 of the twisted Betti numbers), the pullback of a form family by an
 axis permutation plus a roll by whole grid nodes (for the symmetry of
-the Moser pipeline under the isometries of the grid torus) and the
+the Moser pipeline under the isometries of the grid torus), the
 closed-form isotopies of two built-in families (for the integrated flow
-against its true value).
+against its true value) and the stage interpolator built from full-grid
+gradient channels (for the one StageData builds on its kept modes).
 """
 
 import dataclasses
@@ -19,7 +20,16 @@ from math import comb
 import numpy as np
 
 from lcsflow.families import FormFamily
-from lcsflow.forms import DiffForm, GridSpec, index_sets, merge_sign, product_table
+from lcsflow.forms import (
+    DiffForm,
+    GridSpec,
+    ModeInterpolator,
+    index_sets,
+    merge_sign,
+    product_table,
+    scalar_form,
+)
+from lcsflow.moser import INTERP_REL_TOL
 from lcsflow.simplicial import LocalSystem
 from lcsflow.twisted import HARMONIC_SNAP, LcsForm, LeeForm
 
@@ -144,3 +154,21 @@ def corollary_two_flow(seeds: np.ndarray, t: float, s: float, a: float):
     jac = jac.copy()
     jac[:, 3, 1] = -2.0 * np.pi * t * a * np.cos(2.0 * np.pi * x2)
     return pos, jac, logf
+
+
+def full_grid_stage_interpolator(x_form: DiffForm, rate_values) -> ModeInterpolator:
+    """The stage interpolator on n + n^2 + 1 full-grid channels.
+
+    X, every product X^_i * derivative_multiplier(j) on the whole grid and
+    the rate, stacked and handed to ModeInterpolator with no gradients of
+    its own; the channel order is the one StageData.eval reads.
+    """
+    grid = x_form.grid
+    n = grid.n
+    xhat = x_form.spectra()
+    grads = np.empty((n * n,) + grid.shape, dtype=complex)
+    for i in range(n):
+        for j in range(n):
+            grads[i * n + j] = xhat[i] * grid.derivative_multiplier(j)
+    rate = scalar_form(grid, rate_values).spectra()
+    return ModeInterpolator(grid, np.concatenate((xhat, grads, rate)), INTERP_REL_TOL)

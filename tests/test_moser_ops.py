@@ -1,9 +1,12 @@
 """Building blocks of the flow construction: solve, integrate, pull back."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lcsflow.families import (
     FormFamily,
@@ -12,7 +15,13 @@ from lcsflow.families import (
     corollary_two_family,
     gcs_rescale_family,
 )
-from lcsflow.forms import DiffForm, GridSpec, form_from_components, index_sets
+from lcsflow.forms import (
+    DiffForm,
+    GridSpec,
+    form_from_components,
+    index_sets,
+    random_band_limited,
+)
 from lcsflow.moser import (
     CheckpointRecord,
     DegenerateForm,
@@ -34,7 +43,7 @@ from lcsflow.moser import (
     pullback_form,
 )
 from lcsflow.twisted import pfaffian_values
-from oracles import contact_circle_flow, corollary_two_flow
+from oracles import contact_circle_flow, corollary_two_flow, full_grid_stage_interpolator
 
 TWO_PI = 2.0 * np.pi
 
@@ -87,6 +96,60 @@ def _shear_stage(g: GridSpec, a: float) -> StageData:
     x2 = g.coordinates()[1]
     x = form_from_components(g, 1, {(0,): a * np.sin(TWO_PI * x2) * np.ones(g.shape)})
     return StageData(x, np.zeros(g.shape), 0.0)
+
+
+def _stage_inputs(g: GridSpec, kind: str, rng: np.random.Generator):
+    """X and a rate field: band-limited theta(X), dense noise, or all zero."""
+    if kind == "band":
+        x = random_band_limited(g, 1, 2, rng)
+        return x, np.tensordot(rng.standard_normal(g.n), x.comps, axes=1)
+    if kind == "dense":
+        # white noise on the nodes fills every bucket, the Nyquist ones too
+        return (DiffForm(g, 1, rng.standard_normal((g.n,) + g.shape)),
+                rng.standard_normal(g.shape))
+    return DiffForm(g, 1), np.zeros(g.shape)
+
+
+@pytest.mark.parametrize("kind", ["band", "dense", "zero"])
+@pytest.mark.parametrize("n, N", [(2, 8), (2, 16), (4, 8), (4, 16)])
+@settings(max_examples=3)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_stage_interpolator_matches_the_full_grid_channels(n, N, kind, seed):
+    # gradient coefficients formed on the kept modes only give the very
+    # interpolator that 21 (T^4) full-grid channels give: same kept modes,
+    # bitwise the same weights, the same values anywhere
+    rng = np.random.default_rng(seed)
+    g = GridSpec(n, N)
+    x, rate = _stage_inputs(g, kind, rng)
+    stage = StageData(x, rate, 0.0)
+    ref = full_grid_stage_interpolator(x, rate)
+    got = stage._interp
+    assert got.nf == ref.nf == n + n * n + 1
+    np.testing.assert_array_equal(got.modes, ref.modes)
+    assert got._weights.shape == ref._weights.shape
+    assert got._weights.tobytes() == ref._weights.tobytes()
+    points = 3.0 * rng.random((40, n)) - 1.0
+    want = ref(points)
+    vel, jac, rate_at = stage.eval(points)
+    np.testing.assert_array_equal(vel, want[:n].T)
+    np.testing.assert_array_equal(jac, want[n:n + n * n].T.reshape(-1, n, n))
+    np.testing.assert_array_equal(rate_at, want[-1])
+
+
+def test_a_t4_stage_build_holds_no_full_grid_gradient_channels():
+    # X^ of a T^4 N = 16 grid is 4 MiB; 21 full-grid channels and their
+    # stacked copy peak near 54 MB, the kept-mode build stays below 8 X^
+    g = GridSpec(4, 16)
+    rng = np.random.default_rng(25)
+    x, rate = _stage_inputs(g, "band", rng)
+    x = DiffForm(g, 1, x.comps)     # spectra not yet cached
+    tracemalloc.start()
+    try:
+        StageData(x, rate, 0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * x.spectra().nbytes      # 32 MiB
 
 
 def test_integrator_is_exact_on_a_shear_flow():

@@ -23,8 +23,10 @@ from lcsflow.twisted import (
     _harmonic_and_potential,
     d_theta,
     d_theta_star,
+    hodge_decompose,
     lee_form,
     pfaffian_values,
+    solve_primitive,
     torus_twisted_betti,
 )
 
@@ -259,3 +261,14 @@ def test_torus_twisted_betti():
     for bad in ([0.0], [0.0] * 5, np.zeros((2, 2))):
         with pytest.raises(ValueError):
             torus_twisted_betti(bad)
+
+
+@pytest.mark.parametrize("bad", [[np.nan, 0.0], [0.0, np.inf], [-np.inf, 1.0]])
+def test_a_non_finite_lee_covector_is_refused(bad):
+    # a NaN is not <= the snap, so it would count as a nonzero covector:
+    # Betti numbers (0, 0, 0) and a harmonic part of 0 with a NaN residual
+    a = random_band_limited(GridSpec(2, 8), 1, 2, np.random.default_rng(5))
+    for call in (lambda: torus_twisted_betti(bad), lambda: solve_primitive(a, bad),
+                 lambda: hodge_decompose(a, bad)):
+        with pytest.raises(ValueError, match="non-finite"):
+            call()
