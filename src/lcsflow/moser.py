@@ -516,6 +516,9 @@ def integrate_isotopy(
     Issues a StepCountTooSmall warning when max |X| dt exceeds half a grid
     cell; raises IsotopyDiverged on non-finite state.  The state of the
     seed points is recorded at record_times rounded to the step grid.
+    The sweep holds one stage output at a time, besides the running RK4
+    sums, J and the snapshots: nothing from one step is alive while the
+    next step builds its stages.
     """
     if steps < 1:
         raise ValueError("steps must be positive")
@@ -545,8 +548,8 @@ def integrate_isotopy(
         s2 = fields((2 * k + 1) / (2.0 * steps))
         s3 = fields((k + 1) / steps)
 
-        v1, d1, r1 = s1.eval(pos)
-        speed = float(np.max(np.abs(v1)))
+        vel, d, rate = s1.eval(pos)
+        speed = float(np.max(np.abs(vel)))
         max_speed = max(max_speed, speed, s1.max_speed)
         if not warned and max_speed * dt > cfl_limit:
             warnings.warn(
@@ -556,20 +559,27 @@ def integrate_isotopy(
                 stacklevel=2,
             )
             warned = True
-        j1 = d1 @ jac
+        # Running sums of k1 + 2 k2 + 2 k3 + k4, each stage added as it lands,
+        # left to right: the same float operations as the closed sum.  A
+        # stage's output is dropped once the next stage's input is formed;
+        # the sums are contiguous (velocity in the interpolator's (n, P) rows).
+        jk = d @ jac
+        sum_v, sum_j, sum_r = vel.T.copy(), jk, rate.copy()
+        j_in = np.empty_like(jac)
+        for stage, c, w in ((s2, 0.5, 2.0), (s2, 0.5, 2.0), (s3, 1.0, 1.0)):
+            x_in = pos + c * dt * vel
+            np.add(jac, np.multiply(c * dt, jk, out=j_in), out=j_in)
+            del vel, d, rate, jk
+            vel, d, rate = stage.eval(x_in)
+            jk = d @ j_in
+            sum_v += w * vel.T
+            sum_j += np.multiply(w, jk, out=j_in)
+            sum_r += w * rate
 
-        v2, d2, r2 = s2.eval(pos + 0.5 * dt * v1)
-        j2 = d2 @ (jac + 0.5 * dt * j1)
-
-        v3, d3, r3 = s2.eval(pos + 0.5 * dt * v2)
-        j3 = d3 @ (jac + 0.5 * dt * j2)
-
-        v4, d4, r4 = s3.eval(pos + dt * v3)
-        j4 = d4 @ (jac + dt * j3)
-
-        pos = pos + (dt / 6.0) * (v1 + 2.0 * v2 + 2.0 * v3 + v4)
-        jac = jac + (dt / 6.0) * (j1 + 2.0 * j2 + 2.0 * j3 + j4)
-        logf = logf + (dt / 6.0) * (r1 + 2.0 * r2 + 2.0 * r3 + r4)
+        pos = pos + (dt / 6.0) * sum_v.T
+        jac = np.add(jac, np.multiply(dt / 6.0, sum_j, out=sum_j), out=sum_j)
+        logf = logf + (dt / 6.0) * sum_r
+        del vel, d, rate, jk, j_in, x_in, sum_v, sum_j, sum_r
 
         for name, arr in (("positions", pos), ("Jacobians", jac), ("log factors", logf)):
             if not np.all(np.isfinite(arr)):

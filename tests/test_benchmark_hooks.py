@@ -80,10 +80,25 @@ def test_traced_moser_job_records_every_phase_and_stage_count(monkeypatch, tmp_p
     # one small T^2 theorem job through the runner, traced as the benchmark
     # traces it: every phase span appears, each of the 2 steps + 1 stage
     # times is built once, and the stage cache is asked once more at each
-    # checkpoint than it builds (the driver reads the kept stages again)
+    # checkpoint than it builds (the driver reads the kept stages again).
+    # Every stage evaluation, and every build at a stage time that is not a
+    # checkpoint, runs inside the integrate phase, so moser.rk4.step_s
+    # (integrate time per step) covers the whole sweep.
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import tracing
 
+    built_at = []   # stage time of each build, in call order
+    make = moser.theorem_stage_builder
+
+    def recording(F, opts):
+        build = make(F, opts)
+
+        def at(t):
+            built_at.append(t)
+            return build(t)
+        return at
+
+    monkeypatch.setattr(moser, "theorem_stage_builder", recording)
     steps, checkpoints = 4, 3
     cfg = {"scenario": "moser", "generator": "area_interpolation",
            "params": {"eps": 0.2, "n_times": 3}, "grid": {"n": 2, "N": 16},
@@ -95,8 +110,30 @@ def test_traced_moser_job_records_every_phase_and_stage_count(monkeypatch, tmp_p
         assert runner.run(cfg, out_dir=str(tmp_path), quiet=True) == 0
     finally:
         patches.undo()
-    calls = Counter(span[1] for span in tracer.pass_spans(None))
+    spans = tracer.pass_spans(None)
+    calls = Counter(span[1] for span in spans)
     for phase in ("normalize", "certificate", "integrate", "eq1", "compare"):
         assert calls[f"moser.phase.{phase}"] > 0, phase
     assert calls["moser.stage_build"] == 2 * steps + 1
     assert calls["moser.stage_cache"] - calls["moser.stage_build"] == checkpoints
+
+    by_id = {span[0]: span for span in spans}
+
+    def in_integrate(span):
+        parent = span[4]
+        while parent is not None:
+            if by_id[parent][1] == "moser.phase.integrate":
+                return True
+            parent = by_id[parent][4]
+        return False
+
+    evals = [span for span in spans if span[1] == "moser.stage_eval"]
+    assert len(evals) == 4 * steps
+    assert all(map(in_integrate, evals))
+    kept = set(moser.PipelineOptions(steps=steps, checkpoints=checkpoints)
+               .checkpoint_times())
+    builds = [span for span in spans if span[1] == "moser.stage_build"]
+    assert len(built_at) == len(builds)
+    in_flow = [span for span, t in zip(builds, built_at) if t not in kept]
+    assert len(in_flow) == 2 * steps + 1 - len(kept)
+    assert all(map(in_integrate, in_flow))

@@ -43,7 +43,12 @@ from lcsflow.moser import (
     pullback_form,
 )
 from lcsflow.twisted import pfaffian_values
-from oracles import contact_circle_flow, corollary_two_flow, full_grid_stage_interpolator
+from oracles import (
+    contact_circle_flow,
+    corollary_two_flow,
+    four_output_isotopy,
+    full_grid_stage_interpolator,
+)
 
 TWO_PI = 2.0 * np.pi
 
@@ -258,6 +263,83 @@ def test_flow_matches_the_closed_form_isotopy(path, N, steps, stride):
                   "log_factor": np.abs(logf - want[2])}
         for name, err in errors.items():
             assert float(np.max(err)) <= KNOWN_ANSWER_BOUNDS[name], (name, t)
+
+
+def _theorem_stages(fam: FormFamily, steps: int):
+    opts = PipelineOptions(steps=steps, checkpoints=3)
+    cert = exactness_certificate(normalize_family(fam, opts), opts)
+    return StageCache(cert.builder, cert.stages)
+
+
+def _prebuilt(fields, steps: int) -> dict:
+    """Every RK4 stage time k / (2 steps) of a sweep, built once."""
+    return {k / (2 * steps): fields(k / (2 * steps)) for k in range(2 * steps + 1)}
+
+
+def _rate_stages(g: GridSpec, rng: np.random.Generator):
+    # a band-limited X with a nonzero rate and h-term, all scaled in t, so
+    # every snapshot array carries rounding of its own
+    x, rate = _stage_inputs(g, "band", rng)
+    h = rng.standard_normal(g.shape)
+
+    def build(t):
+        s = 1.0 + t * t
+        return StageData(DiffForm(g, 1, 0.1 * s * x.comps), s * rate, s * h)
+
+    return build
+
+
+@pytest.mark.parametrize("case, steps", [("area_t2", 6), ("contact_t4", 4), ("rates_t2", 5)])
+def test_running_rk4_sums_match_the_four_output_sweep_bit_for_bit(case, steps):
+    # integrate_isotopy adds each stage into its running sums as it lands;
+    # the closed sum k1 + 2 k2 + 2 k3 + k4 over four held outputs
+    # (tests/oracles.py) is the same float operations in the same order
+    if case == "area_t2":
+        g = GridSpec(2, 16)
+        fields = _theorem_stages(area_interpolation_family(g, eps=0.3, n_times=3), steps)
+    elif case == "contact_t4":
+        g = GridSpec(4, 8)
+        fields = _theorem_stages(contact_circle_family(g, n_times=3), steps)
+    else:
+        g = GridSpec(2, 16)
+        fields = _rate_stages(g, np.random.default_rng(26))
+    stages = _prebuilt(fields, steps)
+    times = [k / steps for k in range(steps + 1)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", StepCountTooSmall)
+        got = integrate_isotopy(g, stages.__getitem__, steps, times, g.nodes())
+    want = four_output_isotopy(g, stages.__getitem__, steps, times, g.nodes())
+    assert list(got.snapshots) == list(want.snapshots) == times
+    for t in times:
+        for name, a, b in zip(("positions", "J", "log factor", "h integral"),
+                              got.snapshots[t], want.snapshots[t]):
+            assert np.array_equal(a, b), (name, t)
+    assert got.max_speed == want.max_speed
+
+
+def test_the_sweep_holds_one_stage_output_at_a_time():
+    # prebuilt T^4 N = 8 stages (4,096 seeds), so nothing is built inside
+    # the flow: above what the sweep keeps as snapshots, its peak is one
+    # stage output, four (P, n, n) arrays (J, its running sum, the next
+    # stage's input and the stage's product) and the interpolator's 2 MiB
+    # chunk: 4.9 MB in all.  The closed sum, which holds a step's four stage
+    # outputs and products into the next step, peaks at 6.5 MB here.
+    g, steps = GridSpec(4, 8), 4
+    stages = _prebuilt(_theorem_stages(contact_circle_family(g, n_times=3), steps), steps)
+    seeds = g.nodes()
+    p, n = seeds.shape
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", StepCountTooSmall)
+            flow = integrate_isotopy(g, stages.__getitem__, steps, [0.0, 0.5, 1.0], seeds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = {id(a): a.nbytes for snap in flow.snapshots.values() for a in snap}
+    stage_output = (n + n * n + 1) * p * 8
+    assert peak - entry - sum(held.values()) <= stage_output + 4 * (p * n * n * 8) + 2**21
 
 
 def test_pullback_at_time_zero_is_the_identity():
