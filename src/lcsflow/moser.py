@@ -239,32 +239,28 @@ def _gauge_log(h0: np.ndarray, om: DiffForm, t: float) -> float:
 class ExactnessCertificate:
     """What a primitive provider hands the driver, before any integration.
 
-    family is the family the provider was given (normalized on the theorem
-    path); certified is the family the flow runs on, the absorbed one when
-    absorption is used.  builder builds its stage at any time, stages are
-    its checkpoint stages, keyed by checkpoint time, and residuals are the
-    exactness residuals per checkpoint.  Absorption certifies
-    H(d omega/dt) = a(t) H(omega_t), so the constant gauge f -> e^{c(t)} f
-    with dc/dt = -a(t) has the closed form c(t) = log(|H(omega_0)|^2 /
+    certified is the family the flow runs on, the absorbed one when
+    absorption is used.  stages builds the stage at any time and keeps the
+    checkpoint stages, which the provider built; residuals are the
+    exactness residuals per checkpoint.  gauge is the absorption gauge
+    c(t), None without absorption.  Absorption certifies H(d omega/dt) =
+    a(t) H(omega_t), so the constant gauge f -> e^{c(t)} f with dc/dt =
+    -a(t) has the closed form c(t) = log(|H(omega_0)|^2 /
     H(omega_t).H(omega_0)), evaluated on the normalized family.
     """
 
     path: str
-    family: FormFamily
     certified: FormFamily
-    builder: Callable[[float], StageData]
-    stages: dict[float, StageData]
+    stages: StageCache
     residuals: list[float]
-    harmonic0: np.ndarray | None
+    gauge: Callable[[float], float] | None
 
     @property
     def used_absorption(self) -> bool:
-        return self.harmonic0 is not None
+        return self.gauge is not None
 
     def c_at(self, t: float) -> float:
-        if not self.used_absorption:
-            return 0.0
-        return _gauge_log(self.harmonic0, self.family.omega_at(t).omega, t)
+        return 0.0 if self.gauge is None else self.gauge(t)
 
 
 def exactness_certificate(
@@ -283,19 +279,22 @@ def exactness_certificate(
     if F.theta_h is None:
         raise ValueError("family is not normalized: run normalize_family first")
     times = opts.checkpoint_times()
-    h0 = None
+    h0 = gauge = None
     if opts.allow_scalar_absorption and not F.theta_h.any():
         rates = [_absorption_rate(F.derivative_at(t), F.omega_at(t).omega)
                  for t in times]
         if any(abs(a) > RATE_FLOOR for a in rates):
             h0 = component_means(F.omega_at(0.0).omega)
+
+            def gauge(t: float) -> float:
+                return _gauge_log(h0, F.omega_at(t).omega, t)
     # an absorbed e^c omega keeps the Lee form normalize_family validated,
     # and moser_vector_field gates its Pfaffian margin in each stage build
     Fa = absorbed_family(F, h0)
     build = theorem_stage_builder(Fa, opts)
-    stages = {t: build(t) for t in times}
-    return ExactnessCertificate("theorem", F, Fa, build, stages,
-                                [s.solve_residual for s in stages.values()], h0)
+    kept = {t: build(t) for t in times}
+    return ExactnessCertificate("theorem", Fa, StageCache(build, kept),
+                                [s.solve_residual for s in kept.values()], gauge)
 
 
 def absorbed_family(F: FormFamily, h0: np.ndarray | None) -> FormFamily:
@@ -340,9 +339,9 @@ def moser_vector_field(om: DiffForm, alpha: DiffForm) -> DiffForm:
     or the back-substitution residual exceeds BACKSUB_TOL relative to alpha.
     """
     grid = om.grid
-    if alpha.degree != 1:
-        raise ValueError("alpha must be a 1-form")
-    inv = pfaffian_inverse(om, NONDEG_THRESHOLD)
+    if om.degree != 2 or alpha.degree != 1:
+        raise ValueError("need a 2-form omega and a 1-form alpha")
+    inv = pfaffian_inverse(om.comps, NONDEG_THRESHOLD)
     # Omega^-1 alpha = -i_alpha Omega^-1, and i_X omega + alpha = alpha - Omega X
     x = -contract_axes(alpha.comps, inv, grid.n, 2)
     resid = float(np.max(np.abs(contract_axes(x, om.comps, grid.n, 2) + alpha.comps)))
@@ -397,10 +396,10 @@ class StageData:
 class StageCache:
     """Stages by time: a kept stage if there is one, else a fresh build.
 
-    The providers build the checkpoint stages before integration and hand
-    them in as kept; integrate_isotopy asks for every other stage time
-    once, so nothing else is stored.  The driver reads the kept stages again
-    at the checkpoints.
+    The providers build the checkpoint stages before integration and keep
+    them here, in their certificate; integrate_isotopy asks for every other
+    stage time once, so nothing else is stored.  The driver reads the kept
+    stages again at the checkpoints.
     """
 
     def __init__(self, builder: Callable[[float], StageData],
@@ -594,21 +593,11 @@ def integrate_isotopy(
 # -- pullback and conformal comparison -----------------------------------
 
 
-@dataclass
-class SampledForm:
-    """A k-form known by its components at a finite point set."""
-
-    grid: GridSpec
-    degree: int
-    comps: np.ndarray  # (ncomp, P)
-
-
-def pullback_form(
-    om: DiffForm,
-    flow: FlowState,
-    t: float,
-) -> SampledForm:
-    """phi_t^* omega on the seed set: J^T Omega(phi_t(x)) J per point.
+def pullback_form(om: DiffForm, positions: np.ndarray,
+                  jacobians: np.ndarray) -> np.ndarray:
+    """The (ncomp, P) components of phi_t^* omega at the seeds, from the
+    flow's positions phi_t(x) (P, n) and Jacobians J (P, n, n) there:
+    J^T Omega(phi_t(x)) J per point.
 
     omega is read at phi_t(x) by the interpolator of the flow stages (modes
     below INTERP_REL_TOL of the largest dropped).  Only the strictly upper
@@ -618,12 +607,10 @@ def pullback_form(
     grid = om.grid
     if om.degree != 2:
         raise ValueError("pullback_form expects a 2-form")
-    pos, jac, *_ = flow.snapshots[t]
-    vals = ModeInterpolator(grid, om.spectra(), INTERP_REL_TOL)(pos)
+    vals = ModeInterpolator(grid, om.spectra(), INTERP_REL_TOL)(positions)
     mat = _matrix_of(vals, grid.n)
-    back = np.einsum("pai,pab,pbj->pij", jac, mat, jac, optimize=True)
-    comps = np.stack([back[:, i, j] for (i, j) in index_sets(grid.n, 2)])
-    return SampledForm(grid, 2, comps)
+    back = np.einsum("pai,pab,pbj->pij", jacobians, mat, jacobians, optimize=True)
+    return np.stack([back[:, i, j] for (i, j) in index_sets(grid.n, 2)])
 
 
 @dataclass
@@ -755,7 +742,6 @@ def _assemble_report(
     opts: PipelineOptions,
     records: list[CheckpointRecord],
     max_speed: float,
-    stage_res: float,
 ) -> MoserReport:
     # a NaN fails the sign test, and its gate through np.max (max() may skip it)
     factor_positive = all(r.factor_min > 0.0 for r in records)
@@ -764,12 +750,13 @@ def _assemble_report(
         values = [v for r in records if (v := getattr(r, field)) is not None]
         maxima[name] = float(np.max(values)) if values else None
         ok = ok and (not values or maxima[name] <= TOLERANCES[key])
-    grid = cert.family.grid
+    grid = cert.certified.grid
     return MoserReport(
         path=cert.path, label=label, grid=(grid.n, grid.N), steps=opts.steps,
         records=records, **maxima, factor_positive=factor_positive,
         absorption_used=cert.used_absorption, absorption_log_final=cert.c_at(1.0),
-        max_speed=max_speed, stage_solve_residual_max=stage_res, success=ok,
+        max_speed=max_speed, stage_solve_residual_max=cert.stages.max_solve_residual,
+        success=ok,
         verdict=("certified_conformally_equivalent" if ok
                  else "not_certified_in_canonical_gauge"),
     )
@@ -803,8 +790,9 @@ def _exact_provider(F: FormFamily, opts: PipelineOptions) -> ExactnessCertificat
                 f"d theta/dt differs from d h by {dev:.3e} at t={t}"
             )
 
-    return ExactnessCertificate("exact_family", F, F, build,
-                                {t: build(t) for t in times}, exact_res, None)
+    return ExactnessCertificate("exact_family", F,
+                                StageCache(build, {t: build(t) for t in times}),
+                                exact_res, None)
 
 
 def _run_moser(
@@ -817,8 +805,7 @@ def _run_moser(
     opts = opts or PipelineOptions()
     times = opts.checkpoint_times()
     cert = provide(F, opts)
-    Fp = cert.certified
-    stages = StageCache(cert.builder, cert.stages)
+    Fp, stages = cert.certified, cert.stages
     seeds = Fp.grid.nodes()[:: opts.seed_stride]
     flow = integrate_isotopy(Fp.grid, stages, opts.steps, record_times=times,
                              seeds=seeds)
@@ -826,18 +813,18 @@ def _run_moser(
     records, base = [], None
     for t, residual in zip(times, cert.residuals):
         L, stage = Fp.omega_at(t), stages(t)
-        _, jac, logf, h_int = flow.snapshots[t]
+        pos, jac, logf, h_int = flow.snapshots[t]
         flow_identity, cor2 = verify_eq1(L, Fp.derivative_at(t), stage, h_int)
         det = np.linalg.det(jac)
         if not float(det.min()) > 0.0:
             raise IsotopyDiverged(f"orientation lost at t={t}: min det J = {det.min():.3e}")
-        pb = pullback_form(L.omega, flow, t)
+        pb = pullback_form(L.omega, pos, jac)
         if not float(np.min(np.abs(pfaffian_values(pb)))) >= NONDEG_THRESHOLD:
             raise IsotopyDiverged(f"pullback degenerated at t={t}")
         # t = 0 comes first; the seeds are grid nodes, so omega_0 is its node values
         if base is None:
             base = L.omega.comps.reshape(len(L.omega.comps), -1)[:, ::opts.seed_stride]
-        cc = conformal_compare(pb.comps, base)
+        cc = conformal_compare(pb, base)
         predicted = np.exp(logf)
         records.append(CheckpointRecord(
             t=t,
@@ -850,8 +837,7 @@ def _run_moser(
             factor_max=float(cc.factor.max()),
             cor2_identity_residual=cor2,
         ))
-    return _assemble_report(cert, F.label, opts, records, flow.max_speed,
-                            stages.max_solve_residual)
+    return _assemble_report(cert, F.label, opts, records, flow.max_speed)
 
 
 def run_theorem_pipeline(

@@ -184,42 +184,41 @@ def _harmonic_and_potential(theta: DiffForm):
 # -- Lee form extraction, the one lcs check ------------------------------
 
 
-def pfaffian_values(omega) -> np.ndarray:
-    """Pointwise Pfaffian of a 2-form (n = 2 or 4).
+def pfaffian_values(comps: np.ndarray) -> np.ndarray:
+    """Pointwise Pfaffian of a 2-form on T^2 or T^4 from its component stack.
 
-    omega is a DiffForm or anything else with grid, degree and comps, such
-    as a 2-form sampled at points.
+    comps holds the index_sets(n, 2) components (1 on T^2, 6 on T^4), on
+    a grid or at sample points; the caller checks the degree.
     """
-    grid = omega.grid
-    if omega.degree != 2:
-        raise DegreeError("Pfaffian of a non-2-form")
-    if grid.n == 2:
-        return omega.comps[0].copy()
-    if grid.n == 4:
-        c = omega.comps  # omega ^ omega = 2 Pf dx_0123: each pair a < b once
-        return sum(s * c[a] * c[b] for a, b, _, s in product_table(4, 2, 2) if a < b)
-    raise DegenerateForm(f"no nondegenerate 2-forms on T^{grid.n} (odd dimension)")
+    if len(comps) == 1:
+        return comps[0].copy()
+    if len(comps) == 6:
+        # omega ^ omega = 2 Pf dx_0123: each pair a < b once
+        return sum(s * comps[a] * comps[b] for a, b, _, s in product_table(4, 2, 2) if a < b)
+    raise DegenerateForm(f"no Pfaffian of {len(comps)} 2-form components: "
+                         "nondegenerate 2-forms live on T^2 and T^4 only")
 
 
-def pfaffian_inverse(omega, nondeg_threshold: float) -> np.ndarray:
+def pfaffian_inverse(comps: np.ndarray, nondeg_threshold: float) -> np.ndarray:
     """Pointwise Omega^-1, Omega_ab = omega(e_a, e_b), as B / Pf.
 
-    B is the dual antisymmetric matrix, Omega B = Pf * Id: the constant
+    comps is a 2-form's component stack, as for pfaffian_values.  B is the
+    dual antisymmetric matrix, Omega B = Pf * Id: the constant
     -dx_0 ^ dx_1 on T^2 and -*omega on T^4.  Returns the components
-    (a < b) of Omega^-1, laid out like omega's; raises DegenerateForm when
+    (a < b) of Omega^-1, laid out like comps; raises DegenerateForm when
     the margin min |Pf| is below nondeg_threshold or NaN.
     """
-    pf = pfaffian_values(omega)
+    pf = pfaffian_values(comps)
     margin = float(np.min(np.abs(pf)))
     if not margin >= nondeg_threshold:
         raise DegenerateForm(
             f"Pfaffian margin {margin:.3e} below threshold {nondeg_threshold:.1e}"
         )
-    if omega.grid.n == 2:
+    if len(comps) == 1:
         return -1.0 / pf[None]
-    inv = np.empty_like(omega.comps)
+    inv = np.empty_like(comps)
     for ia, ib, _, sign in product_table(4, 2, 2):
-        inv[ib] = -sign * omega.comps[ia] / pf
+        inv[ib] = -sign * comps[ia] / pf
     return inv
 
 
@@ -240,7 +239,7 @@ def lee_form(omega: DiffForm) -> LeeForm:
     grid = omega.grid
     if omega.degree != 2:
         raise DegreeError("Lee form extraction expects a 2-form")
-    inv = pfaffian_inverse(omega, NONDEG_THRESHOLD)
+    inv = pfaffian_inverse(omega.comps, NONDEG_THRESHOLD)
     if grid.n == 2:
         return LeeForm.zero(grid)
     theta = np.zeros((grid.n,) + grid.shape)

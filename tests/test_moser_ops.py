@@ -69,7 +69,7 @@ def test_vector_field_contraction_identity_on_random_data():
     from lcsflow.forms import random_band_limited
     om = form_from_components(g, 2, {(0, 1): 1.0, (2, 3): 1.0}) \
         + random_band_limited(g, 2, 2, rng, amplitude=0.15)
-    assert float(np.min(np.abs(pfaffian_values(om)))) > 0.1
+    assert float(np.min(np.abs(pfaffian_values(om.comps)))) > 0.1
     alpha = random_band_limited(g, 1, 2, rng)
     x = moser_vector_field(om, alpha)
     # check i_X omega + alpha = 0 pointwise from the definition
@@ -244,8 +244,7 @@ def test_flow_matches_the_closed_form_isotopy(path, N, steps, stride):
     opts = PipelineOptions(steps=steps, checkpoints=3, seed_stride=stride)
     if path == "theorem":
         fam = contact_circle_family(g, s=s, n_times=3)
-        cert = exactness_certificate(normalize_family(fam, opts), opts)
-        fields = StageCache(cert.builder, cert.stages)
+        fields = exactness_certificate(normalize_family(fam, opts), opts).stages
     else:
         fam = corollary_two_family(g, s=s, a=a, n_times=3)
         fields = exact_stage_builder(fam, opts)
@@ -267,8 +266,7 @@ def test_flow_matches_the_closed_form_isotopy(path, N, steps, stride):
 
 def _theorem_stages(fam: FormFamily, steps: int):
     opts = PipelineOptions(steps=steps, checkpoints=3)
-    cert = exactness_certificate(normalize_family(fam, opts), opts)
-    return StageCache(cert.builder, cert.stages)
+    return exactness_certificate(normalize_family(fam, opts), opts).stages
 
 
 def _prebuilt(fields, steps: int) -> dict:
@@ -349,8 +347,8 @@ def test_pullback_at_time_zero_is_the_identity():
     stage = _shear_stage(g, 0.1)
     flow = integrate_isotopy(g, lambda t: stage, steps=8, record_times=[0.0],
                              seeds=g.nodes())
-    pb = pullback_form(om, flow, 0.0)
-    assert np.max(np.abs(pb.comps - om.comps.reshape(len(om.comps), -1))) < 1e-12
+    pb = pullback_form(om, *flow.snapshots[0.0][:2])
+    assert np.max(np.abs(pb - om.comps.reshape(len(om.comps), -1))) < 1e-12
 
 
 def test_pullback_shear_changes_nothing_on_translation_invariant_form():
@@ -360,8 +358,8 @@ def test_pullback_shear_changes_nothing_on_translation_invariant_form():
     stage = _shear_stage(g, 0.15)
     flow = integrate_isotopy(g, lambda t: stage, steps=5, record_times=[0.0, 1.0],
                              seeds=g.nodes())
-    pb = pullback_form(om, flow, 1.0)
-    assert np.max(np.abs(pb.comps - om.comps.reshape(len(om.comps), -1))) < 1e-12
+    pb = pullback_form(om, *flow.snapshots[1.0][:2])
+    assert np.max(np.abs(pb - om.comps.reshape(len(om.comps), -1))) < 1e-12
 
 
 def test_conformal_compare_recovers_exact_factor():
@@ -516,11 +514,11 @@ def test_constant_family_certificate_is_trivial():
     pytest.param("factor_min", 0.0, id="factor_min-0.0")])
 def test_a_nan_in_a_middle_record_fails_the_report(field, value):
     fam = contact_circle_family(GridSpec(4, 8))
-    cert = ExactnessCertificate("exact_family", fam, fam, None, {}, [], None)
+    cert = ExactnessCertificate("exact_family", fam, StageCache(None, {}), [], None)
     records = [CheckpointRecord(t, 1e-16, 0.0, 1e-14, 1e-14, 1e-16, 1.0, 1.0, 1e-16)
                for t in (0.0, 0.5, 1.0)]
     setattr(records[1], field, value)
-    rep = _assemble_report(cert, "nan", PipelineOptions(), records, 1.0, 0.0)
+    rep = _assemble_report(cert, "nan", PipelineOptions(), records, 1.0)
     assert not rep.success
     assert rep.verdict == "not_certified_in_canonical_gauge"
     if field == "factor_min":

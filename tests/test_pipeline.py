@@ -437,8 +437,8 @@ def test_pipeline_reports_are_invariant_under_grid_isometries(symmetry_reports, 
     mapped = psi.family(fam)
     om0 = fam.omega_at(0.0).omega
     odd = np.linalg.det(np.eye(len(perm))[list(perm)]) < 0
-    np.testing.assert_allclose(pfaffian_values(mapped.omega_at(0.0).omega),
-                               (-1.0 if odd else 1.0) * psi.field(pfaffian_values(om0)),
+    np.testing.assert_allclose(pfaffian_values(mapped.omega_at(0.0).omega.comps),
+                               (-1.0 if odd else 1.0) * psi.field(pfaffian_values(om0.comps)),
                                rtol=0.0, atol=1e-13)
     floats = _report_floats(symmetry_reports[case], run(mapped, opts).as_dict())
     assert len(floats) > 10

@@ -31,7 +31,6 @@ dense per-point solve.
 """
 
 from math import comb
-from types import SimpleNamespace
 
 import numpy as np
 from hypothesis import given
@@ -288,14 +287,13 @@ def test_pfaffian_inverse_matches_a_dense_solve(n, scale, seed):
     # degenerate for a meaningful comparison are left out
     rng = np.random.default_rng(seed)
     pairs = index_sets(n, 2)
-    omega = SimpleNamespace(grid=GridSpec(n, 8), degree=2,
-                            comps=scale * rng.standard_normal((len(pairs), 64)))
-    keep = np.abs(pfaffian_values(omega)) > 1e-3 * scale ** (n // 2)
-    inv = pfaffian_inverse(omega, 0.0)
+    comps = scale * rng.standard_normal((len(pairs), 64))
+    keep = np.abs(pfaffian_values(comps)) > 1e-3 * scale ** (n // 2)
+    inv = pfaffian_inverse(comps, 0.0)
     mat = np.zeros((64, n, n))
     got = np.zeros((64, n, n))
     for k, (i, j) in enumerate(pairs):
-        mat[:, i, j], mat[:, j, i] = omega.comps[k], -omega.comps[k]
+        mat[:, i, j], mat[:, j, i] = comps[k], -comps[k]
         got[:, i, j], got[:, j, i] = inv[k], -inv[k]
     want = np.linalg.solve(mat[keep], np.broadcast_to(np.eye(n), mat[keep].shape))
     err = np.abs(got[keep] - want).max(axis=(1, 2))
