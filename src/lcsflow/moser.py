@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import asdict, dataclass
+from itertools import combinations
 from typing import Callable
 
 import numpy as np
@@ -620,13 +621,17 @@ class ConformalComparison:
 
 
 def conformal_compare(av: np.ndarray, bv: np.ndarray) -> ConformalComparison:
-    """Extract the pointwise ratio a = factor * b and its spread.
+    """Extract the pointwise ratio a = factor * b and how far a is from it.
 
     av and bv are (ncomp, P) component arrays at P points.  Componentwise
     ratios are averaged with weights |b_S|, using only components with
-    |b_S| >= COMPARE_FLOOR * max |b|; the consistency error is the largest
-    pointwise ratio spread divided by the mean factor magnitude.  Raises
-    NoValidComponents when some point has no usable reference component.
+    |b_S| >= COMPARE_FLOOR * max |b|.  The consistency error is the larger
+    of the largest pointwise ratio spread divided by the mean factor
+    magnitude and the all-component residual max_x |a ^ b| / |<a, b>|,
+    |a ^ b|^2 = sum_{S<T} (a_S b_T - a_T b_S)^2 (Lagrange's identity), which
+    also reads the components where b vanishes; a NaN in either makes it
+    NaN.  Raises NoValidComponents when some point has no usable reference
+    component.
     """
     if av.shape != bv.shape:
         raise ValueError("component shapes differ")
@@ -645,9 +650,16 @@ def conformal_compare(av: np.ndarray, bv: np.ndarray) -> ConformalComparison:
     spread = (np.where(mask, ratios, -np.inf).max(axis=0)
               - np.where(mask, ratios, np.inf).min(axis=0))
     mean_f = max(float(np.abs(np.mean(factor))), 1e-300)
+    wedge2 = np.zeros(av.shape[1])
+    for s, t in combinations(range(len(av)), 2):
+        wedge2 += (av[s] * bv[t] - av[t] * bv[s]) ** 2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        residual = np.sqrt(wedge2) / np.abs((av * bv).sum(axis=0))
+    # np.max, unlike max(), keeps a NaN of either measure
     return ConformalComparison(
         factor=factor,
-        consistency_error=float(np.max(spread)) / mean_f,
+        consistency_error=float(np.max([float(np.max(spread)) / mean_f,
+                                        float(np.max(residual))])),
     )
 
 

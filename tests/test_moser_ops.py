@@ -32,6 +32,7 @@ from lcsflow.moser import (
     StageCache,
     StageData,
     StepCountTooSmall,
+    TOLERANCES,
     conformal_compare,
     exact_stage_builder,
     exactness_certificate,
@@ -389,12 +390,35 @@ def test_conformal_compare_guards():
 
 
 def test_conformal_compare_threshold_masks_noisy_components():
-    # second component of the reference is tiny noise; only the first counts
+    # second component of the reference is tiny noise: only the first
+    # counts for the factor, but the all-component residual reads both
     b = np.vstack([np.full(6, 2.0), np.full(6, 1e-10)])
-    a = np.vstack([np.full(6, 5.0), np.full(6, 123.0)])
-    cmp = conformal_compare(a, b)
+    noisy = conformal_compare(np.vstack([np.full(6, 5.0), np.full(6, 2.5e-10)]), b)
+    assert np.max(np.abs(noisy.factor - 2.5)) < 1e-12
+    assert noisy.consistency_error < 1e-12
+    # a = (5, 123) is no multiple of b, though the ratio spread skips its
+    # second component
+    cmp = conformal_compare(np.vstack([np.full(6, 5.0), np.full(6, 123.0)]), b)
     assert np.max(np.abs(cmp.factor - 2.5)) < 1e-12
-    assert cmp.consistency_error < 1e-12
+    assert cmp.consistency_error > TOLERANCES["consistency"]
+
+
+def test_conformal_compare_sees_a_component_where_the_reference_vanishes():
+    # contact_circle's omega_0 has zero (0,3) and (1,2) components, which
+    # the ratio spread never reads
+    om = contact_circle_family(GridSpec(4, 8)).omega_at(0.0).omega
+    b = om.comps.reshape(6, -1)
+    off = index_sets(4, 2).index((1, 2))
+    assert not b[off].any()
+    a = 1.7 * b
+    a[off] += 50.0
+    cmp = conformal_compare(a, b)
+    assert np.max(np.abs(cmp.factor - 1.7)) < 1e-12
+    assert cmp.consistency_error > TOLERANCES["consistency"]
+    # a NaN there fails closed
+    a = 1.7 * b
+    a[off, 5] = np.nan
+    assert np.isnan(conformal_compare(a, b).consistency_error)
 
 
 def test_absorption_certificate_matches_closed_form():
