@@ -98,10 +98,10 @@ class UnknownFixture(KeyError):
 
 # -- config validation ----------------------------------------------------
 
-_COMMON_KEYS = {"scenario", "comment", "expected_verdict", "seed", "output"}
+_COMMON_KEYS = {"scenario", "comment", "expected_verdict", "output"}
 
 _SCENARIO_KEYS = {
-    "identities": {"grid", "sweep", "tolerances"},
+    "identities": {"grid", "seed", "sweep", "tolerances"},
     "cohomology_torus": {"theta"},
     "cohomology_simplicial": {"fixture", "complex", "weights"},
     "cohomology_mapping_torus": {"matrix", "t0"},
@@ -261,7 +261,6 @@ def validate_config(cfg: dict) -> dict:
     out = dict(cfg)
     for key in ("comment", "expected_verdict"):
         _string(cfg.get(key, ""), key)
-    out["seed"] = _integer(cfg.get("seed", 0), 0, "seed")
     output = _object(cfg, "output", {"json", "csv"})
     out["output"] = {k: _file_name(output.get(k, d), f"output.{k}") for k, d in
                      (("json", "report.json"), ("csv", "checkpoints.csv"))}
@@ -270,6 +269,7 @@ def validate_config(cfg: dict) -> dict:
 
     if scenario == "identities":
         grid = out["grid"] = _grid(cfg, (4, 16))
+        out["seed"] = _integer(cfg.get("seed", 0), 0, "seed")
         sweep = _object(cfg, "sweep", {"count", "bandwidth", "amplitude"})
         out["sweep"] = {
             "count": _integer(sweep.get("count", 20), 1, "sweep.count"),
@@ -304,11 +304,10 @@ def validate_config(cfg: dict) -> dict:
             _number(out["t0"], "t0")
     elif scenario == "moser":
         gen = _string(cfg.get("generator"), "generator", {*_GENERATORS, "tabulated"})
-        unread = {"grid"} if gen == "tabulated" else {"samples_file"}
+        unread = {"grid", "params"} if gen == "tabulated" else {"samples_file"}
         _check_keys(cfg, _COMMON_KEYS | _SCENARIO_KEYS[scenario] - unread, f"a {gen} config")
         if gen == "tabulated":
             _string(cfg.get("samples_file"), "samples_file")
-            out["params"] = _object(cfg, "params", set())
         else:
             _, keys, default_grid = _GENERATORS[gen]
             out["params"] = _object(cfg, "params", keys)
@@ -325,6 +324,10 @@ def validate_config(cfg: dict) -> dict:
         base = PipelineOptions()
         for key, least in (("steps", 1), ("checkpoints", 2), ("seed_stride", 1)):
             out[key] = _integer(cfg.get(key, getattr(base, key)), least, key)
+        # a checkpoint is a step time, and there are steps + 1 of them
+        steps = out["steps"]
+        _need(out["checkpoints"] <= steps + 1, "checkpoints",
+              f"at most steps + 1 = {steps + 1} with steps = {steps}", out["checkpoints"])
         absorb = cfg.get("allow_scalar_absorption", base.allow_scalar_absorption)
         out["allow_scalar_absorption"] = _need(
             type(absorb) is bool, "allow_scalar_absorption", "true or false", absorb)

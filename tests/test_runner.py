@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from lcsflow import runner
 from lcsflow.forms import GridSpec
+from lcsflow.moser import PipelineOptions
 from lcsflow.runner import (
     ConfigError,
     UnknownFixture,
@@ -102,6 +103,14 @@ BAD_CONFIGS = [
     # the torus Betti numbers take a covector of length 2 to 4 and no grid
     {"scenario": "cohomology_torus", "theta": [0.0] * 5},
     {"scenario": "cohomology_torus", "grid": {"n": 2, "N": 8}, "theta": [0.0, 0.0]},
+    # a field is accepted only where its scenario reads it
+    {"scenario": "cohomology_torus", "seed": 0},
+    {"scenario": "moser", "generator": "area_interpolation", "seed": 1},
+    {"scenario": "moser", "generator": "tabulated", "samples_file": "s.json",
+     "params": {}},
+    # a checkpoint is one of the steps + 1 step times
+    {"scenario": "moser", "generator": "area_interpolation", "steps": 2,
+     "checkpoints": 4},
 ]
 
 
@@ -161,7 +170,7 @@ VALID_CONFIGS = {
         "grid": {"n": 2, "N": 16}, "steps": 10, "checkpoints": 3,
         "seed_stride": 2, "path": "theorem", "allow_scalar_absorption": False},
     "moser_tabulated": {"scenario": "moser", "generator": "tabulated",
-                        "samples_file": "samples.json", "params": {}},
+                        "samples_file": "samples.json"},
 }
 
 JSON_VALUES = st.recursive(
@@ -229,6 +238,82 @@ def test_moser_defaults_filled_in():
         "lee_match": 1e-8, "cor2": 1e-8, "nondeg_margin": 1e-8, "lcs": 1e-8}
     assert cfg["output"] == {"json": "report.json", "csv": "checkpoints.csv"}
     assert cfg["grid"] == {"n": 2, "N": 32}
+
+
+class _ReadRecorder(dict):
+    """A validated config that records which top-level keys are read."""
+
+    def __init__(self, cfg: dict):
+        super().__init__(cfg)
+        self.read: set = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+    def __contains__(self, key):
+        self.read.add(key)
+        return super().__contains__(key)
+
+
+# top-level keys that the scenarios do not read, and why they are kept
+ECHO_ONLY = {
+    "scenario": "run dispatches on it",
+    "output": "run names the report files after it",
+    "comment": "free text for the reader of the config and the report",
+    "expected_verdict": "free text for the reader of the config and the report",
+}
+# the moser report echoes the gate constants, which perfbench/checks.py reads
+MOSER_ECHO_ONLY = {"tolerances"}
+
+
+@pytest.mark.parametrize("name", sorted(VALID_CONFIGS))
+def test_every_config_field_is_read_by_its_scenario(name, tmp_path):
+    base = copy.deepcopy(VALID_CONFIGS[name])
+    if name == "moser_tabulated":
+        samples = tmp_path / "samples.json"
+        samples.write_text(json.dumps(SAMPLES_BLOB))
+        base.update(samples_file=str(samples), steps=2, checkpoints=2)
+    cfg = validate_config(base)
+    scenario = runner._SCENARIOS[cfg["scenario"]]
+    recorder = _ReadRecorder(cfg)
+    try:
+        scenario(recorder)
+    except runner._DOMAIN_ERRORS:
+        pass  # the run shape is read before the flow starts
+    exempt = set(ECHO_ONLY) | (MOSER_ECHO_ONLY if cfg["scenario"] == "moser" else set())
+    assert set(cfg) - exempt - recorder.read == set()
+
+
+def test_a_field_outside_its_scenario_exits_2(tmp_path, capsys):
+    path = tmp_path / "torus.json"
+    path.write_text(json.dumps({"scenario": "cohomology_torus", "seed": 3}))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out), "--quiet"]) == 2
+    assert capsys.readouterr().err == "config error: unknown field(s) in config: seed\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("steps, flag", [(2, None), (200, "2")])
+def test_more_checkpoints_than_step_times_exit_2(steps, flag, tmp_path, capsys):
+    path = tmp_path / "area.json"
+    path.write_text(json.dumps({"scenario": "moser", "generator": "area_interpolation",
+                                "steps": steps, "checkpoints": 7}))
+    out = tmp_path / "out"
+    argv = ["run", "--config", str(path), "--out", str(out), "--quiet"]
+    assert main(argv + (["--steps", flag] if flag else [])) == 2
+    assert capsys.readouterr().err == (
+        "config error: checkpoints must be at most steps + 1 = 3 with steps = 2, got 7\n")
+    assert not out.exists()
+    # every step time may be a checkpoint
+    cfg = validate_config({"scenario": "moser", "generator": "area_interpolation",
+                           "steps": 2, "checkpoints": 3})
+    assert PipelineOptions(steps=2, checkpoints=cfg["checkpoints"]).checkpoint_times() \
+        == [0.0, 0.5, 1.0]
 
 
 def test_identities_scenario_small(tmp_path):
