@@ -88,6 +88,10 @@ def test_vector_field_degenerate_rejection():
     om = form_from_components(g, 2, {(0, 1): np.sin(TWO_PI * x1)})  # vanishes
     with pytest.raises(DegenerateForm):
         moser_vector_field(om, form_from_components(g, 1, {(0,): 1.0}))
+    # the Pfaffian reads a component stack, so the degree is checked here
+    one_form = form_from_components(g, 1, {(0,): 1.0, (1,): 2.0})
+    with pytest.raises(ValueError, match="2-form omega"):
+        moser_vector_field(one_form, one_form)
 
 
 def test_vector_field_rejects_a_nan_primitive():
