@@ -399,7 +399,7 @@ class StageCache:
 
     The providers build the checkpoint stages before integration and keep
     them here, in their certificate; integrate_isotopy asks for every other
-    stage time once, so nothing else is stored.  The driver reads the kept
+    stage time once, so nothing else is stored.  _run_moser reads the kept
     stages again at the checkpoints.
     """
 
