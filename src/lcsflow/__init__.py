@@ -15,6 +15,9 @@ The package has three layers:
   elimination as the fallback), plus a small scenario runner with JSON
   configs (`runner`).
 
+Every failed hypothesis of the mathematics raises a subclass of
+`DomainError` (`errors`), which the runner reports as a failed verdict.
+
 It holds what the pipeline, the runner, the demos and the benchmark run;
 reference operators that only the tests use (the flat Hodge star, the
 vertex gauge transform of a local system) live with the tests.
@@ -22,6 +25,7 @@ vertex gauge transform of a local system) live with the tests.
 
 __version__ = "0.1.0"
 
+from .errors import DomainError
 from .forms import (
     DiffForm,
     GridSpec,
@@ -63,6 +67,7 @@ from .moser import (
     ConformalComparison,
     ExactnessCertificate,
     FlowState,
+    InconsistentLeeData,
     InconsistentLeeDerivative,
     IsotopyDiverged,
     LeeClassDrift,
@@ -104,6 +109,7 @@ from .mapping_torus import (
 
 __all__ = [
     "__version__",
+    "DomainError",
     # forms
     "DiffForm", "GridSpec", "GridMismatch", "DegreeError", "contract",
     "ext_d", "form_from_components", "l2_inner",
@@ -118,9 +124,9 @@ __all__ = [
     "lee_drift_family", "tabulated_family",
     # moser
     "ConformalComparison", "ExactnessCertificate", "FlowState",
-    "InconsistentLeeDerivative", "IsotopyDiverged", "LeeClassDrift",
-    "MoserReport", "NoValidComponents", "NotExact", "NotExactFamily",
-    "PipelineOptions", "StepCountTooSmall", "conformal_compare",
+    "InconsistentLeeData", "InconsistentLeeDerivative", "IsotopyDiverged",
+    "LeeClassDrift", "MoserReport", "NoValidComponents", "NotExact",
+    "NotExactFamily", "PipelineOptions", "StepCountTooSmall", "conformal_compare",
     "exactness_certificate", "integrate_isotopy", "moser_vector_field",
     "normalize_family", "pullback_form", "run_exact_family",
     "run_theorem_pipeline", "verify_eq1",

@@ -186,21 +186,18 @@ def area_interpolation_family(
     grid: GridSpec,
     eps: float = 0.1,
     sigma: float = 0.0,
-    kappa: float | None = None,
     n_times: int = 11,
 ) -> FormFamily:
     """Area-form interpolation on T^2 (the classical symplectic case).
 
-    omega_t = (1 + sigma t)(1 + t eps (bump - kappa)) dx1 ^ dx2 with a
-    product-of-sines bump.  kappa defaults to the bump mean, which keeps
-    the t-derivative mean-free; sigma != 0 additionally scales total area
-    and is only certifiable through the spatially constant gauge family.
+    omega_t = (1 + sigma t)(1 + t eps bump) dx1 ^ dx2 with a mean-free
+    product-of-sines bump, which keeps the t-derivative mean-free for
+    sigma = 0; sigma != 0 additionally scales total area and is only
+    certifiable through the spatially constant gauge family.
     """
     x1, x2 = grid.coordinates()
     bump = np.sin(TWO_PI * x1) * np.sin(TWO_PI * x2)
-    if kappa is None:
-        kappa = float(np.mean(bump))
-    bump = bump - kappa
+    bump = bump - float(np.mean(bump))
     if abs(eps) * np.max(np.abs(bump)) >= 1.0:
         raise ValueError("eps too large: interpolation leaves the positive cone")
     if sigma <= -1.0:

@@ -21,6 +21,7 @@ from itertools import combinations
 
 import numpy as np
 
+from .errors import DomainError
 from .exactlinalg import integer_determinant, rational_rank
 from .simplicial import TwistedBettiResult
 
@@ -28,7 +29,7 @@ SVD_NULL_THRESHOLD = 1e-9
 SVD_AMBIGUOUS_BAND = (1e-11, 1e-7)
 
 
-class SingularThresholdAmbiguous(ArithmeticError):
+class SingularThresholdAmbiguous(DomainError, ArithmeticError):
     """A relative singular value landed too close to the null cutoff."""
 
 

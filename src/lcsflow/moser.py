@@ -39,6 +39,7 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import DomainError
 from .families import FormFamily, fd_derivative
 from .forms import (
     DiffForm,
@@ -66,28 +67,32 @@ from .twisted import (
 )
 
 
-class LeeClassDrift(ValueError):
+class LeeClassDrift(DomainError, ValueError):
     """The harmonic Lee coefficients change with t: no isotopy can exist."""
 
 
-class NotExact(ValueError):
+class NotExact(DomainError, ValueError):
     """A stage's harmonic obstruction survives scalar absorption: not
     certified in the canonical gauge."""
 
 
-class NotExactFamily(ValueError):
+class NotExactFamily(DomainError, ValueError):
     """Supplied primitive does not reproduce omega_t."""
 
 
-class InconsistentLeeDerivative(ValueError):
+class InconsistentLeeDerivative(DomainError, ValueError):
     """d/dt theta_t does not match d h_t."""
 
 
-class IsotopyDiverged(ArithmeticError):
+class InconsistentLeeData(DomainError, ValueError):
+    """A family's Lee data miss the Lee form extracted from its 2-form."""
+
+
+class IsotopyDiverged(DomainError, ArithmeticError):
     """Flow state became non-finite or the pullback degenerated."""
 
 
-class NoValidComponents(ValueError):
+class NoValidComponents(DomainError, ValueError):
     """conformal_compare found a point where every reference component
     is below threshold."""
 
@@ -122,25 +127,36 @@ GATES = (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class PipelineOptions:
     """The run shape shared by both pipelines; gate thresholds are the
-    constants TOLERANCES, twisted.NONDEG_THRESHOLD and twisted.LCS_TOL."""
+    constants TOLERANCES, twisted.NONDEG_THRESHOLD and twisted.LCS_TOL.
+
+    Checked when built (ValueError), and frozen after: steps, checkpoints
+    and seed_stride are integers, steps >= 1, seed_stride >= 1 and
+    2 <= checkpoints <= steps + 1.
+    """
 
     steps: int = 200
     checkpoints: int = 11
     seed_stride: int = 1
     allow_scalar_absorption: bool = True
 
+    def __post_init__(self):
+        for key, least in (("steps", 1), ("checkpoints", 2), ("seed_stride", 1)):
+            v = getattr(self, key)
+            if not (type(v) is int and v >= least):  # bools fail
+                raise ValueError(f"{key} must be an integer >= {least}, got {v!r}")
+        # a checkpoint is a step time, and there are steps + 1 of them
+        if self.checkpoints > self.steps + 1:
+            raise ValueError(f"checkpoints must be at most steps + 1 = {self.steps + 1} "
+                             f"with steps = {self.steps}, got {self.checkpoints}")
+
     def checkpoint_times(self) -> list[float]:
-        """Uniform checkpoint times snapped onto the step grid."""
+        """Uniform checkpoint times snapped onto the step grid; no two
+        coincide, since at most steps + 1 are asked for."""
         raw = np.linspace(0.0, 1.0, self.checkpoints)
-        snapped = np.round(raw * self.steps) / self.steps
-        out: list[float] = []
-        for t in snapped:
-            if not out or t > out[-1]:
-                out.append(float(t))
-        return out
+        return (np.round(raw * self.steps) / self.steps).tolist()
 
 
 # -- family normalization -------------------------------------------------
@@ -176,7 +192,7 @@ def normalize_family(F: FormFamily, opts: PipelineOptions | None = None) -> Form
             dev = gap.one_form().norm()
             scale = max(1.0, claimed.one_form().norm())
             if not dev <= LEE_DATA_TOL * scale:
-                raise ValueError(
+                raise InconsistentLeeData(
                     f"family Lee data inconsistent with extraction at t={t}: "
                     f"deviation {dev:.3e}"
                 )

@@ -22,12 +22,13 @@ import json
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
+from .errors import DomainError
 from .families import (
     FormFamily,
     area_interpolation_family,
@@ -46,46 +47,22 @@ from .forms import (
     random_band_limited,
     scalar_form,
 )
-from .mapping_torus import (
-    SingularThresholdAmbiguous,
-    example_inequality_check,
-    mapping_torus_betti,
-)
+from .mapping_torus import example_inequality_check, mapping_torus_betti
 from .moser import (
     GATES,
-    DegenerateForm,
-    InconsistentLeeDerivative,
-    IsotopyDiverged,
-    LeeClassDrift,
-    NoValidComponents,
-    NotExact,
-    NotExactFamily,
     PipelineOptions,
     TOLERANCES,
     run_exact_family,
     run_theorem_pipeline,
 )
-from .simplicial import (
-    FIXTURE_BUILDERS,
-    CocycleViolation,
-    build_complex,
-    local_system,
-    twisted_betti,
-)
-from .twisted import (LCS_TOL, NONDEG_THRESHOLD, LeeForm, NotLcs, d_theta,
-                      d_theta_star, torus_twisted_betti)
+from .simplicial import FIXTURE_BUILDERS, build_complex, local_system, twisted_betti
+from .twisted import (LCS_TOL, NONDEG_THRESHOLD, LeeForm, d_theta, d_theta_star,
+                      torus_twisted_betti)
 
 SCHEMA_VERSION = 2
 
 # a checkpoint row holds the gated fields every path records
 CSV_COLUMNS = ["t", *(field for _, field, _ in GATES if field != "cor2_identity_residual")]
-
-# failures of the mathematics, not of the config: exit 1 with a report
-_DOMAIN_ERRORS = (
-    LeeClassDrift, NotExact, NotExactFamily, InconsistentLeeDerivative,
-    IsotopyDiverged, DegenerateForm, NoValidComponents, NotLcs,
-    CocycleViolation, SingularThresholdAmbiguous,
-)
 
 
 class ConfigError(ValueError):
@@ -115,11 +92,14 @@ _IDENTITY_TOL_DEFAULTS = {"d_theta_squared": 1e-9, "chain_map": 1e-9,
 _GENERATORS = {
     "contact_circle": (contact_circle_family, {"s", "c", "n_times"}, (4, 16)),
     "area_interpolation": (area_interpolation_family,
-                           {"eps", "sigma", "kappa", "n_times"}, (2, 32)),
+                           {"eps", "sigma", "n_times"}, (2, 32)),
     "gcs_rescale": (gcs_rescale_family, {"amp", "n_times"}, (2, 32)),
     "corollary_two": (corollary_two_family, {"s", "c", "a", "n_times"}, (4, 16)),
     "lee_drift": (lee_drift_family, {"c0", "c1", "n_times"}, (4, 16)),
 }
+
+# the fields of PipelineOptions, which a moser config sets
+_RUN_SHAPE = [f.name for f in fields(PipelineOptions)]
 
 
 def _check_keys(d: dict, allowed: set, where: str):
@@ -134,7 +114,7 @@ def _library_checks():
     ConfigError (exit 2); domain errors pass through (exit 1)."""
     try:
         yield
-    except (ConfigError, *_DOMAIN_ERRORS):
+    except (ConfigError, DomainError):
         raise
     except (ValueError, ZeroDivisionError) as e:
         raise ConfigError(str(e)) from e
@@ -322,15 +302,12 @@ def validate_config(cfg: dict) -> dict:
         out["path"] = _string(cfg.get("path", "theorem"), "path",
                               ("theorem", "exact_family"))
         base = PipelineOptions()
-        for key, least in (("steps", 1), ("checkpoints", 2), ("seed_stride", 1)):
-            out[key] = _integer(cfg.get(key, getattr(base, key)), least, key)
-        # a checkpoint is a step time, and there are steps + 1 of them
-        steps = out["steps"]
-        _need(out["checkpoints"] <= steps + 1, "checkpoints",
-              f"at most steps + 1 = {steps + 1} with steps = {steps}", out["checkpoints"])
-        absorb = cfg.get("allow_scalar_absorption", base.allow_scalar_absorption)
-        out["allow_scalar_absorption"] = _need(
-            type(absorb) is bool, "allow_scalar_absorption", "true or false", absorb)
+        for key in _RUN_SHAPE:
+            out[key] = cfg.get(key, getattr(base, key))
+        with _library_checks():
+            PipelineOptions(**{k: out[k] for k in _RUN_SHAPE})
+        _need(type(out["allow_scalar_absorption"]) is bool, "allow_scalar_absorption",
+              "true or false", out["allow_scalar_absorption"])
         # the report echoes the gate thresholds, which are constants, not config
         out["tolerances"] = {**TOLERANCES, "nondeg_margin": NONDEG_THRESHOLD,
                              "lcs": LCS_TOL}
@@ -427,9 +404,7 @@ def _scenario_moser(cfg: dict) -> tuple[dict, bool]:
         _need(cfg["path"] == "theorem" or family.exact_data is not None, "path",
               f"'theorem' for generator {cfg['generator']}, which has no exact "
               "primitive", cfg["path"])
-    opts = PipelineOptions(steps=cfg["steps"], checkpoints=cfg["checkpoints"],
-                           seed_stride=cfg["seed_stride"],
-                           allow_scalar_absorption=cfg["allow_scalar_absorption"])
+    opts = PipelineOptions(**{k: cfg[k] for k in _RUN_SHAPE})
     if cfg["path"] == "exact_family":
         report = run_exact_family(family, opts)
     else:
@@ -449,18 +424,6 @@ _SCENARIOS = {
 # -- report plumbing ------------------------------------------------------
 
 
-def _jsonable(x):
-    if isinstance(x, dict):
-        return {str(k): _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    if isinstance(x, Fraction):
-        return f"{x.numerator}/{x.denominator}"
-    if isinstance(x, np.ndarray):
-        return [_jsonable(v) for v in x.tolist()]
-    return x.item() if isinstance(x, np.generic) else x
-
-
 def _output_dir(out_dir: str, names) -> list[Path]:
     """Create out_dir to hold the files names (ConfigError if it cannot);
     the directories made."""
@@ -478,7 +441,7 @@ def _output_dir(out_dir: str, names) -> list[Path]:
 
 def _write_report(report: dict, cfg: dict, out: Path):
     path = out / cfg["output"]["json"]
-    path.write_text(json.dumps(_jsonable(report), indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     checkpoints = (report.get("result") or {}).get("checkpoints")
     if cfg["scenario"] == "moser" and checkpoints:
         with (out / cfg["output"]["csv"]).open("w", newline="") as fh:
@@ -545,11 +508,11 @@ def run(config, out_dir: str = ".", overrides: dict | None = None,
                                           overrides.get("grid")))
     names = ("json", "csv") if cfg["scenario"] == "moser" else ("json",)
     made = _output_dir(out_dir, [cfg["output"][k] for k in names])
-    report: dict = {"schema_version": SCHEMA_VERSION, "config": _jsonable(cfg)}
+    report: dict = {"schema_version": SCHEMA_VERSION, "config": cfg}
     t0 = time.perf_counter()
     try:
         report["result"], ok = _SCENARIOS[cfg["scenario"]](cfg)
-    except _DOMAIN_ERRORS as e:
+    except DomainError as e:
         report["result"], ok = None, False
         report["error"] = {"type": type(e).__name__, "message": str(e)}
     except ConfigError:
@@ -647,8 +610,7 @@ def emit_fixture(name: str, out_dir: str = ".") -> Path:
         raise UnknownFixture(f"unknown fixture {name!r}; available: {sorted(catalog)}")
     path = Path(out_dir) / f"{name}.json"
     _output_dir(out_dir, [path.name])
-    path.write_text(json.dumps(_jsonable(catalog[name]), indent=2,
-                               sort_keys=True) + "\n")
+    path.write_text(json.dumps(catalog[name], indent=2, sort_keys=True) + "\n")
     return path
 
 

@@ -20,10 +20,11 @@ from itertools import combinations
 
 import numpy as np
 
+from .errors import DomainError
 from .exactlinalg import rational_rank
 
 
-class CocycleViolation(ValueError):
+class CocycleViolation(DomainError, ValueError):
     """Edge weights break the multiplicative triangle rule."""
 
 

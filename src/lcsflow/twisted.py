@@ -25,6 +25,7 @@ from math import comb
 
 import numpy as np
 
+from .errors import DomainError
 from .forms import (
     DegreeError,
     DiffForm,
@@ -39,11 +40,11 @@ from .forms import (
 )
 
 
-class DegenerateForm(ValueError):
+class DegenerateForm(DomainError, ValueError):
     """2-form fails the pointwise nondegeneracy margin."""
 
 
-class NotLcs(ValueError):
+class NotLcs(DomainError, ValueError):
     """The pointwise Lee form is not closed."""
 
 

@@ -524,6 +524,14 @@ def test_checkpoint_times_snap_to_step_grid():
     assert times == sorted(set(times))
 
 
+def test_checkpoint_times_never_repeat():
+    # every run shape PipelineOptions accepts asks for distinct step times
+    for steps in range(1, 201):
+        for checkpoints in range(2, steps + 2):
+            times = PipelineOptions(steps=steps, checkpoints=checkpoints).checkpoint_times()
+            assert times == sorted(set(times)) and len(times) == checkpoints
+
+
 def test_constant_family_certificate_is_trivial():
     base = contact_circle_family(GridSpec(4, 8)).omega_at(0.0)
     g = base.omega.grid

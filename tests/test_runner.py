@@ -2,6 +2,7 @@
 
 import copy
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -16,8 +17,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lcsflow import runner
+from lcsflow.errors import DomainError
+from lcsflow.families import contact_circle_family
 from lcsflow.forms import GridSpec
-from lcsflow.moser import PipelineOptions
+from lcsflow.moser import InconsistentLeeData, PipelineOptions, normalize_family
 from lcsflow.runner import (
     ConfigError,
     UnknownFixture,
@@ -27,6 +30,7 @@ from lcsflow.runner import (
     run,
     validate_config,
 )
+from lcsflow.twisted import LcsForm, LeeForm
 
 
 def _read_json(path):
@@ -166,7 +170,7 @@ VALID_CONFIGS = {
                       "matrix": [[2, 1], [1, 1]], "t0": "1/2"},
     "moser": {
         "scenario": "moser", "generator": "area_interpolation",
-        "params": {"eps": 0.2, "sigma": 0.1, "kappa": 0.0, "n_times": 5},
+        "params": {"eps": 0.2, "sigma": 0.1, "n_times": 5},
         "grid": {"n": 2, "N": 16}, "steps": 10, "checkpoints": 3,
         "seed_stride": 2, "path": "theorem", "allow_scalar_absorption": False},
     "moser_tabulated": {"scenario": "moser", "generator": "tabulated",
@@ -283,7 +287,7 @@ def test_every_config_field_is_read_by_its_scenario(name, tmp_path):
     recorder = _ReadRecorder(cfg)
     try:
         scenario(recorder)
-    except runner._DOMAIN_ERRORS:
+    except DomainError:
         pass  # the run shape is read before the flow starts
     exempt = set(ECHO_ONLY) | (MOSER_ECHO_ONLY if cfg["scenario"] == "moser" else set())
     assert set(cfg) - exempt - recorder.read == set()
@@ -502,6 +506,102 @@ def test_moser_domain_error_exit_code(tmp_path):
     assert rep["error"]["type"] == "LeeClassDrift"
     assert rep["result"] is None
     assert not (tmp_path / "checkpoints.csv").exists()
+
+
+# every domain error of the library, with the builtin base it keeps
+DOMAIN_ERRORS = {
+    "LeeClassDrift": ValueError, "NotExact": ValueError, "NotExactFamily": ValueError,
+    "InconsistentLeeDerivative": ValueError, "InconsistentLeeData": ValueError,
+    "IsotopyDiverged": ArithmeticError, "NoValidComponents": ValueError,
+    "DegenerateForm": ValueError, "NotLcs": ValueError, "CocycleViolation": ValueError,
+    "SingularThresholdAmbiguous": ArithmeticError,
+}
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_domain_errors_keep_their_builtin_base():
+    found = {c.__name__: c for c in _subclasses(DomainError)}
+    assert set(found) == set(DOMAIN_ERRORS)
+    for name, base in DOMAIN_ERRORS.items():
+        assert issubclass(found[name], base)
+
+
+@pytest.mark.parametrize("name", sorted(DOMAIN_ERRORS))
+def test_a_domain_error_exits_1_with_a_report_naming_it(name, tmp_path, capsys,
+                                                        monkeypatch):
+    error = {c.__name__: c for c in _subclasses(DomainError)}[name]
+
+    def scenario(cfg):
+        raise error("the hypothesis fails")
+
+    monkeypatch.setitem(runner._SCENARIOS, "cohomology_torus", scenario)
+    path = tmp_path / "torus.json"
+    path.write_text(json.dumps({"scenario": "cohomology_torus"}))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 1
+    rep = _read_json(out / "report.json")
+    assert rep["error"] == {"type": name, "message": "the hypothesis fails"}
+    assert rep["result"] is None and rep["verdict"] == "fail"
+    assert f"  error: {name}: the hypothesis fails\n" in capsys.readouterr().out
+
+
+def test_a_plain_value_error_while_the_input_is_built_exits_2(tmp_path, capsys,
+                                                              monkeypatch):
+    def build(cfg):
+        raise ValueError("no such family")
+
+    monkeypatch.setattr(runner, "_build_family", build)
+    path = tmp_path / "area.json"
+    path.write_text(json.dumps({"scenario": "moser", "generator": "area_interpolation"}))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out), "--quiet"]) == 2
+    assert capsys.readouterr().err == "config error: no such family\n"
+    assert not out.exists()
+
+
+def test_lee_data_that_miss_the_extraction_exit_1(tmp_path, monkeypatch):
+    # contact_circle's Lee form is dx4; this copy claims 1.5 dx4
+    fam = contact_circle_family(GridSpec(4, 8))
+    claimed = LeeForm.constant(fam.grid, np.array([0.0, 0.0, 0.0, 1.5]))
+    bad = dataclasses.replace(fam, omega_at=lambda t: LcsForm(fam.omega_at(t).omega,
+                                                              claimed))
+    with pytest.raises(InconsistentLeeData, match=r"at t=0\.0: deviation 5\.000e-01$"):
+        normalize_family(bad)
+    monkeypatch.setattr(runner, "_build_family", lambda cfg: bad)
+    cfg = {"scenario": "moser", "generator": "contact_circle", "grid": {"n": 4, "N": 8},
+           "steps": 2, "checkpoints": 2}
+    assert run(cfg, out_dir=str(tmp_path), quiet=True) == 1
+    rep = _read_json(tmp_path / "report.json")
+    assert rep["error"]["type"] == "InconsistentLeeData"
+    assert rep["error"]["message"].endswith("deviation 5.000e-01")
+
+
+@pytest.mark.parametrize("shape, message", [
+    ({"steps": 2, "checkpoints": 7},
+     "checkpoints must be at most steps + 1 = 3 with steps = 2, got 7"),
+    ({"steps": 0}, "steps must be an integer >= 1, got 0"),
+    ({"steps": 2.0}, "steps must be an integer >= 1, got 2.0"),
+    ({"checkpoints": 1}, "checkpoints must be an integer >= 2, got 1"),
+    ({"checkpoints": True}, "checkpoints must be an integer >= 2, got True"),
+    ({"seed_stride": 0}, "seed_stride must be an integer >= 1, got 0"),
+])
+def test_pipeline_options_check_their_shape(shape, message):
+    with pytest.raises(ValueError) as info:
+        PipelineOptions(**shape)
+    assert str(info.value) == message
+
+
+def test_pipeline_options_cannot_leave_their_checked_shape():
+    opts = PipelineOptions(steps=2, checkpoints=3)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        opts.checkpoints = 7
+    with pytest.raises(ValueError, match=r"at most steps \+ 1 = 3"):
+        dataclasses.replace(opts, checkpoints=7)
 
 
 def test_run_overrides_steps(tmp_path):
