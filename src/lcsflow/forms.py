@@ -469,6 +469,10 @@ def l2_inner(a: DiffForm, b: DiffForm) -> float:
 
 # -- off-grid evaluation -------------------------------------------------
 
+# complex entries (16 B each, 1 MB) that the transient arrays of one
+# ModeInterpolator chunk hold, so that they stay in a core's L2 cache
+INTERP_CHUNK = 2**16
+
 
 class ModeInterpolator:
     """Evaluate several grid scalars at arbitrary points by trig interpolation.
@@ -502,20 +506,31 @@ class ModeInterpolator:
     modes.  Derivative coefficients are formed only on them, as
     c_m mult_j(m) + conj(c_-m mult_j(-m)).
 
-    A call builds, per axis, the powers e^{2 pi i k x_j} for |k| up to the
-    largest kept |m_j| from one complex exponential per point, multiplies
-    the tables into an (F, points) phase block for the F folded modes and
-    contracts its real and imaginary parts with the coefficients in one
-    real matrix product.
+    A call builds, per axis j, a table of e^{2 pi i k x_j} at every point
+    for the exponents k that some folded mode has as m_j, and no other: from
+    one complex exponential per point, each power up to the largest kept
+    |k| is the one before it times e^{2 pi i x_j}, and a negative
+    exponent's row is the conjugate of its power (the split Nyquist
+    bucket's the real part), formed only when kept.  An axis on which every
+    mode is 0 has no table.  Then, chunk by chunk, it gathers the first
+    axis's rows into an (F, chunk) phase block for the F folded modes,
+    multiplies in the other axes' rows, and contracts the block's real and
+    imaginary parts with the coefficients in one real matrix product.
 
     Memory: a build holds the input stack, its real magnitudes and
-    (channels, F) coefficients, never a full-grid derivative channel.
-    Points go in chunks whose transient arrays (axis tables, the phase
+    (channels, F) coefficients, never a full-grid derivative channel.  A
+    call holds its output and its axis tables, 16 B per point per kept
+    exponent (at most n N of them).  A chunk's transient arrays (the phase
     block, its gather temporary and its real/imaginary copy, the product)
-    hold about 2**17 complex entries, 2 MB, so the work stays in cache.  A
-    chunk has at least 64 points, so the transient peak is at most
-    max(2 MB, 64 points x (table rows + 3 F + channels) x 16 B), about
-    120 MB with every mode of a T^4 N = 16 grid kept.
+    hold about INTERP_CHUNK = 2**16 complex entries, 1 MB.  At 2**17 they
+    outgrow a 2 MB per-core L2 cache and each chunk faults in fresh pages:
+    on such a host the 43 interpolator calls of a T^2 N = 64 benchmark pass
+    took about 1.7 times as long as at 2**16, with 5 times the minor page
+    faults, while 2**14 .. 2**16 ran on a par.  A chunk has at least 64
+    points, so the chunk's transient peak is at most max(1 MB, 64 points x
+    (3 F + channels) x 16 B), about 100 MB with every mode of a T^4 N = 16
+    grid kept (F = 32,776), whose 65,536 nodes then also need 57 table
+    rows, 60 MB.
     """
 
     def __init__(self, grid: GridSpec, spectra: np.ndarray, rel_tol: float,
@@ -559,35 +574,48 @@ class ModeInterpolator:
                                      coeffs[gradients:]))
         self.nf = coeffs.shape[0]
         self._weights = np.hstack([coeffs.real, -coeffs.imag])
-        kmax = np.abs(self.modes).max(axis=0, initial=0)
+        # per axis: the kept exponents (the table rows) and each mode's row;
         # an axis on which every kept mode is 0 contributes a factor of 1
-        self._axes = [(j, int(k), self.modes[:, j] + k)
-                      for j, k in enumerate(kmax) if k > 0]
+        self._axes = []
+        for j in range(grid.n):
+            exps, rows = np.unique(self.modes[:, j], return_inverse=True)
+            if exps.any():
+                self._axes.append((j, {int(e): r for r, e in enumerate(exps)}, rows))
 
-    def _phases(self, points: np.ndarray) -> np.ndarray:
-        """e^{2 pi i m.x} for every kept mode m, as an (F, points) block."""
-        ph = np.ones((self.modes.shape[0], points.shape[0]), dtype=complex)
-        for j, k, rows in self._axes:
-            base = np.exp(2j * np.pi * np.mod(points[:, j], 1.0))
-            table = np.empty((2 * k + 1, points.shape[0]), dtype=complex)
-            table[k] = 1.0
-            table[k + 1:] = np.cumprod(np.broadcast_to(base, (k, base.size)), axis=0)
-            table[:k] = table[:k:-1].conj()
-            if 2 * k == self.grid.N:
-                # the split Nyquist bucket: (e^{pi i N x} + e^{-pi i N x}) / 2
-                table[0] = table[2 * k].real
-            ph *= table[rows]
-        return ph
+    def _table(self, at: dict, x: np.ndarray) -> np.ndarray:
+        """e^{2 pi i k x} for each kept exponent k of one axis, at the
+        coordinates x, in row at[k]: each power of e^{2 pi i x} is the one
+        before it times e^{2 pi i x}, up to the largest kept |k|."""
+        base = np.exp(2j * np.pi * np.mod(x, 1.0))
+        table = np.empty((len(at), x.size), dtype=complex)
+        if 0 in at:
+            table[at[0]] = 1.0
+        power = base
+        for k in range(1, max(max(at), -min(at)) + 1):
+            if k > 1:
+                power = power * base
+            if k in at:
+                table[at[k]] = power
+            if -k in at:
+                # 2k = N is the split Nyquist bucket: (e^{pi i N x} + e^{-pi i N x}) / 2
+                table[at[-k]] = power.real if 2 * k == self.grid.N else power.conj()
+        return table
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        out = np.empty((self.nf, points.shape[0]))
-        rows = sum(2 * k + 1 for _, k, _ in self._axes)
-        per_point = rows + 3 * self.modes.shape[0] + self.nf
-        chunk = max(64, 2**17 // per_point)
-        for lo in range(0, points.shape[0], chunk):
-            sl = slice(lo, min(lo + chunk, points.shape[0]))
-            ph = self._phases(points[sl])
+        P, F = points.shape[0], self.modes.shape[0]
+        out = np.empty((self.nf, P))
+        # with no axis table every kept mode (at most one) is m = 0
+        (first, first_rows), *others = (
+            [(self._table(at, points[:, j]), rows) for j, at, rows in self._axes]
+            or [(np.ones((1, P), dtype=complex), np.zeros(F, dtype=int))])
+        chunk = max(64, INTERP_CHUNK // (3 * F + self.nf))
+        for lo in range(0, P, chunk):
+            sl = slice(lo, min(lo + chunk, P))
+            # the (F, chunk) phase block e^{2 pi i m.x}
+            ph = first[first_rows, sl]
+            for table, rows in others:
+                ph *= table[rows, sl]
             out[:, sl] = self._weights @ np.concatenate((ph.real, ph.imag))
         return out
 

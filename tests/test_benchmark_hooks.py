@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from lcsflow import exactlinalg, moser, runner, simplicial, twisted
+from lcsflow import exactlinalg, forms, moser, runner, simplicial, twisted
 from lcsflow.runner import validate_config
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -56,6 +56,32 @@ def test_tracer_wraps_the_package_and_undo_restores_it(monkeypatch):
     after = _namespaces()
     for mod, ns in before.items():
         assert {k: v for k, v in after[mod].items() if k in ns} == ns, mod
+
+
+def test_traced_interpolator_call_records_its_work(monkeypatch):
+    # forms.interp.pmc and .modes_mean are sums of this record over a pass:
+    # the points of the call, the F folded modes and points x F x nf
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+
+    g = forms.GridSpec(2, 16)
+    rng = np.random.default_rng(0)
+    spec = forms.DiffForm(g, 1, rng.standard_normal((2,) + g.shape)).spectra()
+    points = rng.uniform(0.0, 1.0, (100, 2))
+    tracer = tracing.Tracer()
+    patches = tracing.install(tracer)
+    try:
+        interp = forms.ModeInterpolator(g, spec, 0.0, gradients=1)
+        interp(points)
+    finally:
+        patches.undo()
+    # every mode of a real spectrum is kept: 4 self-paired, 252 in pairs;
+    # channels: the first, its 2 derivatives, the second
+    F, nf = 4 + 252 // 2, 4
+    assert (interp.modes.shape[0], interp.nf) == (F, nf)
+    spans = tracer.pass_spans(None)
+    assert [s[1] for s in spans] == ["forms.interp_build", "forms.interp"]
+    assert spans[1][6] == {"points": 100, "modes": F, "pmc": 100 * F * nf}
 
 
 def test_benchmark_configs_are_valid_and_echo_the_tolerances_checked(monkeypatch):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from lcsflow import forms
 from lcsflow.forms import (
+    INTERP_CHUNK,
     DegreeError,
     DiffForm,
     GridMismatch,
@@ -341,7 +342,9 @@ def _random_spectrum(grid, nf, kind, rng):
     Magnitudes are spread over six decades so a positive rel_tol drops some
     modes.  "hermitian" spectra are those of real node values; "general"
     ones are not; "one_sided" ones shrink every mode with m_0 < 0 by 1e-12,
-    so a positive rel_tol keeps m and drops -m; "zero" is all zeros.
+    so a positive rel_tol keeps m and drops -m; "orthant" ones are zero on
+    every mode with a negative component, so no kept mode has one;
+    "zero" is all zeros.
     """
     shape = (nf,) + grid.shape
     if kind == "zero":
@@ -353,30 +356,66 @@ def _random_spectrum(grid, nf, kind, rng):
         spec = np.fft.fftn(np.fft.ifftn(spec, axes=axes).real, axes=axes)
     elif kind == "one_sided":
         spec *= np.where(grid.mode_axis(0) < 0, 1e-12, 1.0)
+    elif kind == "orthant":
+        for j in range(grid.n):
+            spec *= grid.mode_axis(j) >= 0
     return spec
 
 
-@given(n=st.sampled_from([2, 3, 4]),
-       kind=st.sampled_from(["hermitian", "general", "one_sided", "zero"]),
+def _with_gradients(grid, spec, gradients):
+    """The output channels of ModeInterpolator(..., gradients) as spectra:
+    the leading channels, their d/dx_j (c_m 2 pi i m_j, Nyquist bucket 0)
+    at index gradients + i n + j, then the remaining channels."""
+    grads = [spec[i] * grid.derivative_multiplier(j)
+             for i in range(gradients) for j in range(grid.n)]
+    return np.concatenate((spec[:gradients], np.reshape(grads, (-1,) + grid.shape),
+                           spec[gradients:]))
+
+
+# T^4 stays at N = 8, where the dense reference stays small
+@given(n_N=st.sampled_from([(2, 8), (3, 8), (4, 8), (2, 16), (3, 16)]),
+       kind=st.sampled_from(["hermitian", "general", "one_sided", "orthant", "zero"]),
        rel_tol=st.one_of(st.just(0.0), st.floats(1e-10, 1e-2)),
-       npts=st.integers(1, 40),
+       with_gradients=st.booleans(),
+       chunks=st.integers(0, 2),
+       rest=st.integers(1, 40),
        seed=st.integers(0, 2**32 - 1))
-@example(n=2, kind="one_sided", rel_tol=1e-6, npts=7, seed=0)
-@example(n=4, kind="hermitian", rel_tol=0.0, npts=10, seed=1)
-@example(n=3, kind="zero", rel_tol=1e-3, npts=5, seed=2)
-@example(n=2, kind="zero", rel_tol=0.0, npts=3, seed=3)
-def test_mode_interpolator_matches_dense_sum(n, kind, rel_tol, npts, seed):
+@example(n_N=(2, 8), kind="one_sided", rel_tol=1e-6, with_gradients=False, chunks=0,
+         rest=7, seed=0)
+@example(n_N=(4, 8), kind="hermitian", rel_tol=0.0, with_gradients=False, chunks=0,
+         rest=10, seed=1)
+@example(n_N=(3, 8), kind="zero", rel_tol=1e-3, with_gradients=False, chunks=0,
+         rest=5, seed=2)
+@example(n_N=(2, 8), kind="zero", rel_tol=0.0, with_gradients=False, chunks=0,
+         rest=3, seed=3)
+@example(n_N=(2, 16), kind="hermitian", rel_tol=0.0, with_gradients=True, chunks=2,
+         rest=9, seed=4)
+@example(n_N=(3, 16), kind="orthant", rel_tol=1e-8, with_gradients=True, chunks=1,
+         rest=30, seed=5)
+def test_mode_interpolator_matches_dense_sum(n_N, kind, rel_tol, with_gradients,
+                                             chunks, rest, seed):
+    g = GridSpec(*n_N)
     rng = np.random.default_rng(seed)
-    g = GridSpec(n, 8)
-    spec = _random_spectrum(g, 3, kind, rng)
-    points = rng.uniform(-10.0, 10.0, (npts, n))
-    got = ModeInterpolator(g, spec, rel_tol)(points)
+    gradients = g.n if with_gradients else 0
+    spec = _random_spectrum(g, g.n + 1, kind, rng)
+    interp = ModeInterpolator(g, spec, rel_tol, gradients)
+    if kind == "orthant":
+        # every kept exponent is >= 0, so no axis builds a negative power
+        assert (interp.modes >= 0).all()
+    # points end mid-chunk after `chunks` whole chunks of the call; a chunk
+    # of over 300 points (few kept modes) counts as 300, so the dense
+    # reference stays small
+    chunk = max(64, INTERP_CHUNK // (3 * interp.modes.shape[0] + interp.nf))
+    npts = chunks * min(chunk, 300) + rest
+    points = rng.uniform(-10.0, 10.0, (npts, g.n))
+    got = interp(points)
     # the reference runs on wrapped coordinates: the same sum, but its
     # phases 2 pi m.x then carry ~1e-15 rounding instead of ~1e-13 at |x| = 10
-    want = _dense_mode_sum(g, spec, rel_tol, np.mod(points, 1.0))
+    dense = _with_gradients(g, spec, gradients)
+    want = _dense_mode_sum(g, dense, rel_tol, np.mod(points, 1.0))
     # the scale is each channel's RMS over the torus, sqrt(sum |c_m|^2)
-    scale = np.sqrt((np.abs(spec.reshape(3, -1)) ** 2).sum(axis=1)).max()
-    assert got.shape == (3, npts)
+    scale = np.sqrt((np.abs(dense.reshape(len(dense), -1)) ** 2).sum(axis=1)).max()
+    assert got.shape == (len(dense), npts)
     assert np.abs(got - want).max() <= 1e-13 * scale
 
 
@@ -387,7 +426,7 @@ def test_mode_interpolator_spans_many_chunks():
     g = GridSpec(4, 16)
     spec = _random_spectrum(g, 1, "hermitian", rng)
     interp = ModeInterpolator(g, spec, 0.0)
-    assert 2**17 // (3 * interp.modes.shape[0]) < 64   # derived chunk: 64 points
+    assert INTERP_CHUNK // (3 * interp.modes.shape[0]) < 64   # derived chunk: 64 points
     points = rng.uniform(0.0, 1.0, (203, 4))
     got = interp(points)
     want = np.concatenate([_dense_mode_sum(g, spec, 0.0, points[lo:lo + 8])
