@@ -11,11 +11,19 @@ Spectra are Fourier coefficients, c_m = N^-n sum_x f(x) e^{-2 pi i m.x}
 (norm="forward", as on the de-aliasing grid), and only this module
 transforms.  Derivatives are exact on band-limited data (coefficients times
 2*pi*i*m, Nyquist bucket zeroed).  A pointwise product (wedge, contraction)
-of operands whose per-axis bands add up to less than N/2 is taken directly
-on the grid.  Any other product is evaluated on a de-aliasing grid of
-M = GridSpec.fine_N > 3N/2 nodes per axis (Orszag's 3/2 rule) and truncated
-back: product modes reach |m_j| <= N, and with M > 3N/2 none of them wraps
-onto a kept bucket |m_j| <= N/2, so every product is alias-free.
+is sized from its operands' bands: with ext_a and ext_b the per-axis
+largest |m_j| above 1e-13 of each operand's peak coefficient, and
+reach = max_j (ext_a[j] + ext_b[j]), a product with reach <= N/2 - 1 is
+taken directly on the grid.  Any other product is evaluated on a
+de-aliasing grid of M = next_fast_len(N/2 + reach + 1) nodes per axis and
+truncated back.  Product modes reach |p_j| <= reach and the kept buckets
+are |q_j| <= N/2, so a product mode could fold onto a kept bucket only
+across |p_j - q_j| >= M > N/2 + reach, which no pair spans.  Two full-band
+operands (reach N) get Orszag's 3/2 grid, next_fast_len(3N/2 + 1); a
+band-1 factor of a full-band one gets next_fast_len(N + 2).  The one
+approximation is the band cut: modes at or below 1e-13 of an operand's
+peak do not count towards its band, so products are alias-free above that
+cut, on either path.
 """
 
 from __future__ import annotations
@@ -59,15 +67,6 @@ class GridSpec:
     @property
     def num_nodes(self) -> int:
         return self.N**self.n
-
-    @property
-    def fine_N(self) -> int:
-        """Nodes per axis of the de-aliasing grid: the first fast FFT size > 3N/2."""
-        return next_fast_len(3 * self.N // 2 + 1)
-
-    @property
-    def fine_shape(self) -> tuple[int, ...]:
-        return (self.fine_N,) * self.n
 
     def axes(self) -> np.ndarray:
         return np.arange(self.N) / self.N
@@ -335,13 +334,14 @@ def _unpack_pairs(z: np.ndarray, count: int) -> np.ndarray:
     return out
 
 
-def upsample_values(vals: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Trig-interpolate node values onto the de-aliasing grid (exact).
+def upsample_values(vals: np.ndarray, grid: GridSpec, M: int) -> np.ndarray:
+    """Trig-interpolate node values onto a grid of M > N nodes per axis (exact).
 
     vals is one field of shape grid.shape or a stack of them; the result
-    has grid.fine_N nodes per axis in place of N.  Two fields share each
-    complex transform.  Each axis is padded just before its own inverse
-    transform, so the earlier transforms run on the smaller array.
+    has M nodes per axis in place of N.  The Nyquist bucket is split evenly
+    between -N/2 and +N/2.  Two fields share each complex transform.  Each
+    axis is padded just before its own inverse transform, so the earlier
+    transforms run on the smaller array.
     """
     vals = np.asarray(vals, dtype=float)
     lead = vals.shape[:vals.ndim - grid.n]
@@ -349,25 +349,26 @@ def upsample_values(vals: np.ndarray, grid: GridSpec) -> np.ndarray:
     axes = tuple(range(1, grid.n + 1))
     spec = sfft.fftn(_pack_pairs(stack), axes=axes, norm="forward", overwrite_x=True)
     for ax in reversed(axes):
-        spec = sfft.ifftn(_pad_axis(spec, ax, grid.N, grid.fine_N), axes=(ax,),
+        spec = sfft.ifftn(_pad_axis(spec, ax, grid.N, M), axes=(ax,),
                           norm="forward", overwrite_x=True)
-    return _unpack_pairs(spec, stack.shape[0]).reshape(lead + grid.fine_shape)
+    return _unpack_pairs(spec, stack.shape[0]).reshape(lead + (M,) * grid.n)
 
 
-def downsample_values(fine: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Project de-aliasing-grid values back to the base grid (band truncation).
+def downsample_values(fine: np.ndarray, grid: GridSpec, M: int) -> np.ndarray:
+    """Project values on a grid of M > N nodes per axis back to the base
+    grid (band truncation, the +-N/2 pair folded into the Nyquist bucket).
 
     Takes one field or a stack, like upsample_values, and returns real,
     contiguous base-grid arrays.
     """
     fine = np.asarray(fine, dtype=float)
     lead = fine.shape[:fine.ndim - grid.n]
-    stack = fine.reshape((-1,) + grid.fine_shape)
+    stack = fine.reshape((-1,) + (M,) * grid.n)
     spec = _pack_pairs(stack)
     axes = tuple(range(1, grid.n + 1))
     for ax in axes:
         spec = _trunc_axis(sfft.fftn(spec, axes=(ax,), norm="forward", overwrite_x=True),
-                           ax, grid.N, grid.fine_N)
+                           ax, grid.N, M)
     vals = sfft.ifftn(spec, axes=axes, norm="forward", overwrite_x=True)
     return _unpack_pairs(vals, stack.shape[0]).reshape(lead + grid.shape)
 
@@ -390,17 +391,25 @@ def _band_extent(a: DiffForm) -> np.ndarray:
     return ext
 
 
-def _products_fit(a: DiffForm, b: DiffForm) -> bool:
-    """True when pointwise products of a and b cannot alias on the grid."""
-    return bool(np.all(_band_extent(a) + _band_extent(b) <= a.grid.N // 2 - 1))
+def _product_nodes(a: DiffForm, b: DiffForm) -> int:
+    """Nodes per axis on which the products of a and b are alias-free.
+
+    N when reach = max_j (ext_a[j] + ext_b[j]) <= N/2 - 1, so the products
+    are taken on the grid; otherwise M = next_fast_len(N/2 + reach + 1),
+    which exceeds N because reach >= N/2 there.  ext is _band_extent, so
+    modes at or below 1e-13 of an operand's peak are not counted.
+    """
+    N = a.grid.N
+    reach = int(np.max(_band_extent(a) + _band_extent(b)))
+    return N if reach <= N // 2 - 1 else next_fast_len(N // 2 + reach + 1)
 
 
 def wedge(a: DiffForm, b: DiffForm) -> DiffForm:
     """Exterior product a ^ b with de-aliased coefficient products.
 
     When both operands are band-limited enough that their products fit on
-    the grid, they are multiplied node by node; otherwise on the
-    de-aliasing grid of more than 3N/2 nodes per axis, then truncated back.
+    the grid, they are multiplied node by node; otherwise on the smallest
+    fast de-aliasing grid their bands allow, then truncated back.
     """
     if a.grid != b.grid:
         raise GridMismatch("wedge operands on different grids")
@@ -414,23 +423,28 @@ def wedge(a: DiffForm, b: DiffForm) -> DiffForm:
 def _product(a: DiffForm, b: DiffForm, rows, degree: int) -> DiffForm:
     """The degree-form sum of sign * a_j * b_src over rows (j, src, dst, sign).
 
-    Products are taken on the grid when they fit.  Otherwise every
-    component of both operands goes up to the de-aliasing grid in one
-    stacked call, the sums are formed there, and every output component
-    comes back down in one stacked call.  With more than 3N/2 nodes per
-    axis no product of two modes |m_j| <= N/2 aliases onto a kept bucket,
-    the Nyquist one included, so the result is the band truncation of the
-    exact product of the trigonometric interpolants.
+    The grid comes from _product_nodes.  With reach = max_j (ext_a[j] +
+    ext_b[j]) <= N/2 - 1 the products are taken on the grid, where none of
+    them wraps.  Otherwise every component of both operands goes up to
+    M = next_fast_len(N/2 + reach + 1) nodes per axis in one stacked call,
+    the sums are formed there, and every output component comes back down
+    in one stacked call.  A product mode |p_j| <= reach would fold onto a
+    kept bucket |q_j| <= N/2, the Nyquist one included, only if
+    |p_j - q_j| >= M, but |p_j - q_j| <= N/2 + reach < M.  So the result is
+    the band truncation of the exact product of the trigonometric
+    interpolants, up to the operand modes at or below 1e-13 of their peak
+    that the bands leave out.
     """
     grid = a.grid
     ncomp = comb(grid.n, degree)
-    if _products_fit(a, b):
+    M = _product_nodes(a, b)
+    if M == grid.N:
         return DiffForm(grid, degree,
                         np.stack(_sum_terms(rows, a.comps, b.comps, [None] * ncomp)))
-    fine = upsample_values(np.concatenate((a.comps, b.comps)), grid)
+    fine = upsample_values(np.concatenate((a.comps, b.comps)), grid, M)
     ka = a.comps.shape[0]
-    acc = _sum_terms(rows, fine[:ka], fine[ka:], np.zeros((ncomp,) + grid.fine_shape))
-    return DiffForm(grid, degree, downsample_values(acc, grid))
+    acc = _sum_terms(rows, fine[:ka], fine[ka:], np.zeros((ncomp,) + (M,) * grid.n))
+    return DiffForm(grid, degree, downsample_values(acc, grid, M))
 
 
 def ext_d(a: DiffForm) -> DiffForm:

@@ -1,7 +1,10 @@
 """Reference operators that the tests check lcsflow against.
 
-The package never applies them, so they live here: the flat Hodge star
-(for the adjointness and orientation checks of wedge, d and d*), the
+The package never applies them, so they live here: the band-truncated
+product of two grid fields on a fine grid of the caller's size, written
+with dense per-axis spectral maps (for the de-aliased products of forms,
+whose grid is sized from the operands' bands), the flat Hodge star (for
+the adjointness and orientation checks of wedge, d and d*), the
 harmonic modes of a constant Lee form read off |mu(m)|^2 on the whole
 grid (for the closed form the Hodge solver uses instead), the vertex
 gauge transform of a simplicial local system (for the gauge invariance
@@ -34,6 +37,49 @@ from lcsflow.forms import (
 from lcsflow.moser import INTERP_REL_TOL, FlowState
 from lcsflow.simplicial import LocalSystem
 from lcsflow.twisted import HARMONIC_SNAP, LcsForm, LeeForm
+
+
+def _fine_grid_maps(N: int, M: int):
+    """Spectral maps between N and M > N buckets per axis.
+
+    pad (M x N) splits the Nyquist bucket evenly between -N/2 and +N/2;
+    trunc (N x M) keeps |m| < N/2 and folds -N/2 and +N/2 back together.
+    """
+    pad, trunc = np.zeros((M, N)), np.zeros((N, M))
+    for i, m in enumerate(np.fft.fftfreq(N, 1.0 / N).astype(int)):
+        if m == -N // 2:
+            pad[[N // 2, M - N // 2], i] = 0.5
+            trunc[i, [N // 2, M - N // 2]] = 1.0
+        else:
+            pad[m % M, i] = 1.0
+            trunc[i, m % M] = 1.0
+    return pad, trunc
+
+
+def fine_grid_product(u: np.ndarray, v: np.ndarray, n: int, M: int) -> np.ndarray:
+    """Band truncation of u * v, computed on M nodes per axis field by field.
+
+    u and v hold fields on the last n axes, N nodes each.  Each field is
+    trig-interpolated onto the M^n grid, the product is taken there and
+    truncated back.  With M > 3N/2 (Orszag's 3/2 rule) no product of two
+    modes |m_j| <= N/2 folds onto a kept bucket, so this is the exact band
+    truncation of the product of the interpolants for any fields.
+    """
+    N = u.shape[-1]
+    pad, trunc = _fine_grid_maps(N, M)
+    axes = tuple(range(u.ndim - n, u.ndim))
+
+    def on_every_axis(mat, spec):
+        for ax in axes:
+            spec = np.moveaxis(np.tensordot(mat, spec, axes=([1], [ax])), 0, ax)
+        return spec
+
+    def up(w):
+        return np.fft.ifftn(on_every_axis(pad, np.fft.fftn(w, axes=axes)),
+                            axes=axes).real * (M / N) ** n
+
+    prod_spec = np.fft.fftn(up(u) * up(v), axes=axes)
+    return np.fft.ifftn(on_every_axis(trunc, prod_spec), axes=axes).real * (N / M) ** n
 
 
 def hodge_star(a: DiffForm) -> DiffForm:

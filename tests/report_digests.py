@@ -1,6 +1,7 @@
 """Digests of the benchmark workloads' reports, to compare two checkouts.
 
     PYTHONPATH=src python tests/report_digests.py --seed 101
+    PYTHONPATH=src python tests/report_digests.py --seed 101 --fields
 
 Builds every job of the four benchmark workloads with
 perfbench/workloads.py's build(name, seed), read only, runs each through
@@ -9,6 +10,12 @@ the sha256 of its report without "config" and "timings", and the sha256
 of its "config" echo.  Run it in two checkouts and diff the outputs:
 equal report digests mean reports that are byte-identical outside
 "timings".
+
+With --fields it prints instead one line per number in each report
+outside "timings", "config" echo included: the job, the field's path
+(keys joined by ".", list positions in brackets) and its value as Python
+prints it, which round-trips.  Diffing two checkouts' outputs then lists
+exactly the fields that moved.
 """
 
 import argparse
@@ -31,23 +38,53 @@ def _sha(blob) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def digests(seed: int):
-    """(workload, job, report digest, config digest) for every job."""
+def run_job(job) -> dict:
+    """The report of one workload job, without its "timings"."""
+    with tempfile.TemporaryDirectory() as out, warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        runner.run(job.config, out_dir=out, quiet=True)
+        report = json.loads((Path(out) / job.config["output"]["json"]).read_text())
+    report.pop("timings")
+    return report
+
+
+def reports(seed: int):
+    """(workload, job, report) for every job, as run_job returns them."""
     for name in workloads.WORKLOADS:
         for job in workloads.build(name, seed):
-            with tempfile.TemporaryDirectory() as out, warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                runner.run(job.config, out_dir=out, quiet=True)
-                report = json.loads((Path(out) / job.config["output"]["json"]).read_text())
-            config = report.pop("config")
-            report.pop("timings")
-            yield name, job.name, _sha(report), _sha(config)
+            yield name, job.name, run_job(job)
+
+
+def digests(seed: int):
+    """(workload, job, report digest, config digest) for every job."""
+    for name, job, report in reports(seed):
+        config = report.pop("config")
+        yield name, job, _sha(report), _sha(config)
+
+
+def fields(blob, path: str = ""):
+    """(path, value) for every number in a report, in document order."""
+    if isinstance(blob, dict):
+        for key, value in blob.items():
+            yield from fields(value, f"{path}.{key}" if path else key)
+    elif isinstance(blob, list):
+        for i, value in enumerate(blob):
+            yield from fields(value, f"{path}[{i}]")
+    elif isinstance(blob, (int, float)) and not isinstance(blob, bool):
+        yield path, blob
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--fields", action="store_true",
+                        help="print every number of every report, one per line")
     args = parser.parse_args()
+    if args.fields:
+        for name, job, report in reports(args.seed):
+            for path, value in fields(report):
+                print(f"{name}/{job}  {path}  {value!r}")
+        return 0
     for name, job, report, config in digests(args.seed):
         print(f"{name}/{job}  report {report}  config {config}")
     return 0

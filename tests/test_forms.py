@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
+from scipy.fft import next_fast_len
 
 from lcsflow import forms
 from lcsflow.forms import (
@@ -15,7 +16,7 @@ from lcsflow.forms import (
     GridMismatch,
     GridSpec,
     ModeInterpolator,
-    _products_fit,
+    _product_nodes,
     contract,
     downsample_values,
     ext_d,
@@ -31,7 +32,7 @@ from lcsflow.forms import (
 )
 from lcsflow.moser import StageData
 from lcsflow.twisted import component_means, lee_form
-from oracles import hodge_star
+from oracles import fine_grid_product, hodge_star
 
 TWO_PI = 2.0 * np.pi
 
@@ -148,7 +149,7 @@ def test_leibniz_rule():
 def _dealiased_product(u: np.ndarray, v: np.ndarray, g: GridSpec) -> np.ndarray:
     """u * v as the wedge of two 0-forms, checked to take the fine-grid path."""
     a, b = scalar_form(g, u), scalar_form(g, v)
-    assert not _products_fit(a, b)
+    assert _product_nodes(a, b) > g.N
     return wedge(a, b).comps[0]
 
 
@@ -184,20 +185,21 @@ def test_wedge_fast_path_matches_dealiased():
     a = random_band_limited(g, 1, 2, rng)
     b = random_band_limited(g, 1, 3, rng)       # 2 + 3 <= 7: direct path
     c = random_band_limited(g, 1, 7, rng)       # 2 + 7 > 7: dealiased path
-    ref = np.zeros((3,) + g.shape)
+    assert _product_nodes(a, b) == g.N
+    assert _product_nodes(a, c) == next_fast_len(g.N // 2 + 9 + 1)
     sets2 = index_sets(3, 2)
     sets1 = index_sets(3, 1)
-    for ia, sa in enumerate(sets1):
-        for ib, sb in enumerate(sets1):
-            s, merged = merge_sign(sa, sb)
-            if s == 0:
-                continue
-            fine = upsample_values(a.comps[ia], g) * upsample_values(b.comps[ib], g)
-            ref[sets2.index(merged)] += s * downsample_values(fine, g)
-    w_ref = DiffForm(g, 2, ref)
-    assert (wedge(a, b) - w_ref).norm() < 1e-13
-    # wide operand still goes through the upsampled route without error
-    assert wedge(a, c).norm() > 0
+    for other in (b, c):
+        # every coefficient product on Orszag's 3N/2 + 1 grid
+        ref = np.zeros((3,) + g.shape)
+        for ia, sa in enumerate(sets1):
+            for ib, sb in enumerate(sets1):
+                s, merged = merge_sign(sa, sb)
+                if s == 0:
+                    continue
+                ref[sets2.index(merged)] += s * fine_grid_product(
+                    a.comps[ia], other.comps[ib], 3, 3 * g.N // 2 + 1)
+        assert (wedge(a, other) - DiffForm(g, 2, ref)).norm() < 1e-13
 
 
 def test_components_and_spectra_are_read_only():
@@ -451,8 +453,8 @@ def test_eval_at_splits_the_nyquist_bucket_like_upsample():
     # must agree off the grid, not only on the coarse nodes
     g = GridSpec(2, 8)
     vals = np.random.default_rng(4).standard_normal(g.shape)
-    fine = upsample_values(vals, g)
-    M = g.fine_N
+    M = next_fast_len(3 * g.N // 2 + 1)
+    fine = upsample_values(vals, g, M)
     nodes = np.stack([c.ravel() for c in np.meshgrid(
         np.arange(M) / M, np.arange(M) / M, indexing="ij")], axis=-1)
     got = ModeInterpolator(g, scalar_form(g, vals).spectra(), 0.0)(nodes)[0]
@@ -473,15 +475,15 @@ def test_upsample_preserves_values_on_coarse_nodes():
     rng = np.random.default_rng(8)
     g = GridSpec(2, 8)
     a = random_band_limited(g, 0, 3, rng)
-    fine = upsample_values(a.comps[0], g)
-    M = g.fine_N
+    M = next_fast_len(3 * g.N // 2 + 1)
+    fine = upsample_values(a.comps[0], g, M)
     assert 2 * M > 3 * g.N
     assert fine.shape == (M, M)
     nodes = np.stack([c.ravel() for c in np.meshgrid(
         np.arange(M) / M, np.arange(M) / M, indexing="ij")], axis=-1)
     np.testing.assert_allclose(fine.ravel(), ModeInterpolator(g, a.spectra(), 0.0)(nodes)[0],
                                atol=1e-13)
-    np.testing.assert_allclose(downsample_values(fine, g), a.comps[0], atol=1e-13)
+    np.testing.assert_allclose(downsample_values(fine, g, M), a.comps[0], atol=1e-13)
 
 
 def test_products_and_derivatives_store_real_contiguous_components():
@@ -489,7 +491,7 @@ def test_products_and_derivatives_store_real_contiguous_components():
     g = GridSpec(3, 8)
     a = random_band_limited(g, 1, 3, rng)
     b = random_band_limited(g, 2, 3, rng)
-    assert not _products_fit(a, b)      # 3 + 3 > N/2 - 1: de-aliased path
+    assert _product_nodes(a, b) > g.N   # 3 + 3 > N/2 - 1: de-aliased path
     for out in (ext_d(a), wedge(a, b), contract(a, b)):
         arr = out.comps
         assert arr.flags.c_contiguous

@@ -23,7 +23,12 @@ are rounding-level:
   enough that the truncation of e^g stays below the tolerance.
 
 The de-aliased product itself is checked on stacks of full-spectrum fields,
-Nyquist buckets included, against a 2N-grid product written out here.
+Nyquist buckets included, against the 2N-grid product of tests/oracles.py.
+Its band rule (a product of bands K_a, K_b goes on the grid when
+K_a + K_b <= N/2 - 1, else up to next_fast_len(N/2 + K_a + K_b + 1) nodes
+per axis) is checked at N = 8 and 16 on T^2 .. T^4: random fields of
+every band pair against the oracle on Orszag's 3N/2 + 1 grid, and single
+tones at every band edge against their band truncation written out.
 
 Lee forms: the closed-form extractor must recover theta = c dx3 + dg from
 e^g times a contact-type form, and its B / Pf inverse must agree with a
@@ -33,9 +38,12 @@ dense per-point solve.
 from math import comb
 
 import numpy as np
-from hypothesis import given
+import pytest
+from hypothesis import example, given
 from hypothesis import strategies as st
+from scipy.fft import next_fast_len
 
+from lcsflow import forms
 from lcsflow.forms import (
     DiffForm,
     GridSpec,
@@ -62,11 +70,12 @@ from lcsflow.twisted import (
     solve_primitive,
     torus_twisted_betti,
 )
-from oracles import harmonic_mask
+from oracles import fine_grid_product, harmonic_mask
 
 N = 8
 BANDS = {"narrow": 1, "wide": N // 2 - 1}
 TOL = 1e-10
+TWO_PI = 2.0 * np.pi
 
 dims = st.sampled_from([2, 3, 4])
 bands = st.sampled_from(sorted(BANDS))
@@ -209,54 +218,120 @@ def test_harmonic_parts_match_the_whole_grid_mask(n, k, band, data, seed):
     assert np.max(np.abs(h.comps - DiffForm.from_spectra(g, k, spec).comps)) <= 1e-14
 
 
-def _doubling_maps():
-    """Spectral maps between N and 2N buckets per axis.
-
-    pad (2N x N) splits the Nyquist bucket evenly between -N/2 and +N/2;
-    trunc (N x 2N) keeps |m| < N/2 and folds -N/2 and +N/2 back together.
-    """
-    pad, trunc = np.zeros((2 * N, N)), np.zeros((N, 2 * N))
-    for i, m in enumerate(np.fft.fftfreq(N, 1.0 / N).astype(int)):
-        if m == -N // 2:
-            pad[[N // 2, 2 * N - N // 2], i] = 0.5
-            trunc[i, [N // 2, 2 * N - N // 2]] = 1.0
-        else:
-            pad[m % (2 * N), i] = 1.0
-            trunc[i, m % (2 * N)] = 1.0
-    return pad, trunc
-
-
-def _on_every_axis(mat, spec):
-    for ax in range(1, spec.ndim):
-        spec = np.moveaxis(np.tensordot(mat, spec, axes=([1], [ax])), 0, ax)
-    return spec
-
-
-def _doubled_grid_product(u, v, n):
-    """Band truncation of u * v, computed on the 2N grid field by field."""
-    pad, trunc = _doubling_maps()
-    axes = tuple(range(1, n + 1))
-
-    def up(w):
-        spec = _on_every_axis(pad, np.fft.fftn(w, axes=axes))
-        return np.fft.ifftn(spec, axes=axes).real * 2**n
-
-    prod_spec = np.fft.fftn(up(u) * up(v), axes=axes)
-    return np.fft.ifftn(_on_every_axis(trunc, prod_spec), axes=axes).real / 2**n
-
-
 @given(n=dims, count=st.integers(1, 6), seed=seeds)
 def test_dealiased_product_matches_the_doubled_grid(n, count, seed):
     # odd and even stack sizes exercise the two-fields-per-transform packing;
-    # white-noise fields fill every bucket up to and including Nyquist
+    # white-noise fields fill every bucket up to and including Nyquist, so
+    # the band rule gives their product Orszag's 3/2 grid
     rng = np.random.default_rng(seed)
     g = GridSpec(n, N)
+    M = next_fast_len(3 * N // 2 + 1)
     scale = rng.uniform(0.1, 10.0, (2, count) + (1,) * n)
     u, v = rng.standard_normal((2, count) + g.shape) * scale
-    got = downsample_values(upsample_values(u, g) * upsample_values(v, g), g)
-    want = _doubled_grid_product(u, v, n)
+    got = downsample_values(upsample_values(u, g, M) * upsample_values(v, g, M), g, M)
+    want = fine_grid_product(u, v, n, 2 * N)
     assert got.shape == u.shape
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@st.composite
+def band_pairs(draw):
+    """(n, N, K_a, K_b): bands 0 .. N/2 at N = 8 and 16 on T^2 .. T^4."""
+    size = draw(st.sampled_from([8, 16]))
+    half = st.integers(0, size // 2)
+    return draw(dims), size, draw(half), draw(half)
+
+
+def _band_nodes(size: int, reach: int) -> int:
+    """The grid the band rule gives a product whose bands add up to reach."""
+    return size if reach <= size // 2 - 1 else next_fast_len(size // 2 + reach + 1)
+
+
+def _product_grids(a, b):
+    """a ^ b, and the node counts of the fine grids its product went up to."""
+    sizes = []
+    up = forms.upsample_values
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(forms, "upsample_values",
+                   lambda vals, grid, M: sizes.append(M) or up(vals, grid, M))
+        return wedge(a, b), sizes
+
+
+@given(case=band_pairs(), seed=seeds)
+@example(case=(2, 8, 4, 4), seed=0)       # full x full, Nyquist in both
+@example(case=(4, 16, 8, 8), seed=1)
+@example(case=(3, 16, 8, 1), seed=2)      # full x band 1
+@example(case=(4, 16, 1, 8), seed=3)
+@example(case=(3, 8, 4, 0), seed=4)       # Nyquist x constant
+@example(case=(4, 16, 3, 4), seed=5)      # reach N/2 - 1: on the grid
+def test_band_sized_product_matches_the_orszag_grid(case, seed):
+    # white noise kept on |m_j| <= K per axis; K = N/2 keeps the Nyquist
+    # bucket.  Each operand's peak is drawn from 0.1 .. 10, as in the
+    # doubled-grid test: two real fields share a complex transform, so the
+    # smaller one is interpolated to rounding relative to the larger.  A
+    # scalar times a 1-form multiplies each component, so the product is a
+    # stack of n + 1 fields, odd or even
+    n, size, ka, kb = case
+    rng = np.random.default_rng(seed)
+    g = GridSpec(n, size)
+    freq = np.abs(np.fft.fftfreq(size, 1.0 / size))
+    axes = tuple(range(1, n + 1))
+
+    def band(k, count):
+        mask = np.ones(g.shape, dtype=bool)
+        for j in range(n):
+            mask &= np.broadcast_to(freq.reshape(g.mode_axis(j).shape) <= k, g.shape)
+        spec = np.fft.fftn(rng.standard_normal((count,) + g.shape), axes=axes)
+        vals = np.fft.ifftn(spec * mask, axes=axes).real
+        return vals * (rng.uniform(0.1, 10.0) / np.abs(vals).max())
+
+    a = scalar_form(g, band(ka, 1)[0])
+    b = DiffForm(g, 1, band(kb, n))
+    M = _band_nodes(size, ka + kb)
+    if ka == kb == size // 2:
+        assert M == next_fast_len(3 * size // 2 + 1)
+    got, sizes = _product_grids(a, b)
+    assert sizes == ([] if M == size else [M])
+    want = fine_grid_product(a.comps, b.comps, n, 3 * size // 2 + 1)
+    assert np.abs(got.comps - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@given(case=band_pairs(), seed=seeds)
+@example(case=(2, 8, 4, 4), seed=0)
+@example(case=(4, 16, 8, 8), seed=1)
+@example(case=(3, 16, 8, 1), seed=2)
+@example(case=(2, 16, 4, 4), seed=3)      # bands add up to N/2
+def test_single_tone_products_are_their_band_truncation(case, seed):
+    # u and v are products over the axes of cos(2 pi k_j x_j + phi_j), each
+    # with |k_j| <= K and |k_j| = K on one axis, the band edge; phi_j = 0 on
+    # a Nyquist axis, where the grid holds only cos(pi N x_j).  Per axis the
+    # product is two tones at k_a + k_b and k_a - k_b, and the band
+    # truncation keeps a tone with |f| <= N/2 as its node values and drops
+    # every other one.  The product runs on the grid the band rule gives
+    # reach = max_j (|k_a,j| + |k_b,j|)
+    n, size, ka, kb = case
+    rng = np.random.default_rng(seed)
+    g = GridSpec(n, size)
+    x = g.coordinates()
+
+    def tone(k):
+        ks = rng.integers(-k, k + 1, n)
+        ks[rng.integers(n)] = k * rng.choice([-1, 1])
+        phis = np.where(2 * np.abs(ks) == size, 0.0, rng.uniform(0.0, TWO_PI, n))
+        return ks, phis
+
+    (kas, pas), (kbs, pbs) = tone(ka), tone(kb)
+    u = np.prod([np.cos(TWO_PI * k * xj + p) for k, p, xj in zip(kas, pas, x)], axis=0)
+    v = np.prod([np.cos(TWO_PI * k * xj + p) for k, p, xj in zip(kbs, pbs, x)], axis=0)
+    want = np.ones(g.shape)
+    for j in range(n):
+        want = want * sum(0.5 * np.cos(TWO_PI * (kas[j] + s * kbs[j]) * x[j]
+                                       + pas[j] + s * pbs[j])
+                          for s in (1, -1) if 2 * abs(kas[j] + s * kbs[j]) <= size)
+    got, sizes = _product_grids(scalar_form(g, u), scalar_form(g, v))
+    M = _band_nodes(size, int(np.max(np.abs(kas) + np.abs(kbs))))
+    assert sizes == ([] if M == size else [M])
+    assert np.abs(got.comps[0] - want).max() <= 1e-13
 
 
 @given(c=st.floats(0.25, 2.0), negative=st.booleans(), s=st.floats(0.0, 6.3),
