@@ -12,16 +12,17 @@ Spectra are Fourier coefficients, c_m = N^-n sum_x f(x) e^{-2 pi i m.x}
 transforms.  Derivatives are exact on band-limited data (coefficients times
 2*pi*i*m, Nyquist bucket zeroed).  A pointwise product (wedge, contraction)
 is sized from its operands' bands: with ext_a and ext_b the per-axis
-largest |m_j| above 1e-13 of each operand's peak coefficient, and
-reach = max_j (ext_a[j] + ext_b[j]), a product with reach <= N/2 - 1 is
-taken directly on the grid.  Any other product is evaluated on a
-de-aliasing grid of M = next_fast_len(N/2 + reach + 1) nodes per axis and
-truncated back.  Product modes reach |p_j| <= reach and the kept buckets
-are |q_j| <= N/2, so a product mode could fold onto a kept bucket only
-across |p_j - q_j| >= M > N/2 + reach, which no pair spans.  Two full-band
-operands (reach N) get Orszag's 3/2 grid, next_fast_len(3N/2 + 1); a
-band-1 factor of a full-band one gets next_fast_len(N + 2).  The one
-approximation is the band cut: modes at or below 1e-13 of an operand's
+largest |m_j| above 1e-13 of each operand's peak coefficient, and reach =
+max_j (ext_a[j] + ext_b[j]), a product with reach <= N/2 - 1 is taken
+directly on the grid.  Any other product zero-pads its operands' cached
+spectra onto a de-aliasing grid of M = next_fast_len(N/2 + reach + 1) nodes
+per axis, multiplies there and is truncated back, so only DiffForm.spectra
+transforms an operand forward.  Product modes reach |p_j| <= reach and the
+kept buckets are |q_j| <= N/2, so a product mode could fold onto a kept
+bucket only across |p_j - q_j| >= M > N/2 + reach, which no pair spans.
+Two full-band operands (reach N) get Orszag's 3/2 grid, next_fast_len(3N/2
++ 1); a band-1 factor of a full-band one gets next_fast_len(N + 2).  The
+one approximation is the band cut: modes at or below 1e-13 of an operand's
 peak do not count towards its band, so products are alias-free above that
 cut, on either path.
 """
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, partial
-from itertools import combinations
+from itertools import combinations, zip_longest
 from math import comb
 
 import numpy as np
@@ -317,12 +318,14 @@ def _trunc_axis(spec: np.ndarray, ax: int, N: int, M: int) -> np.ndarray:
     return out
 
 
-def _pack_pairs(stack: np.ndarray) -> np.ndarray:
-    """Real fields u_0, u_1, ... as complex fields u_0 + i u_1, u_2 + i u_3, ..."""
-    count = stack.shape[0]
-    z = np.zeros(((count + 1) // 2,) + stack.shape[1:], dtype=complex)
-    z.real = stack[0::2]
-    z.imag[:count // 2] = stack[1::2]
+def _pack_pairs(fields) -> np.ndarray:
+    """Fields f_0, f_1, ... as complex fields f_0 + i f_1, f_2 + i f_3, ...,
+    each formed in place.  Linear, so the spectra of u_0, u_1 pack into the
+    spectrum of u_0 + i u_1."""
+    z = np.empty(((len(fields) + 1) // 2,) + fields[0].shape, dtype=complex)
+    for zh, even, odd in zip_longest(z, fields[0::2], fields[1::2], fillvalue=0.0):
+        np.multiply(odd, 1j, out=zh)
+        zh += even
     return z
 
 
@@ -334,43 +337,36 @@ def _unpack_pairs(z: np.ndarray, count: int) -> np.ndarray:
     return out
 
 
-def upsample_values(vals: np.ndarray, grid: GridSpec, M: int) -> np.ndarray:
-    """Trig-interpolate node values onto a grid of M > N nodes per axis (exact).
+def upsample_values(spectra, grid: GridSpec, M: int) -> np.ndarray:
+    """Trig-interpolate real fields onto a grid of M > N nodes per axis (exact).
 
-    vals is one field of shape grid.shape or a stack of them; the result
-    has M nodes per axis in place of N.  The Nyquist bucket is split evenly
-    between -N/2 and +N/2.  Two fields share each complex transform.  Each
-    axis is padded just before its own inverse transform, so the earlier
-    transforms run on the smaller array.
+    spectra is a sequence of coefficient stacks, as DiffForm.spectra holds
+    them; the result stacks the fields' values on the fine grid in order.
+    The Nyquist bucket is split evenly between -N/2 and +N/2.  Two fields'
+    coefficients share each complex inverse transform, and none is
+    transformed forward.  Each axis is padded just before its own inverse
+    transform, so the earlier transforms run on the smaller array.
     """
-    vals = np.asarray(vals, dtype=float)
-    lead = vals.shape[:vals.ndim - grid.n]
-    stack = vals.reshape((-1,) + grid.shape)
-    axes = tuple(range(1, grid.n + 1))
-    spec = sfft.fftn(_pack_pairs(stack), axes=axes, norm="forward", overwrite_x=True)
-    for ax in reversed(axes):
+    fields = [field for stack in spectra for field in stack]
+    spec = _pack_pairs(fields)
+    for ax in range(grid.n, 0, -1):
         spec = sfft.ifftn(_pad_axis(spec, ax, grid.N, M), axes=(ax,),
                           norm="forward", overwrite_x=True)
-    return _unpack_pairs(spec, stack.shape[0]).reshape(lead + (M,) * grid.n)
+    return _unpack_pairs(spec, len(fields))
 
 
 def downsample_values(fine: np.ndarray, grid: GridSpec, M: int) -> np.ndarray:
-    """Project values on a grid of M > N nodes per axis back to the base
-    grid (band truncation, the +-N/2 pair folded into the Nyquist bucket).
-
-    Takes one field or a stack, like upsample_values, and returns real,
-    contiguous base-grid arrays.
+    """Project a stack of fields on a grid of M > N nodes per axis back to
+    the base grid (band truncation, the +-N/2 pair folded into the Nyquist
+    bucket); returns real, contiguous base-grid arrays.
     """
-    fine = np.asarray(fine, dtype=float)
-    lead = fine.shape[:fine.ndim - grid.n]
-    stack = fine.reshape((-1,) + (M,) * grid.n)
-    spec = _pack_pairs(stack)
+    spec = _pack_pairs(fine)
     axes = tuple(range(1, grid.n + 1))
     for ax in axes:
         spec = _trunc_axis(sfft.fftn(spec, axes=(ax,), norm="forward", overwrite_x=True),
                            ax, grid.N, M)
     vals = sfft.ifftn(spec, axes=axes, norm="forward", overwrite_x=True)
-    return _unpack_pairs(vals, stack.shape[0]).reshape(lead + grid.shape)
+    return _unpack_pairs(vals, fine.shape[0])
 
 
 # -- exterior operations -------------------------------------------------
@@ -425,8 +421,8 @@ def _product(a: DiffForm, b: DiffForm, rows, degree: int) -> DiffForm:
 
     The grid comes from _product_nodes.  With reach = max_j (ext_a[j] +
     ext_b[j]) <= N/2 - 1 the products are taken on the grid, where none of
-    them wraps.  Otherwise every component of both operands goes up to
-    M = next_fast_len(N/2 + reach + 1) nodes per axis in one stacked call,
+    them wraps.  Otherwise the cached spectra the bands were read from go
+    up to M = next_fast_len(N/2 + reach + 1) nodes per axis in one call,
     the sums are formed there, and every output component comes back down
     in one stacked call.  A product mode |p_j| <= reach would fold onto a
     kept bucket |q_j| <= N/2, the Nyquist one included, only if
@@ -441,7 +437,7 @@ def _product(a: DiffForm, b: DiffForm, rows, degree: int) -> DiffForm:
     if M == grid.N:
         return DiffForm(grid, degree,
                         np.stack(_sum_terms(rows, a.comps, b.comps, [None] * ncomp)))
-    fine = upsample_values(np.concatenate((a.comps, b.comps)), grid, M)
+    fine = upsample_values((a.spectra(), b.spectra()), grid, M)
     ka = a.comps.shape[0]
     acc = _sum_terms(rows, fine[:ka], fine[ka:], np.zeros((ncomp,) + (M,) * grid.n))
     return DiffForm(grid, degree, downsample_values(acc, grid, M))

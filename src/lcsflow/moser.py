@@ -133,8 +133,8 @@ class PipelineOptions:
     constants TOLERANCES, twisted.NONDEG_THRESHOLD and twisted.LCS_TOL.
 
     Checked when built (ValueError), and frozen after: steps, checkpoints
-    and seed_stride are integers, steps >= 1, seed_stride >= 1 and
-    2 <= checkpoints <= steps + 1.
+    and seed_stride are integers, steps >= 1, seed_stride >= 1,
+    2 <= checkpoints <= steps + 1 and allow_scalar_absorption is a bool.
     """
 
     steps: int = 200
@@ -147,6 +147,8 @@ class PipelineOptions:
             v = getattr(self, key)
             if not (type(v) is int and v >= least):  # bools fail
                 raise ValueError(f"{key} must be an integer >= {least}, got {v!r}")
+        if type(v := self.allow_scalar_absorption) is not bool:
+            raise ValueError(f"allow_scalar_absorption must be true or false, got {v!r}")
         # a checkpoint is a step time, and there are steps + 1 of them
         if self.checkpoints > self.steps + 1:
             raise ValueError(f"checkpoints must be at most steps + 1 = {self.steps + 1} "
@@ -358,7 +360,7 @@ def moser_vector_field(om: DiffForm, alpha: DiffForm) -> DiffForm:
     grid = om.grid
     if om.degree != 2 or alpha.degree != 1:
         raise ValueError("need a 2-form omega and a 1-form alpha")
-    inv = pfaffian_inverse(om.comps, NONDEG_THRESHOLD)
+    inv = pfaffian_inverse(om.comps)
     # Omega^-1 alpha = -i_alpha Omega^-1, and i_X omega + alpha = alpha - Omega X
     x = -contract_axes(alpha.comps, inv, grid.n, 2)
     resid = float(np.max(np.abs(contract_axes(x, om.comps, grid.n, 2) + alpha.comps)))

@@ -83,7 +83,8 @@ _SCENARIO_KEYS = {
     "cohomology_simplicial": {"fixture", "complex", "weights"},
     "cohomology_mapping_torus": {"matrix", "t0"},
     "moser": {"generator", "params", "grid", "steps", "checkpoints",
-              "seed_stride", "path", "allow_scalar_absorption", "samples_file"},
+              "seed_stride", "path", "allow_scalar_absorption", "samples_file",
+              "tolerances"},
 }
 
 _IDENTITY_TOL_DEFAULTS = {"d_theta_squared": 1e-9, "chain_map": 1e-9,
@@ -306,11 +307,11 @@ def validate_config(cfg: dict) -> dict:
             out[key] = cfg.get(key, getattr(base, key))
         with _library_checks():
             PipelineOptions(**{k: out[k] for k in _RUN_SHAPE})
-        _need(type(out["allow_scalar_absorption"]) is bool, "allow_scalar_absorption",
-              "true or false", out["allow_scalar_absorption"])
-        # the report echoes the gate thresholds, which are constants, not config
-        out["tolerances"] = {**TOLERANCES, "nondeg_margin": NONDEG_THRESHOLD,
-                             "lcs": LCS_TOL}
+        # the report echoes the gate constants: a config may repeat them, not set them
+        tols = out["tolerances"] = {**TOLERANCES, "nondeg_margin": NONDEG_THRESHOLD,
+                                    "lcs": LCS_TOL}
+        _need(cfg.get("tolerances", tols) == tols, "tolerances",
+              "absent or the gate constants a report echoes", cfg.get("tolerances"))
     return out
 
 

@@ -200,21 +200,20 @@ def pfaffian_values(comps: np.ndarray) -> np.ndarray:
                          "nondegenerate 2-forms live on T^2 and T^4 only")
 
 
-def pfaffian_inverse(comps: np.ndarray, nondeg_threshold: float) -> np.ndarray:
+def pfaffian_inverse(comps: np.ndarray) -> np.ndarray:
     """Pointwise Omega^-1, Omega_ab = omega(e_a, e_b), as B / Pf.
 
     comps is a 2-form's component stack, as for pfaffian_values.  B is the
     dual antisymmetric matrix, Omega B = Pf * Id: the constant
     -dx_0 ^ dx_1 on T^2 and -*omega on T^4.  Returns the components
     (a < b) of Omega^-1, laid out like comps; raises DegenerateForm when
-    the margin min |Pf| is below nondeg_threshold or NaN.
+    the margin min |Pf| is below NONDEG_THRESHOLD or NaN.
     """
     pf = pfaffian_values(comps)
     margin = float(np.min(np.abs(pf)))
-    if not margin >= nondeg_threshold:
-        raise DegenerateForm(
-            f"Pfaffian margin {margin:.3e} below threshold {nondeg_threshold:.1e}"
-        )
+    if not margin >= NONDEG_THRESHOLD:
+        raise DegenerateForm(f"Pfaffian margin {margin:.3e} below threshold "
+                             f"{NONDEG_THRESHOLD:.1e}")
     if len(comps) == 1:
         return -1.0 / pf[None]
     inv = np.empty_like(comps)
@@ -240,7 +239,7 @@ def lee_form(omega: DiffForm) -> LeeForm:
     grid = omega.grid
     if omega.degree != 2:
         raise DegreeError("Lee form extraction expects a 2-form")
-    inv = pfaffian_inverse(omega.comps, NONDEG_THRESHOLD)
+    inv = pfaffian_inverse(omega.comps)
     if grid.n == 2:
         return LeeForm.zero(grid)
     theta = np.zeros((grid.n,) + grid.shape)

@@ -2,6 +2,7 @@
 
     PYTHONPATH=src python tests/report_digests.py --seed 101
     PYTHONPATH=src python tests/report_digests.py --seed 101 --fields
+    PYTHONPATH=src python tests/report_digests.py --seed 101 --replay
 
 Builds every job of the four benchmark workloads with
 perfbench/workloads.py's build(name, seed), read only, runs each through
@@ -16,6 +17,11 @@ outside "timings", "config" echo included: the job, the field's path
 (keys joined by ".", list positions in brackets) and its value as Python
 prints it, which round-trips.  Diffing two checkouts' outputs then lists
 exactly the fields that moved.
+
+With --replay it runs each job, runs again the "config" its report
+echoes, and prints one line per job saying whether the two reports are
+equal outside "timings"; it exits 1 if any pair differs.  A report's
+config is a config the runner accepts and re-runs to the same report.
 """
 
 import argparse
@@ -62,6 +68,13 @@ def digests(seed: int):
         yield name, job, _sha(report), _sha(config)
 
 
+def replays(seed: int):
+    """(workload, job, whether the echoed config re-runs to the same report)."""
+    for name, job, report in reports(seed):
+        again = run_job(workloads.Job(report["config"]))
+        yield name, job, _sha(report) == _sha(again)
+
+
 def fields(blob, path: str = ""):
     """(path, value) for every number in a report, in document order."""
     if isinstance(blob, dict):
@@ -77,9 +90,18 @@ def fields(blob, path: str = ""):
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--fields", action="store_true",
-                        help="print every number of every report, one per line")
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--fields", action="store_true",
+                      help="print every number of every report, one per line")
+    mode.add_argument("--replay", action="store_true",
+                      help="re-run each report's echoed config and compare the reports")
     args = parser.parse_args()
+    if args.replay:
+        same = True
+        for name, job, equal in replays(args.seed):
+            print(f"{name}/{job}  replay {'equal' if equal else 'DIFFERS'}")
+            same &= equal
+        return 0 if same else 1
     if args.fields:
         for name, job, report in reports(args.seed):
             for path, value in fields(report):

@@ -9,6 +9,7 @@ reads gate tolerances from each report's echoed config.  These tests run
 all four in the tier-1 suite, which does not collect perfbench/.
 """
 
+import json
 import sys
 from collections import Counter
 from pathlib import Path
@@ -85,8 +86,9 @@ def test_traced_interpolator_call_records_its_work(monkeypatch):
 
 
 def test_benchmark_configs_are_valid_and_echo_the_tolerances_checked(monkeypatch):
-    # every job the benchmark builds is a config the runner accepts, and its
-    # echo holds each tolerance perfbench/checks.py reads for its gates
+    # every job the benchmark builds is a config the runner accepts, its
+    # echo holds each tolerance perfbench/checks.py reads for its gates, and
+    # the echo, read back from JSON, validates to itself
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import checks
     import workloads
@@ -100,6 +102,7 @@ def test_benchmark_configs_are_valid_and_echo_the_tolerances_checked(monkeypatch
             echo = validate_config(job.config)
             want = gate_keys.get(echo["scenario"], set())
             assert want <= set(echo.get("tolerances", {})), (name, job.name)
+            assert validate_config(json.loads(json.dumps(echo))) == echo, (name, job.name)
 
 
 def test_traced_moser_job_records_every_phase_and_stage_count(monkeypatch, tmp_path):

@@ -454,7 +454,7 @@ def test_eval_at_splits_the_nyquist_bucket_like_upsample():
     g = GridSpec(2, 8)
     vals = np.random.default_rng(4).standard_normal(g.shape)
     M = next_fast_len(3 * g.N // 2 + 1)
-    fine = upsample_values(vals, g, M)
+    fine = upsample_values([scalar_form(g, vals).spectra()], g, M)[0]
     nodes = np.stack([c.ravel() for c in np.meshgrid(
         np.arange(M) / M, np.arange(M) / M, indexing="ij")], axis=-1)
     got = ModeInterpolator(g, scalar_form(g, vals).spectra(), 0.0)(nodes)[0]
@@ -476,14 +476,14 @@ def test_upsample_preserves_values_on_coarse_nodes():
     g = GridSpec(2, 8)
     a = random_band_limited(g, 0, 3, rng)
     M = next_fast_len(3 * g.N // 2 + 1)
-    fine = upsample_values(a.comps[0], g, M)
+    fine = upsample_values([a.spectra()], g, M)
     assert 2 * M > 3 * g.N
-    assert fine.shape == (M, M)
+    assert fine.shape == (1, M, M)
     nodes = np.stack([c.ravel() for c in np.meshgrid(
         np.arange(M) / M, np.arange(M) / M, indexing="ij")], axis=-1)
     np.testing.assert_allclose(fine.ravel(), ModeInterpolator(g, a.spectra(), 0.0)(nodes)[0],
                                atol=1e-13)
-    np.testing.assert_allclose(downsample_values(fine, g, M), a.comps[0], atol=1e-13)
+    np.testing.assert_allclose(downsample_values(fine, g, M), a.comps, atol=1e-13)
 
 
 def test_products_and_derivatives_store_real_contiguous_components():
@@ -545,6 +545,36 @@ def test_spectral_operators_use_only_the_counted_fft_entry_points(monkeypatch):
         assert "fftn" in calls
     finally:
         forms.sfft = original
+
+
+def test_a_dealiased_product_transforms_forward_only_on_the_fine_grid(monkeypatch):
+    # with both operands' spectra cached, a de-aliased wedge pads them: its
+    # only forward transforms are downsample_values' fine-grid ones, one
+    # per axis
+    rng = np.random.default_rng(11)
+    g = GridSpec(3, 8)
+    a = random_band_limited(g, 1, 3, rng)
+    b = random_band_limited(g, 2, 3, rng)
+    assert _product_nodes(a, b) > g.N   # caches both spectra
+    inside, where = [], []              # where: inside downsample, per fftn
+
+    def fftn(x, *args, **kwargs):
+        where.append(bool(inside))
+        return original.fftn(x, *args, **kwargs)
+
+    def down(*args):
+        inside.append(True)
+        try:
+            return downsample_values(*args)
+        finally:
+            inside.pop()
+
+    original = forms.sfft
+    monkeypatch.setattr(forms, "sfft", types.SimpleNamespace(fftn=fftn,
+                                                             ifftn=original.ifftn))
+    monkeypatch.setattr(forms, "downsample_values", down)
+    wedge(a, b)
+    assert where == [True] * g.n
 
 
 def test_norm_and_arithmetic():

@@ -29,7 +29,10 @@ runner's generator table, whose config keys reach the builder through
 Only ``forms`` knows how a form is stored.  A spectrum is a form's Fourier
 coefficients, so no package module rescales one by the node count (reads
 ``num_nodes``), and no module but ``forms`` names an FFT: ``scipy.fft``,
-``numpy.fft`` or any identifier containing ``fft``.
+``numpy.fft`` or any identifier containing ``fft``.  Within ``forms`` a
+form is transformed forward only by ``DiffForm.spectra``, which caches the
+result: ``sfft.fftn`` appears there and in ``downsample_values``, whose
+fine-grid values belong to no form, and nowhere else.
 """
 
 import ast
@@ -249,3 +252,27 @@ def storage_leaks() -> list[str]:
 
 def test_only_forms_knows_how_a_form_is_stored():
     assert storage_leaks() == []
+
+
+def forward_transforms() -> list[str]:
+    """Package functions, as module:qualified.name, that name sfft.fftn."""
+    found = []
+
+    def visit(node, path, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, path, scope + [child.name])
+                continue
+            if (isinstance(child, ast.Attribute) and child.attr == "fftn"
+                    and isinstance(child.value, ast.Name) and child.value.id == "sfft"):
+                found.append(f"{path.name}:{'.'.join(scope)}")
+            visit(child, path, scope)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text()), path, [])
+    return found
+
+
+def test_a_form_is_transformed_forward_only_by_its_spectra():
+    assert forward_transforms() == ["forms.py:DiffForm.spectra",
+                                    "forms.py:downsample_values"]

@@ -1,4 +1,5 @@
-"""The --fields mode of tests/report_digests.py, run on one benchmark job."""
+"""The --fields and --replay modes of tests/report_digests.py, run on one
+benchmark job."""
 
 import json
 import re
@@ -34,3 +35,13 @@ def test_fields_mode_prints_every_number_of_a_report(monkeypatch, capsys):
     assert "max_chain_map" in {p.rsplit(".", 1)[-1] for p in paths}
     assert not any(p.startswith("timings") for p in paths)
     assert any(p.startswith("config.") for p in paths)
+
+
+def test_replay_mode_reruns_the_echoed_config(monkeypatch, capsys):
+    job = report_digests.workloads.build("algebra", 101)[0]
+    report = report_digests.run_job(job)
+    monkeypatch.setattr(report_digests, "reports",
+                        lambda seed: iter([("algebra", job.name, report)]))
+    monkeypatch.setattr(sys, "argv", ["report_digests.py", "--seed", "101", "--replay"])
+    assert report_digests.main() == 0
+    assert capsys.readouterr().out == f"algebra/{job.name}  replay equal\n"

@@ -37,6 +37,10 @@ def _read_json(path):
     return json.loads(path.read_text())
 
 
+# the gate constants a moser report echoes under config.tolerances
+MOSER_TOLERANCES = {"consistency": 1e-3, "factor": 1e-3, "eq1": 1e-6, "exactness": 1e-9,
+                    "lee_match": 1e-8, "cor2": 1e-8, "nondeg_margin": 1e-8, "lcs": 1e-8}
+
 BAD_CONFIGS = [
     ["not", "a", "dict"],
     {"scenario": "frobnicate"},
@@ -70,6 +74,13 @@ BAD_CONFIGS = [
     {"scenario": "moser", "generator": "area_interpolation", "checkpoints": 3.0},
     {"scenario": "moser", "generator": "area_interpolation",
      "tolerances": {"eq1": True}},
+    # a moser config may repeat every echoed gate constant, and nothing else
+    {"scenario": "moser", "generator": "area_interpolation",
+     "tolerances": {**MOSER_TOLERANCES, "eq1": 1e-5}},
+    {"scenario": "moser", "generator": "area_interpolation",
+     "tolerances": {**MOSER_TOLERANCES, "lcs": True}},
+    {"scenario": "moser", "generator": "area_interpolation",
+     "tolerances": {**MOSER_TOLERANCES, "extra": 1e-8}},
     {"scenario": "identities", "tolerances": {"chain_map": True}},
     # each field is typed once: no silent coercion, no unhashable lookup
     {"scenario": "moser", "generator": "area_interpolation",
@@ -209,12 +220,24 @@ def _draw_broken(data, base):
 @settings(max_examples=300)
 @given(data=st.data())
 def test_validate_config_types_every_field(name, data):
+    # a config it accepts echoes one that, read back from a report's JSON,
+    # validates to itself, so a report's config re-runs as it stands
     base = VALID_CONFIGS[name]
-    validate_config(copy.deepcopy(base))
+    _assert_echo_validates_to_itself(validate_config(copy.deepcopy(base)))
     try:
-        validate_config(_draw_broken(data, base))
+        echo = validate_config(_draw_broken(data, base))
     except ConfigError:
-        pass
+        return
+    _assert_echo_validates_to_itself(echo)
+
+
+def _assert_echo_validates_to_itself(echo):
+    assert validate_config(json.loads(json.dumps(echo))) == echo
+
+
+def test_every_fixture_echo_validates_to_itself():
+    for name in fixture_names():
+        _assert_echo_validates_to_itself(validate_config(runner._fixture_catalog()[name]))
 
 
 @pytest.mark.parametrize("name", ["torus", "simplicial_fixture",
@@ -237,9 +260,7 @@ def test_moser_defaults_filled_in():
     assert cfg["checkpoints"] == 11
     assert cfg["path"] == "theorem"
     assert cfg["allow_scalar_absorption"] is True
-    assert cfg["tolerances"] == {
-        "consistency": 1e-3, "factor": 1e-3, "eq1": 1e-6, "exactness": 1e-9,
-        "lee_match": 1e-8, "cor2": 1e-8, "nondeg_margin": 1e-8, "lcs": 1e-8}
+    assert cfg["tolerances"] == MOSER_TOLERANCES
     assert cfg["output"] == {"json": "report.json", "csv": "checkpoints.csv"}
     assert cfg["grid"] == {"n": 2, "N": 32}
 
@@ -589,6 +610,10 @@ def test_lee_data_that_miss_the_extraction_exit_1(tmp_path, monkeypatch):
     ({"checkpoints": 1}, "checkpoints must be an integer >= 2, got 1"),
     ({"checkpoints": True}, "checkpoints must be an integer >= 2, got True"),
     ({"seed_stride": 0}, "seed_stride must be an integer >= 1, got 0"),
+    ({"allow_scalar_absorption": "no"},
+     "allow_scalar_absorption must be true or false, got 'no'"),
+    ({"allow_scalar_absorption": 1},
+     "allow_scalar_absorption must be true or false, got 1"),
 ])
 def test_pipeline_options_check_their_shape(shape, message):
     with pytest.raises(ValueError) as info:
@@ -632,13 +657,16 @@ def test_cli_steps_override_is_validated(tmp_path, capsys):
 
 
 def test_moser_tolerances_are_not_config(tmp_path, capsys):
-    # the gate thresholds are constants: even their own values are refused
+    # the gate thresholds are constants: a config may repeat all of them, as
+    # a report's echo does, but one of their own values alone is refused
     path = tmp_path / "area.json"
     path.write_text(json.dumps({"scenario": "moser", "generator": "area_interpolation",
                                 "tolerances": {"eq1": 1e-6}}))
     out = tmp_path / "out"
     assert main(["run", "--config", str(path), "--out", str(out), "--quiet"]) == 2
-    assert capsys.readouterr().err == "config error: unknown field(s) in config: tolerances\n"
+    assert capsys.readouterr().err == (
+        "config error: tolerances must be absent or the gate constants a report "
+        "echoes, got {'eq1': 1e-06}\n")
     assert not out.exists()
 
 
